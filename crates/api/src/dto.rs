@@ -7,7 +7,7 @@
 //! structs are `#[non_exhaustive]` — fields can be added without breaking
 //! callers.
 
-use qspr::{MovementModel, PlacementStrategy, RouterStrategy, SchedulerStrategy};
+use qspr::{MovementModel, PlacementStrategy, RouterStrategy};
 
 use crate::error::{ErrorKind, LeqaError};
 use crate::json::Json;
@@ -488,11 +488,6 @@ pub struct MapRequest {
     pub router: RouterStrategy,
     /// Movement model (wire names: `home|drift`).
     pub movement: MovementModel,
-    /// Scheduling engine (wire names: `greedy|mobility`).
-    pub scheduler: SchedulerStrategy,
-    /// Pass-pipeline spec (`dce|dce:LO-HI|partition:K`, comma-separated);
-    /// `None` runs no pipeline.
-    pub passes: Option<String>,
 }
 
 pub(crate) fn placement_name(p: PlacementStrategy) -> &'static str {
@@ -544,19 +539,39 @@ pub(crate) fn movement_from_name(name: &str) -> Option<MovementModel> {
     })
 }
 
-pub(crate) fn scheduler_name(s: SchedulerStrategy) -> &'static str {
-    match s {
-        SchedulerStrategy::Greedy => "greedy",
-        SchedulerStrategy::Mobility => "mobility",
+/// Rejects the mapper options of engines that were removed from QSPR.
+/// Older clients always send `"scheduler":"greedy"` (experiment specs: a
+/// `"schedulers":["greedy"]` axis) and `"passes":null`; those still
+/// decode and mean what they always meant. Naming the mobility scheduler
+/// or any pass pipeline is an [`ErrorKind::Invalid`] error, so such a
+/// request never silently runs greedy instead.
+pub(crate) fn reject_removed_mapper_options(value: &Json) -> Result<(), LeqaError> {
+    let axis = match value.get("schedulers") {
+        Some(Json::Arr(items)) => items.as_slice(),
+        Some(other) => std::slice::from_ref(other),
+        None => &[],
+    };
+    for name in value.get("scheduler").into_iter().chain(axis) {
+        if !matches!(name, Json::Null) && name.as_str() != Some("greedy") {
+            return Err(LeqaError::new(
+                ErrorKind::Invalid,
+                format!(
+                    "scheduler {} was removed: `greedy` is the mapper's only engine",
+                    name.encode()
+                ),
+            ));
+        }
     }
-}
-
-pub(crate) fn scheduler_from_name(name: &str) -> Option<SchedulerStrategy> {
-    Some(match name {
-        "greedy" => SchedulerStrategy::Greedy,
-        "mobility" => SchedulerStrategy::Mobility,
-        _ => return None,
-    })
+    match value.get("passes") {
+        None | Some(Json::Null) => Ok(()),
+        Some(spec) => Err(LeqaError::new(
+            ErrorKind::Invalid,
+            format!(
+                "passes {} was removed: the mapper runs no pass pipeline",
+                spec.encode()
+            ),
+        )),
+    }
 }
 
 impl MapRequest {
@@ -571,8 +586,6 @@ impl MapRequest {
             placement: PlacementStrategy::default(),
             router: RouterStrategy::default(),
             movement: MovementModel::default(),
-            scheduler: SchedulerStrategy::default(),
-            passes: None,
         }
     }
 
@@ -611,21 +624,6 @@ impl MapRequest {
         self
     }
 
-    /// Sets the scheduling engine.
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: SchedulerStrategy) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Runs a pass pipeline before mapping (spec syntax:
-    /// `dce|dce:LO-HI|partition:K`, comma-separated).
-    #[must_use]
-    pub fn with_passes(mut self, spec: impl Into<String>) -> Self {
-        self.passes = Some(spec.into());
-        self
-    }
-
     /// Serializes the request envelope.
     #[must_use]
     pub fn to_json(&self) -> Json {
@@ -641,11 +639,6 @@ impl MapRequest {
             ("placement", Json::str(placement_name(self.placement))),
             ("router", Json::str(router_name(self.router))),
             ("movement", Json::str(movement_name(self.movement))),
-            ("scheduler", Json::str(scheduler_name(self.scheduler))),
-            (
-                "passes",
-                self.passes.as_deref().map(Json::str).unwrap_or(Json::Null),
-            ),
         ])
     }
 
@@ -654,9 +647,12 @@ impl MapRequest {
     ///
     /// # Errors
     ///
-    /// [`ErrorKind::Json`] on schema-version mismatch or shape errors.
+    /// [`ErrorKind::Json`] on schema-version mismatch or shape errors;
+    /// [`ErrorKind::Invalid`] for a `scheduler` other than `greedy` or a
+    /// non-null `passes` (engines that were removed; see `API.md`).
     pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
         check_schema_version(value)?;
+        reject_removed_mapper_options(value)?;
         let trace_limit = match value.get("trace_limit") {
             None | Some(Json::Null) => 0,
             Some(v) => v.as_u64().ok_or_else(|| {
@@ -686,11 +682,6 @@ impl MapRequest {
             placement: strategy(value, "placement", placement_from_name, Default::default())?,
             router: strategy(value, "router", router_from_name, Default::default())?,
             movement: strategy(value, "movement", movement_from_name, Default::default())?,
-            scheduler: strategy(value, "scheduler", scheduler_from_name, Default::default())?,
-            passes: value
-                .get("passes")
-                .and_then(Json::as_str)
-                .map(str::to_string),
         })
     }
 }

@@ -163,13 +163,12 @@ pub fn map_text(resp: &MapResponse) -> String {
 #[must_use]
 pub fn experiment_plan_text(plan: &crate::ExperimentPlan) -> String {
     let mut line = format!(
-        "{} cells ({} workloads × {} params × {} routers × {} movements × {} schedulers × {} sides), mode {}",
+        "{} cells ({} workloads × {} params × {} routers × {} movements × {} sides), mode {}",
         plan.cells,
         plan.workloads.len(),
         plan.params.len(),
         plan.routers.len(),
         plan.movements.len(),
-        plan.schedulers.len(),
         plan.sides.len(),
         plan.mode.name(),
     );
@@ -191,8 +190,8 @@ pub fn experiment_header_text(plan: &crate::ExperimentPlan) -> String {
     let mut out = format!("experiment: {}\n", experiment_plan_text(plan));
     let _ = writeln!(
         out,
-        "{:>5} {:<18} {:<10} {:>8} {:>5} {:>8} {:>6} {:>14}",
-        "cell", "workload", "params", "router", "move", "sched", "side", "latency(s)"
+        "{:>5} {:<18} {:<10} {:>8} {:>5} {:>6} {:>14}",
+        "cell", "workload", "params", "router", "move", "side", "latency(s)"
     );
     out
 }
@@ -200,7 +199,7 @@ pub fn experiment_header_text(plan: &crate::ExperimentPlan) -> String {
 /// Renders one experiment cell row, as `leqa experiment` prints it.
 #[must_use]
 pub fn experiment_cell_text(row: &crate::CellRow) -> String {
-    use crate::dto::{movement_name, router_name, scheduler_name};
+    use crate::dto::{movement_name, router_name};
     let latency = match row.metrics.primary_latency_us() {
         Some(us) => format!("{:>14.6}", us / 1_000_000.0),
         // An unroutable Monte Carlo trial *fit* the fabric; the defects
@@ -218,13 +217,12 @@ pub fn experiment_cell_text(row: &crate::CellRow) -> String {
         None => format!("{:>14}", "(too small)"),
     };
     format!(
-        "{:>5} {:<18} {:<10} {:>8} {:>5} {:>8} {:>6} {latency}\n",
+        "{:>5} {:<18} {:<10} {:>8} {:>5} {:>6} {latency}\n",
         row.cell,
         row.workload,
         row.params,
         router_name(row.router),
         movement_name(row.movement),
-        scheduler_name(row.scheduler),
         row.side,
     )
 }

@@ -542,9 +542,10 @@ impl Server {
     /// Executes one already-admitted work frame, holding `permit` for
     /// the duration. Shared by the NDJSON line engine and the pipelined
     /// frame dispatcher, so both transports produce byte-identical
-    /// replies through one code path.
+    /// replies — and isolate a panicking request the same way — through
+    /// one code path.
     fn execute_work(&self, frame: Frame, permit: InflightPermit) -> String {
-        let reply = match frame {
+        self.run_isolated(permit, || match frame {
             Frame::Single(req) => {
                 self.count_endpoint(&req);
                 match self.inner.session.execute(&req) {
@@ -566,7 +567,17 @@ impl Server {
             Frame::Control(_) => self.error_reply(LeqaError::internal(
                 "control frame routed to the work executor",
             )),
-        };
+        })
+    }
+
+    /// Runs one admitted request body, answering a panic with an
+    /// `internal` error frame instead of unwinding into the transport —
+    /// under `serve --stdio` the connection thread is the daemon. The
+    /// permit is released either way.
+    fn run_isolated(&self, permit: InflightPermit, work: impl FnOnce() -> String) -> String {
+        let reply = catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|_| {
+            self.error_reply(LeqaError::internal("request panicked during execution"))
+        });
         drop(permit);
         reply
     }
@@ -1165,14 +1176,7 @@ impl Server {
                 let server = self.clone();
                 let tx = tx.clone();
                 leqa::pool::Pool::global().submit(move || {
-                    // Catch panics so a poisoned request can't kill a
-                    // pool worker; the permit drops either way.
-                    let reply = catch_unwind(AssertUnwindSafe(|| {
-                        server.execute_deadlined(work, permit, timeout_ms, arrived)
-                    }))
-                    .unwrap_or_else(|_| {
-                        server.error_reply(LeqaError::internal("request panicked during execution"))
-                    });
+                    let reply = server.execute_deadlined(work, permit, timeout_ms, arrived);
                     server
                         .inner
                         .stats
@@ -1416,6 +1420,25 @@ mod tests {
         assert_eq!(stats.cache.loads, 2);
         assert_eq!(stats.cache.cache_hits, 1);
         assert_eq!(stats.inflight, 0, "permits are released");
+    }
+
+    #[test]
+    fn a_panicking_request_answers_internal_and_releases_its_permit() {
+        // `run_isolated` is the one catch site both transports execute
+        // work through (NDJSON lines and pipelined frames alike).
+        let server = server();
+        let permit = server.admit().expect("no inflight cap");
+        assert_eq!(server.stats().inflight, 1);
+        let reply = server.run_isolated(permit, || panic!("injected request panic"));
+        let frame = ErrorFrame::from_json(&json::parse(&reply).unwrap()).unwrap();
+        assert_eq!(frame.error.kind(), ErrorKind::Internal);
+        assert_eq!(server.stats().inflight, 0, "the permit is released");
+        assert_eq!(server.stats().errors, 1);
+        // The engine keeps serving afterwards.
+        assert!(server
+            .process_line(&estimate_line("qft_8"))
+            .unwrap()
+            .starts_with("{\"schema_version\":1,\"op\":\"estimate\""));
     }
 
     #[test]

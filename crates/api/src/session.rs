@@ -37,7 +37,7 @@ use leqa::{Estimator, EstimatorOptions, ProfileData, ProgramProfile, StreamingPr
 use leqa_circuit::{decompose::lower_to_ft, parser, Circuit, Qodg};
 use leqa_fabric::{FabricDims, PhysicalParams};
 use leqa_workloads::shor::ShorStream;
-use qspr::{Mapper, MapperConfig, PassManager};
+use qspr::{Mapper, MapperConfig};
 
 use crate::dto::{
     CompareRequest, CompareResponse, EstimateRequest, EstimateResponse, FabricSpec, MapRequest,
@@ -1104,22 +1104,14 @@ impl Session {
 
     fn run_map(&self, req: &MapRequest, handle: &ProgramHandle) -> Result<MapResponse, LeqaError> {
         let dims = self.resolve_fabric(req.fabric)?;
-        let mut mapper = Mapper::with_config(MapperConfig {
+        let mapper = Mapper::with_config(MapperConfig {
             dims,
             params: self.params.clone(),
             placement: req.placement,
             router: req.router,
             movement: req.movement,
             seed: 0,
-        })
-        .with_scheduler(req.scheduler);
-        if let Some(spec) = req.passes.as_deref() {
-            let pm = PassManager::parse(spec)
-                .map_err(|msg| LeqaError::new(ErrorKind::Invalid, format!("bad passes: {msg}")))?;
-            if !pm.is_empty() {
-                mapper = mapper.with_passes(Arc::new(pm));
-            }
-        }
+        });
         let (result, trace) = if req.trace_limit > 0 {
             let (r, t) = mapper.map_with_trace(handle.qodg())?;
             let rows = usize::try_from(req.trace_limit).unwrap_or(usize::MAX);

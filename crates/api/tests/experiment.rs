@@ -33,7 +33,6 @@ fn serial_row(
         ("params", Json::str(params)),
         ("router", Json::str(router)),
         ("movement", Json::str(movement)),
-        ("scheduler", Json::str("greedy")),
         ("side", Json::num(side)),
         ("fit", Json::Bool(fit)),
         ("latency_us", opt(estimate.as_ref().map(|e| e.latency_us))),

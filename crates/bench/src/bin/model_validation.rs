@@ -3,8 +3,9 @@
 //! event-driven queue simulation for Eqs. 9–11, and exact Held–Karp
 //! Hamiltonian paths for Eq. 15.
 //!
-//! This is the evidence behind the "model internals" row of
-//! EXPERIMENTS.md.
+//! It checks the models the estimate is built from; the end-to-end
+//! accuracy against the mapper (`est_error_pct_mean`/`est_error_pct_max`
+//! of the `map_compare` workload) is recorded in perfbench/README.md.
 
 use leqa_fabric::{FabricDims, Micros};
 use leqa_validate::{coverage, hamiltonian, queueing};

@@ -198,77 +198,6 @@ impl Qodg {
         &self.pred_edges[lo..hi]
     }
 
-    /// Structural validation: sentinels in place, CSR offsets monotone,
-    /// every predecessor edge pointing at a smaller node index (node order
-    /// is topological by construction, so this implies acyclicity), no
-    /// duplicate predecessors, and every op wire within `num_qubits`.
-    ///
-    /// The graph builders uphold all of this by construction; the check
-    /// exists for the pass-pipeline invariant checker, which re-validates
-    /// the graph after every transformation.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first violation found.
-    pub fn validate(&self) -> Result<(), String> {
-        let n = self.nodes.len();
-        if n < 2 {
-            return Err(format!("graph has {n} nodes; needs at least start and end"));
-        }
-        if self.nodes[0] != QodgNode::Start {
-            return Err("first node is not the start sentinel".into());
-        }
-        if self.nodes[n - 1] != QodgNode::End {
-            return Err("last node is not the end sentinel".into());
-        }
-        for (i, node) in self.nodes[1..n - 1].iter().enumerate() {
-            let QodgNode::Op(op) = node else {
-                return Err(format!("interior node {} is a {node:?} sentinel", i + 1));
-            };
-            for q in op.qubits() {
-                if q.0 >= self.num_qubits {
-                    return Err(format!(
-                        "node {} touches wire {} but the graph has {} wires",
-                        i + 1,
-                        q.0,
-                        self.num_qubits
-                    ));
-                }
-            }
-        }
-        if self.pred_offsets.len() != n + 1 {
-            return Err(format!(
-                "offset table has {} entries for {n} nodes",
-                self.pred_offsets.len()
-            ));
-        }
-        if self.pred_offsets[n] as usize != self.pred_edges.len() {
-            return Err(format!(
-                "offset table ends at {} but the edge arena holds {} edges",
-                self.pred_offsets[n],
-                self.pred_edges.len()
-            ));
-        }
-        for i in 0..n {
-            let (lo, hi) = (self.pred_offsets[i], self.pred_offsets[i + 1]);
-            if lo > hi {
-                return Err(format!("offsets decrease at node {i} ({lo} > {hi})"));
-            }
-            let preds = &self.pred_edges[lo as usize..hi as usize];
-            for (j, &p) in preds.iter().enumerate() {
-                if p.0 >= i {
-                    return Err(format!(
-                        "edge {p:?} -> node {i} is not topological (cycle or forward edge)"
-                    ));
-                }
-                if preds[..j].contains(&p) {
-                    return Err(format!("node {i} lists predecessor {p:?} twice"));
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Iterates over operation nodes in topological (program) order.
     pub fn op_nodes(&self) -> impl Iterator<Item = (NodeId, FtOp)> + '_ {
         self.nodes.iter().enumerate().filter_map(|(i, n)| match n {

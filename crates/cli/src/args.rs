@@ -7,7 +7,7 @@
 use leqa::ZoneRounding;
 use leqa_api::LeqaError;
 use leqa_fabric::FabricDims;
-use qspr::{MovementModel, PlacementStrategy, RouterStrategy, SchedulerStrategy};
+use qspr::{MovementModel, PlacementStrategy, RouterStrategy};
 
 /// The CLI error type: the workspace-wide taxonomy from `leqa-api`.
 pub type CliError = LeqaError;
@@ -41,11 +41,6 @@ pub struct Options {
     pub router: RouterStrategy,
     /// Mapper movement model (`--movement`).
     pub movement: MovementModel,
-    /// Mapper scheduling engine (`--scheduler greedy|mobility`).
-    pub scheduler: SchedulerStrategy,
-    /// Pre-placement pass pipeline (`--passes SPEC`, e.g.
-    /// `dce,partition:4`; grammar in `API.md`).
-    pub passes: Option<String>,
     /// Trace rows to print (`--trace N`, 0 = off).
     pub trace: usize,
     /// Suite name filter (`--filter`).
@@ -109,8 +104,6 @@ impl Default for Options {
             placement: PlacementStrategy::IigCluster,
             router: RouterStrategy::Xy,
             movement: MovementModel::HomeBased,
-            scheduler: SchedulerStrategy::Greedy,
-            passes: None,
             trace: 0,
             filter: None,
             sizes: Vec::new(),
@@ -242,24 +235,6 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                         )))
                     }
                 };
-            }
-            "--scheduler" => {
-                opts.scheduler = match value(&rest, &mut i, "--scheduler")?.as_str() {
-                    "greedy" => SchedulerStrategy::Greedy,
-                    "mobility" => SchedulerStrategy::Mobility,
-                    other => {
-                        return Err(LeqaError::usage(format!(
-                            "unknown scheduler `{other}` (greedy|mobility)"
-                        )))
-                    }
-                };
-            }
-            "--passes" => {
-                let spec = value(&rest, &mut i, "--passes")?;
-                // Validate eagerly so a typo fails before any work runs.
-                qspr::PassManager::parse(spec)
-                    .map_err(|msg| LeqaError::usage(format!("bad --passes: {msg}")))?;
-                opts.passes = Some(spec.clone());
             }
             "--trace" => {
                 opts.trace = value(&rest, &mut i, "--trace")?
@@ -554,39 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_scheduler_and_passes() {
-        let cmd = parse(&argv(&[
-            "map",
-            "c.qc",
-            "--scheduler",
-            "mobility",
-            "--passes",
-            "dce,partition:4",
-        ]))
-        .unwrap();
-        let Command::Map(opts) = cmd else {
-            panic!("wrong command");
-        };
-        assert_eq!(opts.scheduler, SchedulerStrategy::Mobility);
-        assert_eq!(opts.passes.as_deref(), Some("dce,partition:4"));
-
-        let cmd = parse(&argv(&["map", "c.qc"])).unwrap();
-        let Command::Map(opts) = cmd else {
-            panic!("wrong command");
-        };
-        assert_eq!(opts.scheduler, SchedulerStrategy::Greedy);
-        assert_eq!(opts.passes, None);
-
-        let err = parse(&argv(&["map", "c.qc", "--scheduler", "eager"])).unwrap_err();
-        assert_eq!(err.kind(), leqa_api::ErrorKind::Usage);
-        assert!(err.to_string().contains("greedy|mobility"), "{err}");
-
-        let err = parse(&argv(&["map", "c.qc", "--passes", "frobnicate"])).unwrap_err();
-        assert_eq!(err.kind(), leqa_api::ErrorKind::Usage);
-        assert!(err.to_string().contains("bad --passes"), "{err}");
-    }
-
-    #[test]
     fn compare_accepts_bench_instead_of_file() {
         let cmd = parse(&argv(&["compare", "--bench", "ham15"])).unwrap();
         let Command::Compare(opts) = cmd else {
@@ -831,6 +773,11 @@ mod tests {
     fn rejects_unknown_flag_and_extra_positional() {
         assert!(parse(&argv(&["estimate", "c.qc", "--wat"])).is_err());
         assert!(parse(&argv(&["estimate", "a.qc", "b.qc"])).is_err());
+        // The mapper's removed engine selectors are unknown flags now.
+        for flag in ["--scheduler", "--passes"] {
+            let err = parse(&argv(&["map", "c.qc", flag, "mobility"])).unwrap_err();
+            assert_eq!(err.kind(), leqa_api::ErrorKind::Usage);
+        }
     }
 
     #[test]

@@ -110,7 +110,7 @@ mod tests {
         let text = capture(|out| run(&opts, out));
         assert_eq!(
             text,
-            "dry run: 12 cells (2 workloads × 1 params × 2 routers × 1 movements × 1 schedulers × 3 sides), mode estimate\n"
+            "dry run: 12 cells (2 workloads × 1 params × 2 routers × 1 movements × 3 sides), mode estimate\n"
         );
 
         opts.format = OutputFormat::Json;

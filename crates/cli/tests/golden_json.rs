@@ -80,6 +80,53 @@ fn zones_json_is_byte_stable() {
 }
 
 #[test]
+fn map_json_is_byte_stable() {
+    assert_golden(
+        &run(&[
+            "map",
+            "--bench",
+            "8bitadder",
+            "--trace",
+            "3",
+            "--format",
+            "json",
+        ]),
+        include_str!("golden/map_8bitadder.json"),
+        "map",
+    );
+}
+
+#[test]
+fn map_adaptive_drift_json_is_byte_stable() {
+    assert_golden(
+        &run(&[
+            "map",
+            "--bench",
+            "random_24_256_7",
+            "--fabric",
+            "12x12",
+            "--router",
+            "adaptive",
+            "--movement",
+            "drift",
+            "--format",
+            "json",
+        ]),
+        include_str!("golden/map_random_24_256_7_adaptive_drift.json"),
+        "map adaptive drift",
+    );
+}
+
+#[test]
+fn compare_json_is_byte_stable() {
+    assert_golden(
+        &run(&["compare", "--bench", "8bitadder", "--format", "json"]),
+        include_str!("golden/compare_8bitadder.json"),
+        "compare",
+    );
+}
+
+#[test]
 fn golden_files_decode_under_the_current_schema() {
     // The stored bytes must themselves be valid, current-version envelopes
     // (guards against committing a stale golden after a schema bump).
@@ -94,4 +141,16 @@ fn golden_files_decode_under_the_current_schema() {
     let zones = leqa_api::json::parse(include_str!("golden/zones_8bitadder.json").trim_end())
         .expect("golden zones parses");
     leqa_api::ZonesResponse::from_json(&zones).expect("golden zones decodes");
+
+    for map in [
+        include_str!("golden/map_8bitadder.json"),
+        include_str!("golden/map_random_24_256_7_adaptive_drift.json"),
+    ] {
+        let map = leqa_api::json::parse(map.trim_end()).expect("golden map parses");
+        leqa_api::MapResponse::from_json(&map).expect("golden map decodes");
+    }
+
+    let compare = leqa_api::json::parse(include_str!("golden/compare_8bitadder.json").trim_end())
+        .expect("golden compare parses");
+    leqa_api::CompareResponse::from_json(&compare).expect("golden compare decodes");
 }

@@ -23,7 +23,6 @@ use leqa_circuit::{FtOp, Iig, NodeId, Qodg, QodgNode};
 use leqa_fabric::{route, Channel, FabricDims, FabricMap, Micros, PhysicalParams, Ulb};
 
 use crate::channels::ChannelOccupancy;
-use crate::passes::{PassEnv, PassManager, PipelineOutcome};
 use crate::placement::{initial_placement, PlacementStrategy};
 use crate::trace::{OpRecord, Trace};
 use crate::MapError;
@@ -76,46 +75,16 @@ pub enum RouterStrategy {
     Adaptive,
 }
 
-/// The list-scheduling engine driving the simulated-time sweep.
-///
-/// Both engines run the same discrete-event physics
-/// (placement, routing, channel calendars); they differ only in the
-/// order ready operations are considered, which changes how contended
-/// resources are booked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerStrategy {
-    /// Earliest-resource-use order (default): ops are booked in the
-    /// order of their earliest simulated resource use — the engine the
-    /// crate has always used.
-    #[default]
-    Greedy,
-    /// Mobility (ALAP − ASAP slack) order: critical ops (zero slack)
-    /// book channels and ULB ports first; ties fall back to the greedy
-    /// key. A per-wave ULB port-busy bitset defers ops contending for
-    /// the same execution site to the next wave.
-    Mobility,
-}
-
 /// The detailed scheduling/placement/routing mapper.
 ///
 /// See the [crate docs](crate) for the model; construction is cheap, all
-/// the work happens in [`map`](Self::map). The mapper is a thin driver
-/// over an (optional) [pass pipeline](crate::passes) followed by the
-/// scheduling engine selected by [`with_scheduler`](Self::with_scheduler);
-/// with no pipeline and the default [`SchedulerStrategy::Greedy`] engine
-/// it is bit-identical to the pre-pipeline mapper (pinned by the
-/// `passes_differential` suite).
+/// the work happens in [`map`](Self::map).
 #[derive(Debug, Clone)]
 pub struct Mapper {
     config: MapperConfig,
     /// Defect/heterogeneity overlay; `None` (or a pristine map) keeps the
     /// uniform-fabric fast paths bit-identical.
     fabric_map: Option<Arc<FabricMap>>,
-    /// The scheduling engine (greedy default).
-    scheduler: SchedulerStrategy,
-    /// Pass pipeline run over the QODG before every mapping; `None` (or
-    /// an empty manager) leaves the graph and placement untouched.
-    passes: Option<Arc<PassManager>>,
 }
 
 impl Mapper {
@@ -131,8 +100,6 @@ impl Mapper {
                 seed: 0,
             },
             fabric_map: None,
-            scheduler: SchedulerStrategy::default(),
-            passes: None,
         }
     }
 
@@ -141,35 +108,7 @@ impl Mapper {
         Mapper {
             config,
             fabric_map: None,
-            scheduler: SchedulerStrategy::default(),
-            passes: None,
         }
-    }
-
-    /// Selects the scheduling engine (the default is
-    /// [`SchedulerStrategy::Greedy`], the pre-pipeline behaviour).
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: SchedulerStrategy) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Attaches a pass pipeline, run over the QODG before every mapping.
-    /// An empty manager is bit-identical to none.
-    #[must_use]
-    pub fn with_passes(mut self, passes: Arc<PassManager>) -> Self {
-        self.passes = Some(passes);
-        self
-    }
-
-    /// The scheduling engine in use.
-    pub fn scheduler(&self) -> SchedulerStrategy {
-        self.scheduler
-    }
-
-    /// The attached pass pipeline, if any.
-    pub fn passes(&self) -> Option<&PassManager> {
-        self.passes.as_deref()
     }
 
     /// Attaches a fabric map: placement avoids dead cells, routing detours
@@ -211,7 +150,7 @@ impl Mapper {
     /// Uses a thread-local [`MapScratch`], so repeated calls on one
     /// thread reuse every working buffer.
     pub fn map(&self, qodg: &Qodg) -> Result<MappingResult, MapError> {
-        let (result, _) = with_thread_scratch(|scratch| self.run(qodg, false, scratch))?;
+        let (result, _) = with_thread_scratch(|scratch| self.map_impl(qodg, false, scratch))?;
         Ok(result)
     }
 
@@ -227,7 +166,7 @@ impl Mapper {
         qodg: &Qodg,
         scratch: &mut MapScratch,
     ) -> Result<MappingResult, MapError> {
-        let (result, _) = self.run(qodg, false, scratch)?;
+        let (result, _) = self.map_impl(qodg, false, scratch)?;
         Ok(result)
     }
 
@@ -238,56 +177,8 @@ impl Mapper {
     ///
     /// Same as [`map`](Self::map).
     pub fn map_with_trace(&self, qodg: &Qodg) -> Result<(MappingResult, Trace), MapError> {
-        let (result, trace) = with_thread_scratch(|scratch| self.run(qodg, true, scratch))?;
+        let (result, trace) = with_thread_scratch(|scratch| self.map_impl(qodg, true, scratch))?;
         Ok((result, trace.expect("trace requested")))
-    }
-
-    /// Runs the attached pass pipeline over `qodg` without mapping,
-    /// returning the (possibly transformed) graph, any placement the
-    /// pipeline computed, and the analyses every pass preserved — the
-    /// hook profile caches use to decide whether cached `ProfileData`
-    /// is still valid for the transformed program. With no pipeline the
-    /// outcome is the identity (everything preserved).
-    ///
-    /// # Errors
-    ///
-    /// Pass errors, including [`MapError::InvariantViolation`] when the
-    /// manager's invariant checker catches a misbehaving pass.
-    pub fn run_passes(&self, qodg: &Qodg) -> Result<PipelineOutcome, MapError> {
-        match self.passes.as_deref() {
-            None => Ok(PipelineOutcome::unchanged()),
-            Some(pm) => pm.run(qodg, &self.pass_env()),
-        }
-    }
-
-    /// The environment the pass pipeline sees (defect maps filtered the
-    /// same way the engine filters them, so pristine maps stay
-    /// bit-identical to none).
-    fn pass_env(&self) -> PassEnv<'_> {
-        PassEnv {
-            dims: self.config.dims,
-            placement: self.config.placement,
-            seed: self.config.seed,
-            fabric_map: self.fabric_map.as_deref().filter(|m| !m.is_pristine()),
-        }
-    }
-
-    /// Pipeline + engine: the thin-driver composition behind every
-    /// `map*` entry point.
-    fn run(
-        &self,
-        qodg: &Qodg,
-        want_trace: bool,
-        scratch: &mut MapScratch,
-    ) -> Result<(MappingResult, Option<Trace>), MapError> {
-        match self.passes.as_deref() {
-            None => self.map_impl(qodg, want_trace, scratch, None),
-            Some(pm) => {
-                let outcome = pm.run(qodg, &self.pass_env())?;
-                let graph = outcome.qodg.as_ref().unwrap_or(qodg);
-                self.map_impl(graph, want_trace, scratch, outcome.placement)
-            }
-        }
     }
 
     fn map_impl(
@@ -295,7 +186,6 @@ impl Mapper {
         qodg: &Qodg,
         want_trace: bool,
         scratch: &mut MapScratch,
-        placement_override: Option<Vec<Ulb>>,
     ) -> Result<(MappingResult, Option<Trace>), MapError> {
         let dims = self.config.dims;
         let params = &self.config.params;
@@ -312,16 +202,9 @@ impl Mapper {
         // keeps defect-free runs on the legacy code paths, bit-identically.
         let fmap = self.fabric_map.as_deref().filter(|m| !m.is_pristine());
         let defects = fmap.filter(|m| m.has_defects());
-        let placement = match placement_override {
-            Some(p) => {
-                debug_assert_eq!(p.len(), qodg.num_qubits() as usize);
-                p
-            }
-            None => {
-                let iig = Iig::from_qodg(qodg);
-                initial_placement(&iig, dims, self.config.placement, self.config.seed, fmap)?
-            }
-        };
+        let iig = Iig::from_qodg(qodg);
+        let placement =
+            initial_placement(&iig, dims, self.config.placement, self.config.seed, fmap)?;
 
         let t_move = params.t_move();
         let d_cnot = params.gate_delays().cnot();
@@ -341,12 +224,6 @@ impl Mapper {
             route: route_buf,
             route_alt,
             channels: channels_slot,
-            est,
-            lst,
-            mob_heap,
-            wave,
-            deferred,
-            busy,
         } = scratch;
 
         let channels: &mut ChannelOccupancy = match channels_slot {
@@ -413,200 +290,168 @@ impl Mapper {
         }
         let succs = |node: NodeId| &succ_edges[succ_offsets[node.0]..succ_offsets[node.0 + 1]];
 
+        heap.clear();
+        let push_if_ready = |heap: &mut BinaryHeap<ReadyOp>, qubit_ready: &[f64], node: NodeId| {
+            if let QodgNode::Op(op) = qodg.node(node) {
+                // Earliest resource use: the control's departure for a
+                // CNOT, the target's shuttle for a one-qubit op. Operand
+                // ready times are final once every predecessor completed
+                // (ops on a wire form a chain in the QODG).
+                let at = match op {
+                    FtOp::Cnot { control, .. } => qubit_ready[control.index()],
+                    FtOp::OneQubit { target, .. } => qubit_ready[target.index()],
+                };
+                heap.push(ReadyOp { at, node });
+            }
+        };
+
+        // Seed: successors of `start`.
+        for &s in succs(qodg.start()) {
+            remaining[s.0] -= 1;
+            if remaining[s.0] == 0 {
+                push_if_ready(heap, qubit_ready, s);
+            }
+        }
+
         let mut makespan = 0.0f64;
         let mut stats = MappingStats::default();
         let mut processed = 0usize;
         let mut trace = want_trace.then(Trace::new);
 
-        let env = ExecEnv {
-            dims,
-            params,
-            router: self.config.router,
-            movement: self.config.movement,
-            defects,
-            t_move,
-            d_cnot,
-            shuttle,
-        };
-
-        match self.scheduler {
-            SchedulerStrategy::Greedy => {
-                heap.clear();
-                let push_if_ready =
-                    |heap: &mut BinaryHeap<ReadyOp>, qubit_ready: &[f64], node: NodeId| {
-                        if let QodgNode::Op(op) = qodg.node(node) {
-                            // Earliest resource use: the control's departure for a
-                            // CNOT, the target's shuttle for a one-qubit op. Operand
-                            // ready times are final once every predecessor completed
-                            // (ops on a wire form a chain in the QODG).
-                            let at = match op {
-                                FtOp::Cnot { control, .. } => qubit_ready[control.index()],
-                                FtOp::OneQubit { target, .. } => qubit_ready[target.index()],
-                            };
-                            heap.push(ReadyOp { at, node });
-                        }
-                    };
-
-                // Seed: successors of `start`.
-                for &s in succs(qodg.start()) {
-                    remaining[s.0] -= 1;
-                    if remaining[s.0] == 0 {
-                        push_if_ready(heap, qubit_ready, s);
+        while let Some(ReadyOp { node, .. }) = heap.pop() {
+            let QodgNode::Op(op) = qodg.node(node) else {
+                continue;
+            };
+            processed += 1;
+            match op {
+                FtOp::OneQubit { kind, target } => {
+                    let here = position[target.index()];
+                    let ulb = dims.index_of(here);
+                    let start = qubit_ready[target.index()].max(ulb_free[ulb]);
+                    // Shuttle into the ULB's operating region, run the FT
+                    // op, shuttle out (the paper's empirical 2·T_move).
+                    let end =
+                        start + shuttle.as_f64() + params.gate_delays().one_qubit(kind).as_f64();
+                    qubit_ready[target.index()] = end;
+                    ulb_free[ulb] = end;
+                    makespan = makespan.max(end);
+                    stats.one_qubit_ops += 1;
+                    if let Some(trace) = trace.as_mut() {
+                        trace.push(OpRecord {
+                            node,
+                            op,
+                            start: Micros::new(start),
+                            end: Micros::new(end),
+                            distance: 0,
+                            outbound_wait: Micros::ZERO,
+                        });
                     }
                 }
+                FtOp::Cnot { control, target } => {
+                    let from = position[control.index()];
+                    let to = position[target.index()];
+                    let ulb = dims.index_of(to);
 
-                while let Some(ReadyOp { node, .. }) = heap.pop() {
-                    let QodgNode::Op(op) = qodg.node(node) else {
-                        continue;
-                    };
-                    processed += 1;
-                    execute_op(
-                        &env,
-                        node,
-                        op,
-                        position,
-                        residents,
-                        qubit_ready,
-                        ulb_free,
+                    // Outbound trip of the control qubit.
+                    let depart = qubit_ready[control.index()];
+                    let mut t = Micros::new(depart);
+                    route_transfer(
+                        self.config.router,
+                        defects,
                         channels,
+                        from,
+                        to,
+                        t,
                         route_buf,
                         route_alt,
-                        &mut makespan,
-                        &mut stats,
-                        &mut trace,
                     )?;
+                    let distance = route_buf.len() as u64;
+                    for &ch in route_buf.iter() {
+                        t = channels.traverse(ch, t);
+                    }
+                    let arrival = t.as_f64();
 
-                    for &s in succs(node) {
-                        remaining[s.0] -= 1;
-                        if remaining[s.0] == 0 {
-                            push_if_ready(heap, qubit_ready, s);
+                    // Gate executes when both qubits and the ULB are ready.
+                    let start = arrival.max(qubit_ready[target.index()]).max(ulb_free[ulb]);
+                    let end = start + d_cnot.as_f64();
+                    qubit_ready[target.index()] = end;
+                    ulb_free[ulb] = end;
+                    makespan = makespan.max(end);
+
+                    // After the gate the control either returns home
+                    // (home-based) or settles nearby (drift).
+                    match self.config.movement {
+                        MovementModel::HomeBased => {
+                            let mut back = Micros::new(end);
+                            route_transfer(
+                                self.config.router,
+                                defects,
+                                channels,
+                                to,
+                                from,
+                                back,
+                                route_buf,
+                                route_alt,
+                            )?;
+                            for &ch in route_buf.iter() {
+                                back = channels.traverse(ch, back);
+                            }
+                            qubit_ready[control.index()] = back.as_f64();
+                            stats.total_hops += 2 * distance;
                         }
+                        MovementModel::Drift => {
+                            // Vacate the old site, settle at the nearest
+                            // free (and live) ULB around the interaction
+                            // site.
+                            residents[dims.index_of(from)] -= 1;
+                            let settle = dims
+                                .rings(to)
+                                .find(|u| {
+                                    residents[dims.index_of(*u)] == 0
+                                        && defects.is_none_or(|m| m.cell_enabled(*u))
+                                })
+                                .expect("Q <= usable ULBs guarantees a free one");
+                            residents[dims.index_of(settle)] += 1;
+                            position[control.index()] = settle;
+                            let mut back = Micros::new(end);
+                            route_transfer(
+                                self.config.router,
+                                defects,
+                                channels,
+                                to,
+                                settle,
+                                back,
+                                route_buf,
+                                route_alt,
+                            )?;
+                            for &ch in route_buf.iter() {
+                                back = channels.traverse(ch, back);
+                            }
+                            qubit_ready[control.index()] = back.as_f64();
+                            stats.total_hops += distance + to.manhattan_distance(settle) as u64;
+                        }
+                    }
+
+                    stats.cnot_ops += 1;
+                    stats.total_cnot_distance += distance;
+                    if let Some(trace) = trace.as_mut() {
+                        let ideal = distance as f64 * t_move.as_f64();
+                        trace.push(OpRecord {
+                            node,
+                            op,
+                            start: Micros::new(start),
+                            end: Micros::new(end),
+                            distance: distance as u32,
+                            outbound_wait: Micros::new((arrival - depart - ideal).max(0.0)),
+                        });
                     }
                 }
             }
-            SchedulerStrategy::Mobility => {
-                // ASAP (est) / ALAP (lst) pre-pass over placement-
-                // independent durations; slack = lst − est is the
-                // mobility key (0 ⇒ on the critical path).
-                let n = qodg.node_count();
-                let dur = |node: NodeId| -> f64 {
-                    match qodg.node(node) {
-                        QodgNode::Op(FtOp::OneQubit { kind, .. }) => {
-                            shuttle.as_f64() + params.gate_delays().one_qubit(kind).as_f64()
-                        }
-                        QodgNode::Op(FtOp::Cnot { .. }) => d_cnot.as_f64(),
-                        _ => 0.0,
-                    }
-                };
-                est.clear();
-                est.resize(n, 0.0);
-                for i in 0..n {
-                    let mut e = 0.0f64;
-                    for &p in qodg.preds(NodeId(i)) {
-                        e = e.max(est[p.0] + dur(p));
-                    }
-                    est[i] = e;
-                }
-                lst.clear();
-                lst.resize(n, f64::INFINITY);
-                lst[n - 1] = est[n - 1];
-                for i in (0..n - 1).rev() {
-                    let d = dur(NodeId(i));
-                    let mut l = f64::INFINITY;
-                    for &s in succs(NodeId(i)) {
-                        l = l.min(lst[s.0] - d);
-                    }
-                    if l.is_infinite() {
-                        // Defensive: a node with no recorded successors
-                        // can start as late as the graph's end.
-                        l = est[n - 1] - d;
-                    }
-                    lst[i] = l;
-                }
-                let est = &est[..];
-                let lst = &lst[..];
 
-                mob_heap.clear();
-                let push_if_ready =
-                    |heap: &mut BinaryHeap<MobReadyOp>, qubit_ready: &[f64], node: NodeId| {
-                        if let QodgNode::Op(op) = qodg.node(node) {
-                            let at = match op {
-                                FtOp::Cnot { control, .. } => qubit_ready[control.index()],
-                                FtOp::OneQubit { target, .. } => qubit_ready[target.index()],
-                            };
-                            heap.push(MobReadyOp {
-                                slack: lst[node.0] - est[node.0],
-                                at,
-                                node,
-                            });
-                        }
-                    };
-
-                for &s in succs(qodg.start()) {
-                    remaining[s.0] -= 1;
-                    if remaining[s.0] == 0 {
-                        push_if_ready(mob_heap, qubit_ready, s);
-                    }
-                }
-
-                // Wave execution: drain the ready heap in mobility order;
-                // an op whose execution ULB is already claimed this wave
-                // (port-busy bitset) defers to the next wave with a
-                // refreshed ready time. The first op of every wave always
-                // executes, so the loop terminates.
-                let words = (dims.area() as usize).div_ceil(64);
-                while !mob_heap.is_empty() {
-                    wave.clear();
-                    while let Some(entry) = mob_heap.pop() {
-                        wave.push(entry);
-                    }
-                    busy.clear();
-                    busy.resize(words, 0);
-                    deferred.clear();
-                    for entry in wave.iter() {
-                        let node = entry.node;
-                        let QodgNode::Op(op) = qodg.node(node) else {
-                            continue;
-                        };
-                        // The gate executes at the target's ULB in both
-                        // op classes.
-                        let site = match op {
-                            FtOp::Cnot { target, .. } | FtOp::OneQubit { target, .. } => {
-                                dims.index_of(position[target.index()])
-                            }
-                        };
-                        if busy[site / 64] >> (site % 64) & 1 == 1 {
-                            deferred.push(node);
-                            continue;
-                        }
-                        busy[site / 64] |= 1 << (site % 64);
-                        processed += 1;
-                        execute_op(
-                            &env,
-                            node,
-                            op,
-                            position,
-                            residents,
-                            qubit_ready,
-                            ulb_free,
-                            channels,
-                            route_buf,
-                            route_alt,
-                            &mut makespan,
-                            &mut stats,
-                            &mut trace,
-                        )?;
-
-                        for &s in succs(node) {
-                            remaining[s.0] -= 1;
-                            if remaining[s.0] == 0 {
-                                push_if_ready(mob_heap, qubit_ready, s);
-                            }
-                        }
-                    }
-                    for &node in deferred.iter() {
-                        push_if_ready(mob_heap, qubit_ready, node);
-                    }
+            for &s in succs(node) {
+                remaining[s.0] -= 1;
+                if remaining[s.0] == 0 {
+                    push_if_ready(heap, qubit_ready, s);
                 }
             }
         }
@@ -647,13 +492,6 @@ pub struct MapScratch {
     route: Vec<Channel>,
     route_alt: Vec<Channel>,
     channels: Option<ChannelOccupancy>,
-    // Mobility-engine storage (unused by the greedy engine).
-    est: Vec<f64>,
-    lst: Vec<f64>,
-    mob_heap: BinaryHeap<MobReadyOp>,
-    wave: Vec<MobReadyOp>,
-    deferred: Vec<NodeId>,
-    busy: Vec<u64>,
 }
 
 impl MapScratch {
@@ -828,185 +666,6 @@ fn path_ok(map: &FabricMap, from: Ulb, path: &[Channel]) -> bool {
         }
     }
     true
-}
-
-/// Read-only execution environment shared by both scheduling engines:
-/// fabric geometry, physical parameters, routing/movement disciplines and
-/// the precomputed per-op delay constants.
-struct ExecEnv<'a> {
-    dims: FabricDims,
-    params: &'a PhysicalParams,
-    router: RouterStrategy,
-    movement: MovementModel,
-    defects: Option<&'a FabricMap>,
-    t_move: Micros,
-    d_cnot: Micros,
-    shuttle: Micros,
-}
-
-/// Executes one ready operation against the simulated fabric state:
-/// books channels and the execution ULB, advances qubit-ready times,
-/// updates makespan/stats and records the trace entry. Both scheduling
-/// engines run ops through this single function, so they share the exact
-/// discrete-event physics and differ only in op order.
-///
-/// # Errors
-///
-/// [`MapError::Unroutable`] when a defect map disconnects a transfer.
-#[allow(clippy::too_many_arguments)]
-fn execute_op(
-    env: &ExecEnv<'_>,
-    node: NodeId,
-    op: FtOp,
-    position: &mut [Ulb],
-    residents: &mut [u32],
-    qubit_ready: &mut [f64],
-    ulb_free: &mut [f64],
-    channels: &mut ChannelOccupancy,
-    route_buf: &mut Vec<Channel>,
-    route_alt: &mut Vec<Channel>,
-    makespan: &mut f64,
-    stats: &mut MappingStats,
-    trace: &mut Option<Trace>,
-) -> Result<(), MapError> {
-    let dims = env.dims;
-    let defects = env.defects;
-    match op {
-        FtOp::OneQubit { kind, target } => {
-            let here = position[target.index()];
-            let ulb = dims.index_of(here);
-            let start = qubit_ready[target.index()].max(ulb_free[ulb]);
-            // Shuttle into the ULB's operating region, run the FT
-            // op, shuttle out (the paper's empirical 2·T_move).
-            let end =
-                start + env.shuttle.as_f64() + env.params.gate_delays().one_qubit(kind).as_f64();
-            qubit_ready[target.index()] = end;
-            ulb_free[ulb] = end;
-            *makespan = makespan.max(end);
-            stats.one_qubit_ops += 1;
-            if let Some(trace) = trace.as_mut() {
-                trace.push(OpRecord {
-                    node,
-                    op,
-                    start: Micros::new(start),
-                    end: Micros::new(end),
-                    distance: 0,
-                    outbound_wait: Micros::ZERO,
-                });
-            }
-        }
-        FtOp::Cnot { control, target } => {
-            let from = position[control.index()];
-            let to = position[target.index()];
-            let ulb = dims.index_of(to);
-
-            // Outbound trip of the control qubit.
-            let depart = qubit_ready[control.index()];
-            let mut t = Micros::new(depart);
-            route_transfer(
-                env.router, defects, channels, from, to, t, route_buf, route_alt,
-            )?;
-            let distance = route_buf.len() as u64;
-            for &ch in route_buf.iter() {
-                t = channels.traverse(ch, t);
-            }
-            let arrival = t.as_f64();
-
-            // Gate executes when both qubits and the ULB are ready.
-            let start = arrival.max(qubit_ready[target.index()]).max(ulb_free[ulb]);
-            let end = start + env.d_cnot.as_f64();
-            qubit_ready[target.index()] = end;
-            ulb_free[ulb] = end;
-            *makespan = makespan.max(end);
-
-            // After the gate the control either returns home
-            // (home-based) or settles nearby (drift).
-            match env.movement {
-                MovementModel::HomeBased => {
-                    let mut back = Micros::new(end);
-                    route_transfer(
-                        env.router, defects, channels, to, from, back, route_buf, route_alt,
-                    )?;
-                    for &ch in route_buf.iter() {
-                        back = channels.traverse(ch, back);
-                    }
-                    qubit_ready[control.index()] = back.as_f64();
-                    stats.total_hops += 2 * distance;
-                }
-                MovementModel::Drift => {
-                    // Vacate the old site, settle at the nearest
-                    // free (and live) ULB around the interaction
-                    // site.
-                    residents[dims.index_of(from)] -= 1;
-                    let settle = dims
-                        .rings(to)
-                        .find(|u| {
-                            residents[dims.index_of(*u)] == 0
-                                && defects.is_none_or(|m| m.cell_enabled(*u))
-                        })
-                        .expect("Q <= usable ULBs guarantees a free one");
-                    residents[dims.index_of(settle)] += 1;
-                    position[control.index()] = settle;
-                    let mut back = Micros::new(end);
-                    route_transfer(
-                        env.router, defects, channels, to, settle, back, route_buf, route_alt,
-                    )?;
-                    for &ch in route_buf.iter() {
-                        back = channels.traverse(ch, back);
-                    }
-                    qubit_ready[control.index()] = back.as_f64();
-                    stats.total_hops += distance + to.manhattan_distance(settle) as u64;
-                }
-            }
-
-            stats.cnot_ops += 1;
-            stats.total_cnot_distance += distance;
-            if let Some(trace) = trace.as_mut() {
-                let ideal = distance as f64 * env.t_move.as_f64();
-                trace.push(OpRecord {
-                    node,
-                    op,
-                    start: Micros::new(start),
-                    end: Micros::new(end),
-                    distance: distance as u32,
-                    outbound_wait: Micros::new((arrival - depart - ideal).max(0.0)),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Mobility-heap entry: a ready op keyed by (slack, earliest resource
-/// use, node id) — a min-heap, so zero-slack (critical-path) ops book
-/// contended resources first and ties fall back to the greedy order.
-#[derive(Debug, Clone, Copy)]
-struct MobReadyOp {
-    slack: f64,
-    at: f64,
-    node: NodeId,
-}
-
-impl PartialEq for MobReadyOp {
-    fn eq(&self, other: &Self) -> bool {
-        self.slack == other.slack && self.at == other.at && self.node == other.node
-    }
-}
-impl Eq for MobReadyOp {}
-impl PartialOrd for MobReadyOp {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MobReadyOp {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse for a min-heap; deterministic via the node-id tail.
-        other
-            .slack
-            .total_cmp(&self.slack)
-            .then_with(|| other.at.total_cmp(&self.at))
-            .then_with(|| other.node.cmp(&self.node))
-    }
 }
 
 /// Heap entry: an op whose predecessors all completed, ordered by earliest

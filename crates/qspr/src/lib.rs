@@ -54,18 +54,12 @@
 pub mod channels;
 mod engine;
 mod error;
-pub mod passes;
 mod placement;
 pub mod trace;
 
 pub use engine::{
     MapScratch, Mapper, MapperConfig, MappingResult, MappingStats, MovementModel, RouterStrategy,
-    SchedulerStrategy,
 };
 pub use error::MapError;
-pub use passes::{
-    DeadGateElim, Partition, Pass, PassEnv, PassManager, PassOutput, PipelineOutcome,
-    PreservedAnalyses,
-};
 pub use placement::{initial_placement, PlacementStrategy};
 pub use trace::{OpRecord, Trace, TraceStats};

@@ -83,9 +83,8 @@ pub fn initial_placement(
 
 /// Orders qubits by a BFS over the IIG that expands the heaviest edges
 /// first, starting from the strongest qubit; isolated qubits follow at the
-/// end in index order. Shared with the `Partition` pass, which applies
-/// the same ordering within each region.
-pub(crate) fn bfs_order(iig: &Iig) -> Vec<QubitId> {
+/// end in index order.
+fn bfs_order(iig: &Iig) -> Vec<QubitId> {
     let n = iig.num_qubits();
     let mut visited = vec![false; n as usize];
     let mut order: Vec<QubitId> = Vec::with_capacity(n as usize);

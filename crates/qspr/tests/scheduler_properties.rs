@@ -1,12 +1,10 @@
-//! Property tests for the mobility scheduling engine.
+//! Property tests for the greedy list scheduler.
 //!
-//! Whatever the circuit, the mobility engine must produce a *legal*
-//! schedule: every QODG dependency edge respected (no op starts before
-//! its predecessors finish), all operations executed exactly once, and
-//! the whole thing deterministic. It shares the greedy engine's
-//! discrete-event physics — channel calendars enforce capacity, ULB
-//! ports serialize — so its makespan can differ from greedy's only by a
-//! bounded scheduling-order factor, which is also pinned here.
+//! Whatever the circuit, the mapper must produce a *legal* schedule:
+//! every QODG dependency edge respected (no op starts before its
+//! predecessors finish) and every operation executed exactly once — both
+//! at Table 1 parameters and with channel capacity squeezed to 1, where
+//! the channel calendars queue the most.
 
 use std::collections::HashMap;
 
@@ -14,13 +12,7 @@ use leqa_circuit::decompose::lower_to_ft;
 use leqa_circuit::{NodeId, Qodg, QodgNode};
 use leqa_fabric::{FabricDims, PhysicalParams};
 use proptest::prelude::*;
-use qspr::{MapScratch, Mapper, SchedulerStrategy};
-
-/// The declared worst-case makespan ratio of mobility over greedy.
-/// Both engines run the same physics; only the booking order differs,
-/// so the spread stays a small constant (empirically < 1.5x each way on
-/// the suite; 2.5x leaves slack for adversarial random draws).
-const MAKESPAN_BOUND: f64 = 2.5;
+use qspr::Mapper;
 
 /// Lowers a seeded random workload to its QODG.
 fn random_qodg(qubits: u32, gates: u32, seed: u32) -> Qodg {
@@ -65,35 +57,28 @@ fn assert_schedule_legal(qodg: &Qodg, trace: &qspr::Trace) {
     }
 }
 
-fn mobility_mapper(side: u32) -> Mapper {
-    Mapper::new(
-        FabricDims::new(side, side).unwrap(),
-        PhysicalParams::dac13(),
-    )
-    .with_scheduler(SchedulerStrategy::Mobility)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every schedule the mobility engine emits respects every QODG
+    /// Every schedule the greedy engine emits respects every QODG
     /// dependency edge and executes each op exactly once.
     #[test]
-    fn mobility_respects_every_dependency_edge(
+    fn greedy_respects_every_dependency_edge(
         qubits in 3u32..12,
         gates in 1u32..40,
         seed in 0u32..100,
     ) {
         let qodg = random_qodg(qubits, gates, seed);
-        let (_, trace) = mobility_mapper(8).map_with_trace(&qodg).unwrap();
+        let mapper = Mapper::new(FabricDims::new(8, 8).unwrap(), PhysicalParams::dac13());
+        let (_, trace) = mapper.map_with_trace(&qodg).unwrap();
         assert_schedule_legal(&qodg, &trace);
     }
 
     /// Dependencies hold even when channel capacity is squeezed to 1 —
-    /// the shared channel calendars keep enforcing capacity regardless
-    /// of the booking order the engine picks.
+    /// queueing at saturated channels delays ops but never reorders a
+    /// dependency.
     #[test]
-    fn mobility_stays_legal_under_capacity_1(
+    fn greedy_stays_legal_under_capacity_1(
         qubits in 3u32..10,
         gates in 1u32..30,
         seed in 0u32..50,
@@ -104,66 +89,9 @@ proptest! {
             .channel_capacity(1)
             .build()
             .unwrap();
-        let mapper = Mapper::new(FabricDims::new(6, 6).unwrap(), params)
-            .with_scheduler(SchedulerStrategy::Mobility);
+        let mapper = Mapper::new(FabricDims::new(6, 6).unwrap(), params);
         let (result, trace) = mapper.map_with_trace(&qodg).unwrap();
         assert_schedule_legal(&qodg, &trace);
-        prop_assert!(result.stats.congestion_wait.as_f64() >= 0.0);
         prop_assert!(result.latency.as_f64().is_finite());
-    }
-
-    /// Mobility's makespan never exceeds greedy's by more than the
-    /// declared bound (and vice versa): the engines differ only in
-    /// booking order, not physics.
-    #[test]
-    fn mobility_makespan_within_declared_bound_of_greedy(
-        qubits in 3u32..12,
-        gates in 1u32..40,
-        seed in 0u32..100,
-    ) {
-        let qodg = random_qodg(qubits, gates, seed);
-        let dims = FabricDims::new(8, 8).unwrap();
-        let greedy = Mapper::new(dims, PhysicalParams::dac13())
-            .map(&qodg)
-            .unwrap();
-        let mobility = mobility_mapper(8).map(&qodg).unwrap();
-        let (g, m) = (greedy.latency.as_f64(), mobility.latency.as_f64());
-        prop_assert!(
-            m <= g * MAKESPAN_BOUND,
-            "mobility {m} exceeds greedy {g} by more than {MAKESPAN_BOUND}x"
-        );
-        prop_assert!(
-            g <= m * MAKESPAN_BOUND,
-            "greedy {g} exceeds mobility {m} by more than {MAKESPAN_BOUND}x"
-        );
-        // Same physics → same op mix, whatever the order.
-        prop_assert_eq!(greedy.stats.cnot_ops, mobility.stats.cnot_ops);
-        prop_assert_eq!(greedy.stats.one_qubit_ops, mobility.stats.one_qubit_ops);
-    }
-
-    /// The mobility engine is deterministic: repeated runs — including
-    /// runs through a reused caller-owned scratch — are bit-identical.
-    #[test]
-    fn mobility_is_deterministic_across_runs_and_scratch_reuse(
-        qubits in 3u32..12,
-        gates in 1u32..40,
-        seed in 0u32..100,
-    ) {
-        let qodg = random_qodg(qubits, gates, seed);
-        let mapper = mobility_mapper(8);
-        let (a, trace_a) = mapper.map_with_trace(&qodg).unwrap();
-        let (b, trace_b) = mapper.map_with_trace(&qodg).unwrap();
-        prop_assert_eq!(a.latency, b.latency);
-        prop_assert_eq!(&a.placement, &b.placement);
-        prop_assert_eq!(&a.channel_load, &b.channel_load);
-        prop_assert_eq!(&a.stats, &b.stats);
-        prop_assert_eq!(trace_a.records(), trace_b.records());
-
-        let mut scratch = MapScratch::new();
-        let c = mapper.map_with_scratch(&qodg, &mut scratch).unwrap();
-        let d = mapper.map_with_scratch(&qodg, &mut scratch).unwrap();
-        prop_assert_eq!(a.latency, c.latency);
-        prop_assert_eq!(&c.stats, &d.stats);
-        prop_assert_eq!(&c.placement, &d.placement);
     }
 }

@@ -4,8 +4,10 @@
 //!
 //! The paper reports 2.11% average / <9% maximum against its Java QSPR;
 //! against this workspace's mapper the measured figures are ~2.7% / ~6.2%
-//! (see EXPERIMENTS.md). The assertions use looser bounds so the test
-//! stays robust to platform noise while still catching model regressions.
+//! (`est_error_pct_mean`/`est_error_pct_max` of the `map_compare`
+//! workload, recorded in perfbench/README.md). The assertions use looser
+//! bounds so the test stays robust to platform noise while still catching
+//! model regressions.
 
 use leqa::Estimator;
 use leqa_circuit::{decompose::lower_to_ft, Qodg};
