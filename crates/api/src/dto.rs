@@ -10,7 +10,7 @@
 use qspr::{MovementModel, PlacementStrategy, RouterStrategy};
 
 use crate::error::{ErrorKind, LeqaError};
-use crate::json::Json;
+use crate::json::{Json, MAX_EXACT_INT};
 
 /// Version of the wire schema spoken by this build (see `API.md`).
 pub const SCHEMA_VERSION: u64 = 1;
@@ -50,6 +50,18 @@ pub(crate) fn u64_field(value: &Json, key: &str, what: &str) -> Result<u64, Leqa
             format!("{what}: `{key}` must be a non-negative integer"),
         )
     })
+}
+
+/// Rejects a seed the wire cannot carry exactly: above 2^53 a spec would
+/// decode as a different study, or not at all.
+pub(crate) fn check_wire_seed(seed: u64, what: &str) -> Result<(), LeqaError> {
+    if seed > MAX_EXACT_INT {
+        return Err(LeqaError::new(
+            ErrorKind::Invalid,
+            format!("{what} `seed` {seed} is above 2^53, the largest integer JSON carries exactly"),
+        ));
+    }
+    Ok(())
 }
 
 pub(crate) fn f64_field(value: &Json, key: &str, what: &str) -> Result<f64, LeqaError> {

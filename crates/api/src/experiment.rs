@@ -45,9 +45,9 @@ use leqa_fabric::{FabricDims, FabricMap, Micros, PhysicalParams, SplitMix64};
 use qspr::{Mapper, MapperConfig, MovementModel, PlacementStrategy, RouterStrategy};
 
 use crate::dto::{
-    check_schema_version, field, json_opt_num, movement_from_name, movement_name, opt_f64, opt_u32,
-    opt_u64, reject_removed_mapper_options, router_from_name, router_name, str_field, u64_field,
-    ProgramSpec, SCHEMA_VERSION,
+    check_schema_version, check_wire_seed, field, json_opt_num, movement_from_name, movement_name,
+    opt_f64, opt_u32, opt_u64, reject_removed_mapper_options, router_from_name, router_name,
+    str_field, u64_field, ProgramSpec, SCHEMA_VERSION,
 };
 use crate::error::{ErrorKind, LeqaError};
 use crate::json::Json;
@@ -146,7 +146,8 @@ pub struct MonteCarloSpec {
     pub densities: Vec<f64>,
     /// Seeded trials per density (≥ 1).
     pub trials: u32,
-    /// Base RNG seed for the whole study.
+    /// Base RNG seed for the whole study (at most 2^53, the largest
+    /// integer JSON carries exactly).
     pub seed: u64,
 }
 
@@ -719,8 +720,9 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// [`ErrorKind::Invalid`] for empty axes (including axes emptied by a
-    /// filter), malformed fabric ranges, duplicate variant names, or a
-    /// grid exceeding `filter.max_cells`; [`ErrorKind::Usage`] for
+    /// filter), malformed fabric ranges, duplicate variant names, a
+    /// Monte Carlo seed above 2^53, or a grid exceeding
+    /// `filter.max_cells`; [`ErrorKind::Usage`] for
     /// workload names outside the grammar.
     pub fn plan(&self) -> Result<ExperimentPlan, LeqaError> {
         let invalid = |msg: String| LeqaError::new(ErrorKind::Invalid, msg);
@@ -786,6 +788,7 @@ impl ScenarioSpec {
                 if mc.trials == 0 {
                     return Err(invalid("montecarlo `trials` must be positive".into()));
                 }
+                check_wire_seed(mc.seed, "montecarlo")?;
                 Some(mc.clone())
             }
             (ExperimentMode::MonteCarlo, None) => {
@@ -2786,6 +2789,25 @@ mod tests {
         ] {
             assert_eq!(bad.plan().unwrap_err().kind(), ErrorKind::Invalid);
         }
+    }
+
+    #[test]
+    fn montecarlo_seeds_are_capped_at_the_exact_json_range() {
+        let with_seed = |seed| {
+            ScenarioSpec::new(["qft_8"], [FabricEntry::Side(8)])
+                .with_montecarlo(MonteCarloSpec::new([0.1], 2, seed))
+        };
+        // 2^53 is the largest seed the wire carries exactly.
+        let top = with_seed(1 << 53);
+        let wire = top.to_json().encode();
+        let back = ScenarioSpec::from_json(&parse(&wire).unwrap()).unwrap();
+        assert_eq!(back, top);
+        assert_eq!(back.to_json().encode(), wire);
+        top.plan().unwrap();
+        // One above would decode as 2^53, a different study.
+        let err = with_seed((1 << 53) + 1).plan().unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Invalid);
+        assert!(err.to_string().contains("montecarlo `seed`"), "{err}");
     }
 
     #[test]

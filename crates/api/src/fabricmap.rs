@@ -16,7 +16,7 @@
 
 use leqa_fabric::{Channel, FabricDims, FabricMap, RegionOverlay, Ulb};
 
-use crate::dto::{field, json_opt_num, opt_f64, opt_u32, u64_field};
+use crate::dto::{check_wire_seed, field, json_opt_num, opt_f64, opt_u32, u64_field};
 use crate::error::{ErrorKind, LeqaError};
 use crate::json::Json;
 
@@ -31,7 +31,7 @@ pub struct RandomDefects {
     pub cell_density: f64,
     /// Probability each channel is defective (`[0, 1]`).
     pub channel_density: f64,
-    /// RNG seed.
+    /// RNG seed (at most 2^53, the largest integer JSON carries exactly).
     pub seed: u64,
 }
 
@@ -265,13 +265,14 @@ impl FabricMapSpec {
     /// # Errors
     ///
     /// [`ErrorKind::Invalid`] for zero dimensions, out-of-range
-    /// densities, off-fabric coordinates, non-adjacent channel
-    /// endpoints, or overlay values outside the physical-parameter
-    /// rules.
+    /// densities, a random seed above 2^53, off-fabric coordinates,
+    /// non-adjacent channel endpoints, or overlay values outside the
+    /// physical-parameter rules.
     pub fn build(&self) -> Result<FabricMap, LeqaError> {
         let dims = FabricDims::new(self.width, self.height).map_err(LeqaError::from)?;
         let mut map = match &self.random {
             Some(r) => {
+                check_wire_seed(r.seed, "random")?;
                 FabricMap::with_random_defects(dims, r.cell_density, r.channel_density, r.seed)
                     .map_err(LeqaError::from)?
             }
@@ -416,6 +417,29 @@ mod tests {
             ..FabricMapSpec::new(4, 4)
         };
         assert_eq!(dense.build().unwrap_err().kind(), ErrorKind::Invalid);
+    }
+
+    #[test]
+    fn random_seeds_are_capped_at_the_exact_json_range() {
+        let with_seed = |seed| FabricMapSpec {
+            random: Some(RandomDefects {
+                cell_density: 0.1,
+                channel_density: 0.1,
+                seed,
+            }),
+            ..FabricMapSpec::new(4, 4)
+        };
+        // 2^53 is the largest seed the wire carries exactly.
+        let top = with_seed(1 << 53);
+        let wire = top.to_json().encode();
+        let back = FabricMapSpec::from_json(&parse(&wire).unwrap()).unwrap();
+        assert_eq!(back, top);
+        assert_eq!(back.to_json().encode(), wire);
+        top.build().unwrap();
+        // One above would decode as 2^53, a different fabric.
+        let err = with_seed((1 << 53) + 1).build().unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Invalid);
+        assert!(err.to_string().contains("`seed`"), "{err}");
     }
 
     #[test]

@@ -14,6 +14,10 @@
 
 use std::fmt;
 
+/// The largest integer a [`Json::Num`] carries exactly (2^53): numbers
+/// are `f64`, whose 53-bit mantissa skips some integers above it.
+pub(crate) const MAX_EXACT_INT: u64 = 1 << 53;
+
 /// A JSON document.
 ///
 /// Objects are ordered `(key, value)` pairs: insertion order is encoding
@@ -78,7 +82,9 @@ impl Json {
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT_INT as f64 => {
+                Some(*n as u64)
+            }
             _ => None,
         }
     }

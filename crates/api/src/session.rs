@@ -5,7 +5,10 @@
 //! every loaded program is keyed by a content hash of its canonical
 //! circuit text, and its [`ProfileData`] — the expensive program-dependent
 //! half of Algorithm 1 — is computed exactly once no matter how many
-//! requests name it, through whichever [`ProgramSpec`] source.
+//! requests name it, through whichever [`ProgramSpec`] source. In front
+//! of that cache sits a bench-name index: a benchmark name is resolved
+//! (generated, written canonically, hashed) once per session, and later
+//! requests naming it go straight to the cached program.
 //!
 //! # Concurrency model
 //!
@@ -14,7 +17,8 @@
 //! borrow) and hammered concurrently. The program cache is sharded: 16
 //! independent `RwLock`-protected maps selected by the FNV content hash,
 //! so concurrent loads of *different* programs never contend on one lock
-//! and repeat loads of the *same* program take only a shard read lock.
+//! and repeat loads of the *same* program take only a shard read lock
+//! (the index read lock, for a benchmark name seen before).
 //! Cache counters ([`CacheStats`]) are atomics with the invariant
 //! `cache_hits + cache_misses == loads`; profiles stay exactly-once via
 //! `OnceLock` no matter how many threads race on a program.
@@ -384,6 +388,7 @@ impl SessionBuilder {
             params: self.params.unwrap_or_else(PhysicalParams::dac13),
             options,
             cache: ShardedCache::default(),
+            benches: RwLock::new(HashMap::new()),
             streams: RwLock::new(HashMap::new()),
             streaming_threshold: self
                 .streaming_threshold
@@ -406,6 +411,14 @@ pub struct Session {
     params: PhysicalParams,
     options: EstimatorOptions,
     cache: ShardedCache,
+    /// Bench names already resolved, mapped to the content-cache entry
+    /// their load produced. Generators are pure functions of the name,
+    /// so a later request naming it skips regeneration, the canonical
+    /// write and the content hash. Only successful loads are indexed. A
+    /// load racing `clear_cache` may index its program after the clear:
+    /// the entry is still the right program, so the race can cost at
+    /// most a second profile for the same content, never a wrong answer.
+    benches: RwLock<HashMap<String, Arc<ProgramData>>>,
     /// Streamed programs, keyed by canonical stream name. A single map
     /// (not sharded): entries are a handful of generator descriptors, and
     /// the hot path is a read lock.
@@ -497,9 +510,11 @@ impl Session {
         }
     }
 
-    /// Drops every cached program (in-memory only; disk snapshots, if
-    /// configured, survive and re-warm the next loads).
+    /// Drops every cached program and the bench-name index (in-memory
+    /// only; disk snapshots, if configured, survive and re-warm the next
+    /// loads).
     pub fn clear_cache(&self) {
+        self.benches.write().expect("no poisoning").clear();
         self.cache.clear();
         self.streams.write().expect("no poisoning").clear();
     }
@@ -508,7 +523,10 @@ impl Session {
     ///
     /// The cache key is a content hash of the canonical circuit text, so
     /// the same program reached through different specs — a benchmark
-    /// name, a file, inline source — shares one profile.
+    /// name, a file, inline source — shares one profile. A benchmark
+    /// name is resolved once per session: later loads naming it go
+    /// straight to the cached program (a cache hit) without
+    /// regenerating or re-hashing the circuit.
     ///
     /// # Errors
     ///
@@ -588,8 +606,28 @@ impl Session {
     /// Like [`load`](Self::load), also reporting whether the program came
     /// from the cache.
     fn load_tracking(&self, spec: &ProgramSpec) -> Result<(ProgramHandle, bool), LeqaError> {
-        let resolved = self.resolve_spec(spec)?;
-        self.load_resolved(resolved)
+        let ProgramSpec::Bench { name } = spec else {
+            return self.load_resolved(self.resolve_spec(spec)?);
+        };
+        let indexed = self
+            .benches
+            .read()
+            .expect("no poisoning")
+            .get(name)
+            .map(Arc::clone);
+        if let Some(shared) = indexed {
+            self.counters.record_hit();
+            return Ok((self.handle(name.clone(), shared), true));
+        }
+        let (handle, cached) = self.load_resolved(self.resolve_spec(spec)?)?;
+        // Racing first loads adopted one content-cache entry, so whichever
+        // inserts first indexes the same program the others hold.
+        self.benches
+            .write()
+            .expect("no poisoning")
+            .entry(name.clone())
+            .or_insert_with(|| Arc::clone(&handle.shared));
+        Ok((handle, cached))
     }
 
     /// The cache half of a load: fetch-or-lower an already-resolved

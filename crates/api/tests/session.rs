@@ -105,6 +105,71 @@ fn cache_hits_keep_the_requesting_specs_label() {
 }
 
 #[test]
+fn bench_name_after_its_source_hits_the_content_cache() {
+    // The reverse order of `cache_keys_by_content_not_by_spec`: a bench
+    // name's first resolution finds the program by content, and its
+    // indexed repeats keep sharing that one profile.
+    let text = session()
+        .load(&ProgramSpec::bench("8bitadder"))
+        .unwrap()
+        .source()
+        .to_string();
+    let s = session();
+    let via_source = s
+        .estimate(&EstimateRequest::new(ProgramSpec::source(text)))
+        .unwrap();
+    assert!(!via_source.profile_cached);
+    for _ in 0..2 {
+        let via_bench = s
+            .estimate(&EstimateRequest::new(ProgramSpec::bench("8bitadder")))
+            .unwrap();
+        assert!(via_bench.profile_cached);
+        assert_eq!(via_bench.latency_us, via_source.latency_us);
+        assert_eq!(via_bench.program.label, "8bitadder");
+    }
+    let stats = s.cache_stats();
+    assert_eq!(stats.profile_builds, 1);
+    assert_eq!((stats.cache_misses, stats.cache_hits), (1, 2));
+}
+
+#[test]
+fn bench_names_of_one_circuit_share_one_profile() {
+    // `qft_8_8` spells out `qft_8`'s default cutoff: two names, one
+    // program, and each response labelled by the name it asked for.
+    let s = session();
+    let short = s
+        .estimate(&EstimateRequest::new(ProgramSpec::bench("qft_8")))
+        .unwrap();
+    let long = s
+        .estimate(&EstimateRequest::new(ProgramSpec::bench("qft_8_8")))
+        .unwrap();
+    assert!(!short.profile_cached);
+    assert!(long.profile_cached);
+    assert_eq!(short.program.label, "qft_8");
+    assert_eq!(long.program.label, "qft_8_8");
+    assert_eq!(short.latency_us, long.latency_us);
+    let stats = s.cache_stats();
+    assert_eq!(
+        (stats.cache_misses, stats.cache_hits, stats.profile_builds),
+        (1, 1, 1)
+    );
+}
+
+#[test]
+fn unresolvable_bench_names_fail_alike_on_every_repeat() {
+    let s = session();
+    for (name, kind) in [("nope", ErrorKind::Usage), ("shor_0", ErrorKind::Invalid)] {
+        let req = EstimateRequest::new(ProgramSpec::bench(name));
+        let first = s.estimate(&req).unwrap_err();
+        assert_eq!(first.kind(), kind, "{name}: {first}");
+        for _ in 0..2 {
+            assert_eq!(s.estimate(&req).unwrap_err().to_string(), first.to_string());
+        }
+    }
+    assert_eq!(s.cache_stats().loads, 0);
+}
+
+#[test]
 fn profiles_are_lazy_map_never_builds_one() {
     // `map` and `gen` never touch the presence-zone model, so the profile
     // pass must not run for them.
