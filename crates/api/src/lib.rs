@@ -70,6 +70,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod conn;
 mod dto;
 mod error;
 pub mod experiment;

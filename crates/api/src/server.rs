@@ -2,15 +2,18 @@
 //! **stdio** or **TCP**, one process-wide [`Session`] shared by every
 //! connection.
 //!
-//! After PRs 2–4 the session, its sharded profile cache and the
-//! persistent worker pool all exist — but only for the lifetime of one
-//! CLI invocation, so every request pays full process startup. This
-//! module keeps the hot path resident: a [`Server`] wraps one `Session`
-//! (already `Send + Sync`), accepts any number of client connections,
-//! and answers each request line with the **byte-identical** envelope a
-//! direct `Session` call would produce. CPU-bound endpoints keep fanning
-//! out over [`Pool::global`](leqa::pool::Pool::global) exactly as they
-//! do in-process.
+//! A [`Server`] keeps one `Session` (already `Send + Sync`) resident
+//! behind any number of client connections, so requests stop paying
+//! process startup, and answers each request line with the
+//! **byte-identical** envelope a direct `Session` call would produce.
+//! CPU-bound endpoints keep fanning out over
+//! [`Pool::global`](leqa::pool::Pool::global) exactly as in-process.
+//!
+//! Sockets, both framings, the reply writer and chaos belong to the
+//! connection engine this daemon shares with [`crate::shard`] (the
+//! private `conn` module). This module is the daemon's side of it:
+//! session execution, admission, deadlines, panic isolation
+//! ([`Server::process_line`] and the `frame1` dispatch) and the counters.
 //!
 //! # Wire protocol (reference: `SERVER.md`)
 //!
@@ -61,20 +64,19 @@
 //! # }
 //! ```
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::conn::{self, Engine, Handler, Reply};
 use crate::dto::{
     BatchRequest, ControlFrame, ErrorFrame, FrameProto, Request, ShutdownAck, StatsResponse,
-    UpgradeAck,
 };
 use crate::experiment::ScenarioSpec;
-use crate::faults::{FaultAction, FaultInjector, FaultPlan, ReadFaultAction};
-use crate::frame::{write_frame, FrameDecoder, FRAME_HEADER};
+use crate::faults::{FaultInjector, FaultPlan};
 use crate::json::{self, Json};
 use crate::{ErrorKind, LeqaError, Session};
 
@@ -157,20 +159,19 @@ impl ServerConfig {
     /// unset).
     #[must_use]
     pub fn read_poll(&self) -> Duration {
-        let ms = if self.read_poll_ms == 0 {
-            DEFAULT_READ_POLL_MS
-        } else {
-            self.read_poll_ms
-        };
-        Duration::from_millis(ms)
+        read_poll(self.read_poll_ms)
     }
 }
 
-/// The daemon's atomic counters (snapshot shape: [`StatsResponse`]).
+/// A read-poll period in milliseconds, `0` meaning the default.
+pub(crate) fn read_poll(ms: u64) -> Duration {
+    Duration::from_millis(if ms == 0 { DEFAULT_READ_POLL_MS } else { ms })
+}
+
+/// The daemon's request counters; the transport counters live in its
+/// [`Engine`] (snapshot shape of both: [`StatsResponse`]).
 #[derive(Debug, Default)]
 struct Stats {
-    connections: AtomicU64,
-    active_connections: AtomicU64,
     inflight: AtomicU64,
     estimate: AtomicU64,
     sweep: AtomicU64,
@@ -181,31 +182,23 @@ struct Stats {
     experiment: AtomicU64,
     errors: AtomicU64,
     overloaded: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
     frames_in_flight: AtomicU64,
-    ticks: AtomicU64,
 }
 
 struct Inner {
     session: Session,
     config: ServerConfig,
     stats: Stats,
-    shutdown: AtomicBool,
-    /// Set by [`Server::bind`]; `shutdown` pokes it with a loopback
-    /// connection so a blocked `accept` wakes and observes the flag.
-    wake_addr: Mutex<Option<SocketAddr>>,
-    /// Opt-in deterministic fault injection (`leqa serve --chaos`),
-    /// applied at the TCP reply-write layer only — `None` in every
-    /// production configuration.
-    faults: Option<FaultInjector>,
+    /// Shutdown flag, read poll, transport counters and the opt-in
+    /// fault injector (`leqa serve --chaos`, applied on TCP only).
+    engine: Engine,
 }
 
 impl std::fmt::Debug for Inner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("config", &self.config)
-            .field("shutdown", &self.shutdown.load(Ordering::Relaxed))
+            .field("shutdown", &self.engine.is_shutting_down())
             .finish_non_exhaustive()
     }
 }
@@ -281,61 +274,17 @@ struct InflightPermit {
 
 impl Drop for InflightPermit {
     fn drop(&mut self) {
-        self.server
-            .inner
-            .stats
-            .inflight
-            .fetch_sub(1, Ordering::AcqRel);
+        let inflight = &self.server.inner.stats.inflight;
+        inflight.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
-/// What a chaotic reply write decided about the connection's future.
-enum ChaosOutcome {
-    /// The connection keeps serving.
-    Continue,
-    /// The injector consumed the reply (drop / torn write / replica
-    /// kill): close the connection now.
-    CloseConnection,
-}
-
-/// What a chaotic *request read* decided about the inbound line.
-enum ReadChaosOutcome {
-    /// Hand the (possibly garbled-but-decodable) line to the engine.
-    Proceed,
-    /// The request was lost mid-read: close without replying, exactly as
-    /// a peer crash would look.
-    CloseSilently,
-    /// The damage is detectable at the framing layer: write this reply,
-    /// then close (the byte stream can no longer be framed).
-    ReplyAndClose(String),
-}
-
-/// Flips the high bit of `bytes[at % len]`. On the ASCII JSON this
-/// protocol emits, a high-bit flip yields an invalid UTF-8 sequence, so
-/// the corruption is always *detectable* by the client (it models line
-/// noise a checksum would catch, not a silent digit swap no transport
-/// could recover from). Steers away from producing `\n` so a corrupted
-/// NDJSON reply stays one garbled line.
-fn flip_byte(bytes: &mut [u8], at: usize) {
-    if bytes.is_empty() {
-        return;
-    }
-    let i = at % bytes.len();
-    bytes[i] ^= 0x80;
-    if bytes[i] == b'\n' {
-        bytes[i] ^= 0x01;
-    }
-}
-
-/// Decrements the active-connection gauge when a connection closes.
-struct ConnectionGuard<'a> {
-    active: &'a AtomicU64,
-}
-
-impl Drop for ConnectionGuard<'_> {
-    fn drop(&mut self) {
-        self.active.fetch_sub(1, Ordering::AcqRel);
-    }
+/// What the daemon does with one request.
+enum Step {
+    /// Answer at once: a control frame, a malformed request or a refusal.
+    Answer(String),
+    /// Run admitted work under its permit and optional `timeout_ms`.
+    Run(Frame, InflightPermit, Option<u64>),
 }
 
 /// The persistent service daemon: one shared [`Session`] behind a
@@ -359,16 +308,7 @@ impl Server {
     /// Wraps a session with explicit service limits.
     #[must_use]
     pub fn with_config(session: Session, config: ServerConfig) -> Server {
-        Server {
-            inner: Arc::new(Inner {
-                session,
-                config,
-                stats: Stats::default(),
-                shutdown: AtomicBool::new(false),
-                wake_addr: Mutex::new(None),
-                faults: None,
-            }),
-        }
+        Server::build(session, config, None)
     }
 
     /// Wraps a session with explicit limits **and** a deterministic
@@ -380,14 +320,19 @@ impl Server {
     /// client must converge on byte-identical answers.
     #[must_use]
     pub fn with_chaos(session: Session, config: ServerConfig, plan: FaultPlan) -> Server {
+        Server::build(session, config, Some(FaultInjector::new(plan)))
+    }
+
+    fn build(session: Session, config: ServerConfig, faults: Option<FaultInjector>) -> Server {
+        let mut engine = Engine::default();
+        *engine.read_poll_ms.get_mut() = config.read_poll_ms;
+        engine.faults = faults;
         Server {
             inner: Arc::new(Inner {
                 session,
                 config,
                 stats: Stats::default(),
-                shutdown: AtomicBool::new(false),
-                wake_addr: Mutex::new(None),
-                faults: Some(FaultInjector::new(plan)),
+                engine,
             }),
         }
     }
@@ -396,7 +341,7 @@ impl Server {
     /// [`with_chaos`](Self::with_chaos).
     #[must_use]
     pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.inner.faults.as_ref()
+        self.inner.engine.faults.as_ref()
     }
 
     /// The shared session (e.g. to pre-warm the program cache before
@@ -415,7 +360,7 @@ impl Server {
     /// [`shutdown`](Server::shutdown)). Once set it never clears.
     #[must_use]
     pub fn is_shutting_down(&self) -> bool {
-        self.inner.shutdown.load(Ordering::Acquire)
+        self.inner.engine.is_shutting_down()
     }
 
     /// Requests graceful shutdown: new work frames are refused with an
@@ -423,13 +368,7 @@ impl Server {
     /// request, and a blocked TCP accept loop is woken so
     /// [`BoundServer::run`] can drain and return. Idempotent.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        let wake = *self.inner.wake_addr.lock().expect("no poisoning");
-        if let Some(addr) = wake {
-            // Wake a blocked `accept`; the loop re-checks the flag before
-            // serving whatever it accepted.
-            let _ = TcpStream::connect_timeout(&addr, self.inner.config.read_poll());
-        }
+        self.inner.engine.shutdown();
     }
 
     /// A consistent-enough snapshot of the daemon's counters (each field
@@ -437,10 +376,11 @@ impl Server {
     #[must_use]
     pub fn stats(&self) -> StatsResponse {
         let s = &self.inner.stats;
+        let e = &self.inner.engine;
         let store = self.inner.session.store_stats();
         StatsResponse {
-            connections: s.connections.load(Ordering::Relaxed),
-            active_connections: s.active_connections.load(Ordering::Relaxed),
+            connections: e.connections.load(Ordering::Relaxed),
+            active_connections: e.active_connections.load(Ordering::Relaxed),
             inflight: s.inflight.load(Ordering::Relaxed),
             estimate: s.estimate.load(Ordering::Relaxed),
             sweep: s.sweep.load(Ordering::Relaxed),
@@ -451,20 +391,20 @@ impl Server {
             experiment: s.experiment.load(Ordering::Relaxed),
             errors: s.errors.load(Ordering::Relaxed),
             overloaded: s.overloaded.load(Ordering::Relaxed),
-            bytes_in: s.bytes_in.load(Ordering::Relaxed),
-            bytes_out: s.bytes_out.load(Ordering::Relaxed),
+            bytes_in: e.bytes_in.load(Ordering::Relaxed),
+            bytes_out: e.bytes_out.load(Ordering::Relaxed),
             frames_in_flight: s.frames_in_flight.load(Ordering::Relaxed),
             store_hits: store.store_hits,
             store_misses: store.store_misses,
             replicas_restarted: 0,
             cache: self.inner.session.cache_stats(),
-            uptime_ticks: s.ticks.load(Ordering::Relaxed),
+            uptime_ticks: e.ticks.load(Ordering::Relaxed),
         }
     }
 
     /// Processes one protocol line and returns the reply line (no
     /// trailing newline), or `None` for a blank line. This is the whole
-    /// per-line engine — both transports and the tests drive it.
+    /// per-line engine — every transport and the tests drive it.
     ///
     /// Successful work frames reply with envelopes **byte-identical** to
     /// the corresponding direct [`Session`] call; failures reply with an
@@ -472,31 +412,49 @@ impl Server {
     #[must_use = "the reply line must be written back to the client"]
     pub fn process_line(&self, line: &str) -> Option<String> {
         let line = line.trim();
-        if line.is_empty() {
-            return None;
-        }
+        (!line.is_empty()).then(|| self.answer_line(line))
+    }
+
+    /// Answers one non-blank line on the calling thread.
+    fn answer_line(&self, line: &str) -> String {
         let arrived = Instant::now();
-        self.inner.stats.ticks.fetch_add(1, Ordering::Relaxed);
-        let (frame, timeout_ms) = match classify_line(line) {
+        self.inner.engine.ticks.fetch_add(1, Ordering::Relaxed);
+        match self.step(line, false) {
+            Step::Answer(reply) => reply,
+            Step::Run(work, permit, timeout_ms) => {
+                self.execute_deadlined(work, permit, timeout_ms, arrived)
+            }
+        }
+    }
+
+    /// Classifies one request: control frames, malformed requests and
+    /// admission refusals are answered at once; work is admitted.
+    /// `upgraded` says whether the connection already speaks `frame1`.
+    fn step(&self, text: &str, upgraded: bool) -> Step {
+        let (frame, timeout_ms) = match classify_line(text) {
             Ok(classified) => classified,
-            Err(e) => return Some(self.error_reply(e)),
+            Err(e) => return Step::Answer(self.error_reply(e)),
         };
-        Some(match frame {
+        Step::Answer(match frame {
             Frame::Control(ControlFrame::Stats) => self.stats().to_json().encode(),
             Frame::Control(ControlFrame::Shutdown) => {
                 let ack = ShutdownAck.to_json().encode();
                 self.shutdown();
                 ack
             }
-            // The TCP transport intercepts upgrade lines before they
-            // reach the engine; seeing one here means the transport
-            // cannot switch framing (stdio, in-memory).
+            // The connection engine intercepts upgrade lines on TCP;
+            // seeing one here means this connection cannot switch
+            // framing (stdio, in-memory, or already upgraded).
             Frame::Control(ControlFrame::Upgrade(_)) => self.error_reply(LeqaError::new(
                 ErrorKind::Json,
-                "`upgrade` is only available on the TCP transport",
+                if upgraded {
+                    "connection already upgraded to frame1"
+                } else {
+                    "`upgrade` is only available on the TCP transport"
+                },
             )),
             work => match self.admit() {
-                Ok(permit) => self.execute_deadlined(work, permit, timeout_ms, arrived),
+                Ok(permit) => return Step::Run(work, permit, timeout_ms),
                 Err(e) => self.overloaded_reply(e),
             },
         })
@@ -582,60 +540,28 @@ impl Server {
         reply
     }
 
-    /// Serves one already-open connection: read lines, write replies,
-    /// until EOF or shutdown. Used directly for stdio and in-memory
-    /// transports; TCP connections run the poll-aware variant so idle
-    /// reads cannot stall a drain.
+    /// Serves one already-open stdio or in-memory connection (no
+    /// upgrade, no chaos): read lines, write replies, until EOF or
+    /// shutdown. TCP connections run the same line loop.
     ///
-    /// A connection blocked inside `read_line` observes shutdown only
-    /// when its next line (or EOF) arrives — a generic `BufRead` cannot
-    /// be polled. Custom multi-connection transports that need bounded
-    /// drain latency should close their readers on shutdown (the stdio
-    /// supervisor's pipe close) or use the TCP transport
-    /// ([`bind`](Self::bind)), whose connections poll the flag
-    /// internally.
+    /// A read that times out (`WouldBlock` / `TimedOut`) keeps any
+    /// partial line and checks the shutdown flag; a reader that blocks
+    /// observes shutdown only when its next line (or EOF) arrives, so
+    /// custom transports that need bounded drain latency should close
+    /// their readers on shutdown or use [`bind`](Self::bind).
     ///
     /// # Errors
     ///
     /// [`ErrorKind::Io`] when the underlying reader or writer fails. A
-    /// non-UTF-8 byte stream is not an error: it is answered with one
-    /// `json`-kind error frame and the connection closes (framing rule
-    /// 4 of `SERVER.md`).
+    /// non-UTF-8 line, or one over 16 MiB, is answered with one
+    /// `json`-kind error frame and closes the connection (framing rule 4
+    /// of `SERVER.md`); that is not an error.
     pub fn serve_connection(
         &self,
         reader: &mut dyn BufRead,
         writer: &mut dyn Write,
     ) -> Result<(), LeqaError> {
-        let _guard = self.open_connection();
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) => return Ok(()), // EOF: the client hung up.
-                Ok(n) => {
-                    self.inner
-                        .stats
-                        .bytes_in
-                        .fetch_add(n as u64, Ordering::Relaxed);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                    let reply = self
-                        .error_reply(LeqaError::new(ErrorKind::Json, "frame is not valid UTF-8"));
-                    writer
-                        .write_all(reply.as_bytes())
-                        .map_err(LeqaError::from)?;
-                    writer.write_all(b"\n").map_err(LeqaError::from)?;
-                    writer.flush().map_err(LeqaError::from)?;
-                    return Ok(());
-                }
-                Err(e) => return Err(LeqaError::from(e)),
-            }
-            self.write_reply(writer, &line).map_err(LeqaError::from)?;
-            if self.is_shutting_down() {
-                return Ok(());
-            }
-        }
+        conn::serve_stream(self, reader, writer).map_err(LeqaError::from)
     }
 
     /// Serves the stdio transport (`leqa serve --stdio`): one connection
@@ -674,11 +600,7 @@ impl Server {
     /// # }
     /// ```
     pub fn bind(&self, addr: &str) -> Result<BoundServer, LeqaError> {
-        let listener = TcpListener::bind(addr)
-            .map_err(LeqaError::from)
-            .map_err(|e| e.context(format!("binding `{addr}`")))?;
-        let local = listener.local_addr().map_err(LeqaError::from)?;
-        *self.inner.wake_addr.lock().expect("no poisoning") = Some(local);
+        let (listener, local) = self.inner.engine.bind(addr)?;
         Ok(BoundServer {
             server: self.clone(),
             listener,
@@ -687,143 +609,6 @@ impl Server {
     }
 
     // ── Internals ────────────────────────────────────────────────────────
-
-    fn open_connection(&self) -> ConnectionGuard<'_> {
-        self.inner.stats.connections.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .stats
-            .active_connections
-            .fetch_add(1, Ordering::AcqRel);
-        ConnectionGuard {
-            active: &self.inner.stats.active_connections,
-        }
-    }
-
-    /// Processes `line` and writes the reply (if any), flushing so
-    /// clients see it promptly.
-    fn write_reply(&self, writer: &mut dyn Write, line: &str) -> std::io::Result<()> {
-        if let Some(reply) = self.process_line(line) {
-            self.write_line(writer, &reply)?;
-        }
-        Ok(())
-    }
-
-    /// Writes one NDJSON reply line through the fault injector: without
-    /// one this is exactly [`write_line`](Self::write_line); with one,
-    /// the injector's per-event decision may delay the write, swallow
-    /// the reply and close the connection, write a torn prefix, flip one
-    /// payload byte, or trade the reply for a whole-replica kill.
-    fn write_chaotic_line(
-        &self,
-        writer: &mut dyn Write,
-        reply: &str,
-    ) -> std::io::Result<ChaosOutcome> {
-        let Some(injector) = &self.inner.faults else {
-            self.write_line(writer, reply)?;
-            return Ok(ChaosOutcome::Continue);
-        };
-        let decision = injector.next_decision();
-        if let Some(delay) = decision.delay {
-            std::thread::sleep(delay);
-        }
-        match decision.action {
-            FaultAction::Deliver => {
-                self.write_line(writer, reply)?;
-                Ok(ChaosOutcome::Continue)
-            }
-            FaultAction::DropConnection => Ok(ChaosOutcome::CloseConnection),
-            FaultAction::KillReplica => {
-                self.shutdown();
-                Ok(ChaosOutcome::CloseConnection)
-            }
-            FaultAction::Truncate => {
-                // A torn write, as a crash mid-flush would leave: half
-                // the line, no newline, then the connection closes.
-                let bytes = reply.as_bytes();
-                let cut = bytes.len() / 2;
-                writer.write_all(&bytes[..cut])?;
-                writer.flush()?;
-                self.inner
-                    .stats
-                    .bytes_out
-                    .fetch_add(cut as u64, Ordering::Relaxed);
-                Ok(ChaosOutcome::CloseConnection)
-            }
-            FaultAction::FlipByte(at) => {
-                let mut bytes = reply.as_bytes().to_vec();
-                flip_byte(&mut bytes, at);
-                writer.write_all(&bytes)?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
-                self.inner
-                    .stats
-                    .bytes_out
-                    .fetch_add(bytes.len() as u64 + 1, Ordering::Relaxed);
-                Ok(ChaosOutcome::Continue)
-            }
-        }
-    }
-
-    /// Applies the fault injector's request-read decision to one inbound
-    /// line, mutating it in place when the damage leaves something to
-    /// deliver. Without an injector this is a no-op `Proceed` — the
-    /// byte-stable production path.
-    fn read_chaotic_line(&self, line: &mut String) -> ReadChaosOutcome {
-        let Some(injector) = &self.inner.faults else {
-            return ReadChaosOutcome::Proceed;
-        };
-        match injector.next_read_decision() {
-            ReadFaultAction::Deliver => ReadChaosOutcome::Proceed,
-            ReadFaultAction::DropRequest => ReadChaosOutcome::CloseSilently,
-            ReadFaultAction::Truncate => {
-                // A torn read: the engine sees only the prefix that made
-                // it; the remainder died with the peer. The torn prefix
-                // of a JSON document cannot parse, so the reply (if the
-                // prefix is non-blank) is a typed `json` error frame.
-                let mut cut = line.len() / 2;
-                while !line.is_char_boundary(cut) {
-                    cut -= 1;
-                }
-                line.truncate(cut);
-                match self.process_line(line) {
-                    Some(reply) => ReadChaosOutcome::ReplyAndClose(reply),
-                    None => ReadChaosOutcome::CloseSilently,
-                }
-            }
-            ReadFaultAction::FlipByte(at) => {
-                let mut bytes = line.clone().into_bytes();
-                flip_byte(&mut bytes, at);
-                match String::from_utf8(bytes) {
-                    // ASCII JSON + high-bit flip ⇒ invalid UTF-8: the
-                    // same typed answer the UTF-8 read guard gives.
-                    Err(_) => {
-                        ReadChaosOutcome::ReplyAndClose(self.error_reply(LeqaError::new(
-                            ErrorKind::Json,
-                            "frame is not valid UTF-8",
-                        )))
-                    }
-                    // A non-ASCII byte flipped back into ASCII: still a
-                    // garbled line, deliver it and let the engine answer.
-                    Ok(garbled) => {
-                        *line = garbled;
-                        ReadChaosOutcome::Proceed
-                    }
-                }
-            }
-        }
-    }
-
-    /// Writes one reply line (with newline + flush), counting the bytes.
-    fn write_line(&self, writer: &mut dyn Write, reply: &str) -> std::io::Result<()> {
-        writer.write_all(reply.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        self.inner
-            .stats
-            .bytes_out
-            .fetch_add(reply.len() as u64 + 1, Ordering::Relaxed);
-        Ok(())
-    }
 
     /// Admission control for one work frame: refused while draining or
     /// at the inflight cap; otherwise the returned permit holds one
@@ -868,324 +653,61 @@ impl Server {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
+    fn overloaded_reply(&self, e: LeqaError) -> String {
+        self.inner.stats.overloaded.fetch_add(1, Ordering::Relaxed);
+        ErrorFrame::new(e).to_json().encode()
+    }
+}
+
+/// The daemon's side of the connection engine: NDJSON lines execute on
+/// the connection thread; `frame1` work is admitted on the connection
+/// thread (so an `overloaded` refusal keeps its tag), then runs on the
+/// worker pool and completes out of order.
+impl Handler for Server {
+    type Conn = ();
+
+    const THREAD: &'static str = "leqa-serve-conn";
+
+    fn engine(&self) -> &Engine {
+        &self.inner.engine
+    }
+
+    fn open(&self) {}
+
+    fn line(&self, (): &(), line: &str) -> String {
+        self.answer_line(line)
+    }
+
+    fn frame(&self, (): &(), _tag: u32, text: String, reply: Reply) {
+        let arrived = Instant::now();
+        let (work, permit, timeout_ms) = match self.step(text.trim(), true) {
+            Step::Answer(answer) => return reply.send(answer),
+            Step::Run(work, permit, timeout_ms) => (work, permit, timeout_ms),
+        };
+        let stats = &self.inner.stats;
+        stats.frames_in_flight.fetch_add(1, Ordering::AcqRel);
+        let server = self.clone();
+        leqa::pool::Pool::global().submit(move || {
+            let answer = server.execute_deadlined(work, permit, timeout_ms, arrived);
+            let stats = &server.inner.stats;
+            stats.frames_in_flight.fetch_sub(1, Ordering::AcqRel);
+            reply.send(answer);
+        });
+    }
+
     fn error_reply(&self, e: LeqaError) -> String {
         self.inner.stats.errors.fetch_add(1, Ordering::Relaxed);
         ErrorFrame::new(e).to_json().encode()
     }
 
-    fn overloaded_reply(&self, e: LeqaError) -> String {
-        self.inner.stats.overloaded.fetch_add(1, Ordering::Relaxed);
-        ErrorFrame::new(e).to_json().encode()
-    }
-
-    /// One TCP connection: like [`serve_connection`](Self::serve_connection)
-    /// but with a read timeout so a connection idling in `read` observes
-    /// the shutdown flag within the configured read-poll period
-    /// ([`ServerConfig::read_poll_ms`]). An
-    /// `{"cmd":"upgrade","proto":"frame1"}` line switches the connection
-    /// to the pipelined binary framing ([`serve_frames`](Self::serve_frames))
-    /// after the NDJSON ack.
-    fn serve_tcp_connection(&self, stream: TcpStream) -> std::io::Result<()> {
-        let _guard = self.open_connection();
-        stream.set_read_timeout(Some(self.inner.config.read_poll()))?;
-        // Replies are small and flushed per line; without NODELAY,
-        // Nagle + delayed-ACK adds tens of ms to every round trip.
-        stream.set_nodelay(true)?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let mut writer = stream;
-        let mut line = String::new();
-        loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => return Ok(()), // EOF
-                Ok(n) => {
-                    self.inner
-                        .stats
-                        .bytes_in
-                        .fetch_add(n as u64, Ordering::Relaxed);
-                    // Read-side chaos strikes the raw inbound bytes,
-                    // before the line is interpreted at all (an upgrade
-                    // request can be corrupted like any other).
-                    match self.read_chaotic_line(&mut line) {
-                        ReadChaosOutcome::Proceed => {}
-                        ReadChaosOutcome::CloseSilently => return Ok(()),
-                        ReadChaosOutcome::ReplyAndClose(reply) => {
-                            writer.write_all(reply.as_bytes())?;
-                            writer.write_all(b"\n")?;
-                            return writer.flush();
-                        }
-                    }
-                    if let Some(proto) = upgrade_request(&line) {
-                        self.inner.stats.ticks.fetch_add(1, Ordering::Relaxed);
-                        self.write_line(&mut writer, &UpgradeAck { proto }.to_json().encode())?;
-                        // Bytes the client optimistically sent after its
-                        // upgrade line are sitting in the BufReader; hand
-                        // them to the frame decoder.
-                        let residual = reader.buffer().to_vec();
-                        drop(reader);
-                        return self.serve_frames(writer, residual);
-                    }
-                    let reply = self.process_line(&line);
-                    line.clear();
-                    if let Some(reply) = reply {
-                        match self.write_chaotic_line(&mut writer, &reply)? {
-                            ChaosOutcome::Continue => {}
-                            ChaosOutcome::CloseConnection => return Ok(()),
-                        }
-                    }
-                    if self.is_shutting_down() {
-                        return Ok(());
-                    }
-                }
-                // Timeout mid-wait: any partial bytes stay in `line`;
-                // the next read appends the rest of the frame.
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    if self.is_shutting_down() {
-                        return Ok(());
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                    // Not UTF-8: answer with a typed frame, then close
-                    // (the byte stream can no longer be framed).
-                    let reply = self
-                        .error_reply(LeqaError::new(ErrorKind::Json, "frame is not valid UTF-8"));
-                    writer.write_all(reply.as_bytes())?;
-                    writer.write_all(b"\n")?;
-                    return writer.flush();
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Serves one upgraded connection in `frame1` mode: a reader loop
-    /// (this thread) decodes `[len][tag][payload]` frames and submits
-    /// work to [`Pool::global`](leqa::pool::Pool::global) **without
-    /// waiting**; a writer thread drains the completion channel and
-    /// writes response frames as they finish. One pipelining client can
-    /// therefore keep the whole worker pool saturated, and responses
-    /// complete out of order — matched to requests by tag.
-    ///
-    /// `residual` is whatever the NDJSON reader had buffered past the
-    /// upgrade line (already read off the socket).
-    fn serve_frames(&self, stream: TcpStream, residual: Vec<u8>) -> std::io::Result<()> {
-        let (tx, rx) = mpsc::channel::<(u32, String)>();
-        let writer_stream = stream.try_clone()?;
-        let server = self.clone();
-        let writer = std::thread::Builder::new()
-            .name("leqa-frame-writer".to_string())
-            .spawn(move || {
-                let mut w = BufWriter::new(writer_stream);
-                // Batch flushes: drain whatever is ready, flush once.
-                while let Ok(first) = rx.recv() {
-                    let mut pending = vec![first];
-                    pending.extend(rx.try_iter());
-                    for (tag, payload) in &pending {
-                        match server.write_chaotic_frame(&mut w, *tag, payload) {
-                            Ok(ChaosOutcome::Continue) => {}
-                            Ok(ChaosOutcome::CloseConnection) => {
-                                // Chaotic drop/kill/torn write: tear the
-                                // socket down so the reader loop ends too.
-                                let _ = w.flush();
-                                let _ = w.get_ref().shutdown(std::net::Shutdown::Both);
-                                return;
-                            }
-                            Err(_) => return, // client gone: drop the channel
-                        }
-                    }
-                    if w.flush().is_err() {
-                        return;
-                    }
-                }
-            })?;
-
-        let mut decoder = FrameDecoder::new();
-        self.inner
-            .stats
-            .bytes_in
-            .fetch_add(residual.len() as u64, Ordering::Relaxed);
-        decoder.push(&residual);
-        let mut reader = stream;
-        let mut buf = [0u8; 16 * 1024];
-        let mut result = Ok(());
-        'conn: loop {
-            loop {
-                match decoder.next() {
-                    Ok(Some((tag, payload))) => self.dispatch_frame(tag, payload, &tx),
-                    Ok(None) => break,
-                    Err(fe) => {
-                        // Framing violation (oversized length): answer on
-                        // the offending tag and close — the stream can no
-                        // longer be trusted.
-                        let reply = self.error_reply(fe.error);
-                        let _ = tx.send((fe.tag.unwrap_or(0), reply));
-                        break 'conn;
-                    }
-                }
-            }
-            if self.is_shutting_down() {
-                break;
-            }
-            match reader.read(&mut buf) {
-                Ok(0) => {
-                    if let Err(fe) = decoder.finish() {
-                        let reply = self.error_reply(fe.error);
-                        let _ = tx.send((fe.tag.unwrap_or(0), reply));
-                    }
-                    break;
-                }
-                Ok(n) => {
-                    self.inner
-                        .stats
-                        .bytes_in
-                        .fetch_add(n as u64, Ordering::Relaxed);
-                    decoder.push(&buf[..n]);
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut => {}
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        // In-flight jobs hold sender clones; the writer exits once the
-        // last reply is sent (or the client is gone), so joining it
-        // drains this connection's pipeline.
-        drop(tx);
-        let _ = writer.join();
-        result
-    }
-
-    /// Frame-mode twin of [`write_chaotic_line`](Self::write_chaotic_line):
-    /// one `[len][tag][payload]` reply frame through the fault injector
-    /// (byte-counting included); without an injector it is a plain
-    /// [`write_frame`].
-    fn write_chaotic_frame(
-        &self,
-        w: &mut BufWriter<TcpStream>,
-        tag: u32,
-        payload: &str,
-    ) -> Result<ChaosOutcome, LeqaError> {
-        let deliver = |w: &mut BufWriter<TcpStream>, bytes: &[u8]| -> Result<(), LeqaError> {
-            write_frame(w, tag, bytes)?;
-            self.inner
-                .stats
-                .bytes_out
-                .fetch_add((bytes.len() + FRAME_HEADER) as u64, Ordering::Relaxed);
-            Ok(())
-        };
-        let Some(injector) = &self.inner.faults else {
-            deliver(w, payload.as_bytes())?;
-            return Ok(ChaosOutcome::Continue);
-        };
-        let decision = injector.next_decision();
-        if let Some(delay) = decision.delay {
-            std::thread::sleep(delay);
-        }
-        match decision.action {
-            FaultAction::Deliver => {
-                deliver(w, payload.as_bytes())?;
-                Ok(ChaosOutcome::Continue)
-            }
-            FaultAction::DropConnection => Ok(ChaosOutcome::CloseConnection),
-            FaultAction::KillReplica => {
-                self.shutdown();
-                Ok(ChaosOutcome::CloseConnection)
-            }
-            FaultAction::Truncate => {
-                // A torn frame: encode the full [len][tag][payload] then
-                // put only half of it on the wire before closing.
-                let mut framed = Vec::with_capacity(payload.len() + FRAME_HEADER);
-                write_frame(&mut framed, tag, payload.as_bytes())?;
-                let cut = framed.len() / 2;
-                w.write_all(&framed[..cut]).map_err(LeqaError::from)?;
-                w.flush().map_err(LeqaError::from)?;
-                self.inner
-                    .stats
-                    .bytes_out
-                    .fetch_add(cut as u64, Ordering::Relaxed);
-                Ok(ChaosOutcome::CloseConnection)
-            }
-            FaultAction::FlipByte(at) => {
-                let mut bytes = payload.as_bytes().to_vec();
-                flip_byte(&mut bytes, at);
-                deliver(w, &bytes)?;
-                Ok(ChaosOutcome::Continue)
-            }
-        }
-    }
-
-    /// Routes one decoded frame: control frames answer inline (they
-    /// bypass admission, as on the NDJSON channel); work frames are
-    /// admitted here — so `overloaded` refusals carry the offending tag
-    /// immediately — then executed on the worker pool, completing out of
-    /// order through `tx`.
-    fn dispatch_frame(&self, tag: u32, payload: Vec<u8>, tx: &mpsc::Sender<(u32, String)>) {
-        let arrived = Instant::now();
-        self.inner.stats.ticks.fetch_add(1, Ordering::Relaxed);
-        let text = match String::from_utf8(payload) {
-            Ok(text) => text,
-            Err(_) => {
-                let reply =
-                    self.error_reply(LeqaError::new(ErrorKind::Json, "frame is not valid UTF-8"));
-                let _ = tx.send((tag, reply));
-                return;
-            }
-        };
-        let (frame, timeout_ms) = match classify_line(text.trim()) {
-            Ok(classified) => classified,
-            Err(e) => {
-                let _ = tx.send((tag, self.error_reply(e)));
-                return;
-            }
-        };
-        match frame {
-            Frame::Control(ControlFrame::Stats) => {
-                let _ = tx.send((tag, self.stats().to_json().encode()));
-            }
-            Frame::Control(ControlFrame::Shutdown) => {
-                let ack = ShutdownAck.to_json().encode();
-                self.shutdown();
-                let _ = tx.send((tag, ack));
-            }
-            Frame::Control(ControlFrame::Upgrade(_)) => {
-                let reply = self.error_reply(LeqaError::new(
-                    ErrorKind::Json,
-                    "connection already upgraded to frame1",
-                ));
-                let _ = tx.send((tag, reply));
-            }
-            work => {
-                let permit = match self.admit() {
-                    Ok(permit) => permit,
-                    Err(e) => {
-                        let _ = tx.send((tag, self.overloaded_reply(e)));
-                        return;
-                    }
-                };
-                self.inner
-                    .stats
-                    .frames_in_flight
-                    .fetch_add(1, Ordering::AcqRel);
-                let server = self.clone();
-                let tx = tx.clone();
-                leqa::pool::Pool::global().submit(move || {
-                    let reply = server.execute_deadlined(work, permit, timeout_ms, arrived);
-                    server
-                        .inner
-                        .stats
-                        .frames_in_flight
-                        .fetch_sub(1, Ordering::AcqRel);
-                    let _ = tx.send((tag, reply));
-                });
-            }
-        }
+    fn refusal(&self, open: usize) -> Option<String> {
+        let cap = self.inner.config.max_connections;
+        (cap > 0 && open as u64 >= cap).then(|| {
+            self.overloaded_reply(LeqaError::new(
+                ErrorKind::Overloaded,
+                format!("server at capacity ({cap} connections); retry later"),
+            ))
+        })
     }
 }
 
@@ -1244,56 +766,7 @@ impl BoundServer {
     ///
     /// [`ErrorKind::Io`] when a connection thread cannot be spawned.
     pub fn run(self) -> Result<(), LeqaError> {
-        let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        for stream in self.listener.incoming() {
-            if self.server.is_shutting_down() {
-                break; // wake-up connection (or a late client): drop it.
-            }
-            let stream = match stream {
-                Ok(stream) => stream,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::Interrupted
-                            | std::io::ErrorKind::ConnectionAborted
-                            | std::io::ErrorKind::ConnectionReset
-                            | std::io::ErrorKind::WouldBlock
-                    ) =>
-                {
-                    continue
-                }
-                Err(_) => {
-                    // EMFILE and friends: back off instead of dying or
-                    // spinning; the shutdown check above ends the loop.
-                    std::thread::sleep(self.server.inner.config.read_poll());
-                    continue;
-                }
-            };
-            handles.retain(|h| !h.is_finished());
-            let cap = self.server.inner.config.max_connections;
-            if cap > 0 && handles.len() as u64 >= cap {
-                let reply = self.server.overloaded_reply(LeqaError::new(
-                    ErrorKind::Overloaded,
-                    format!("server at capacity ({cap} connections); retry later"),
-                ));
-                let mut stream = stream;
-                let _ = stream.write_all(reply.as_bytes());
-                let _ = stream.write_all(b"\n");
-                continue;
-            }
-            let server = self.server.clone();
-            let handle = std::thread::Builder::new()
-                .name("leqa-serve-conn".to_string())
-                .spawn(move || {
-                    let _ = server.serve_tcp_connection(stream);
-                })
-                .map_err(LeqaError::from)?;
-            handles.push(handle);
-        }
-        drop(self.listener); // refuse new connections while draining
-        for handle in handles {
-            let _ = handle.join();
-        }
+        conn::accept_loop(&self.server, self.listener)?;
         leqa::pool::Pool::global().drain();
         Ok(())
     }

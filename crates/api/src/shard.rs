@@ -15,39 +15,45 @@
 //!   live replica and the [`StatsResponse`]s merge
 //!   ([`StatsResponse::merge`]) into one fleet-wide snapshot;
 //!   `{"cmd":"shutdown"}` stops the whole fleet, then the front-end;
-//! * **fails over**: a replica that drops its connection is marked dead
+//! * **fails over**: a replica whose link drops is marked dead
 //!   fleet-wide, its in-flight work frames re-route to the next live
 //!   replica (requests are pure computations, so a resend is safe), and
 //!   broadcasts complete without it. With no live replicas left,
 //!   requests answer with a retryable `unavailable` error frame.
-//! * **supervises the fleet**: [`BoundShard::run`] probes every live
-//!   replica with a deadline-bounded `{"cmd":"stats"}` ping; a replica
-//!   that stops answering is marked dead even if no request has touched
-//!   it. When a restart factory is registered
-//!   ([`Shard::supervise`]), dead in-process replicas are relaunched on
-//!   a fresh port (re-warmed from the profile snapshot store when the
-//!   factory builds its sessions with a `cache_dir`) under a **bounded
-//!   restart budget** — once the budget is spent the fleet stays down
+//! * **supervises the fleet**: [`BoundShard::run`] probes every replica
+//!   with a deadline-bounded `{"cmd":"stats"}` ping. A live replica that
+//!   stops answering is marked dead even if no request has touched it;
+//!   a dead in-process replica that answers again (a fault closed its
+//!   link, not the replica) is revived. The rest are relaunched on a
+//!   fresh port when a restart factory is registered
+//!   ([`Shard::supervise`]), re-warmed from the profile snapshot store
+//!   when the factory builds its sessions with a `cache_dir`, under a
+//!   **bounded restart budget**: once it is spent the fleet stays down
 //!   and clients keep getting `unavailable`. Replica incarnations carry
-//!   a generation counter, so a stale link dying cannot kill a freshly
-//!   restarted replica.
+//!   a generation counter, so a stale link dying cannot kill a revived
+//!   or restarted replica.
 //!
 //! Replica links always speak `frame1` (the front-end upgrades each link
 //! it opens), so one client connection pipelining frames keeps every
-//! replica busy concurrently. Replies stay **byte-identical** to a
-//! direct daemon: work replies are forwarded verbatim.
+//! replica busy concurrently. Work replies are forwarded verbatim, and
+//! client connections run on the daemon's own connection engine (the
+//! private `conn` module), so a client cannot tell the shard from one
+//! daemon by any reply byte, error frames included. This module is the
+//! shard's side of that engine: routing, the replica-link client,
+//! failover, broadcast and stats merge, and supervision.
 
 use std::collections::HashMap;
-use std::io::{BufRead, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
+use crate::conn::{self, Engine, Handler, Reply};
 use crate::dto::{ControlFrame, ErrorFrame, ShutdownAck, StatsResponse, UpgradeAck};
 use crate::frame::{write_frame, FrameDecoder};
 use crate::json;
-use crate::server::{upgrade_request, Frame, Server, DEFAULT_READ_POLL_MS};
+use crate::server::{Frame, Server};
 use crate::session::fnv1a;
 use crate::{ErrorKind, LeqaError};
 
@@ -82,14 +88,24 @@ impl Replica {
     fn addr(&self) -> SocketAddr {
         *self.addr.lock().expect("no poisoning")
     }
+
+    /// Marks the replica live as a new incarnation, so every client
+    /// connection reopens its link instead of reusing a dead one.
+    fn revive(&self) {
+        self.generation.fetch_add(1, Ordering::AcqRel);
+        self.alive.store(true, Ordering::Release);
+    }
 }
 
 struct ShardInner {
     replicas: Mutex<Vec<Arc<Replica>>>,
     /// Join handles of in-process replica accept loops.
     replica_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    shutdown: AtomicBool,
-    wake_addr: Mutex<Option<SocketAddr>>,
+    /// Shutdown flag and client-side transport. Its read-poll period
+    /// (`0` = [`DEFAULT_READ_POLL_MS`](crate::server::DEFAULT_READ_POLL_MS))
+    /// is also the base of the supervisor's probe pacing (probe period =
+    /// 2× it, probe deadline = 4× it).
+    engine: Engine,
     /// Builds replacement replicas ([`Shard::supervise`]); `None` means
     /// dead replicas stay dead.
     factory: Mutex<Option<Arc<ReplicaFactory>>>,
@@ -98,10 +114,6 @@ struct ShardInner {
     /// Replicas the supervisor has restarted (surfaced in merged
     /// `{"cmd":"stats"}` replies as `replicas_restarted`).
     replicas_restarted: AtomicU64,
-    /// Read-poll period, ms (`0` = [`DEFAULT_READ_POLL_MS`]): socket
-    /// poll granularity, and the base for the supervisor's probe pacing
-    /// (probe period = 2× this, probe deadline = 4× this).
-    read_poll_ms: AtomicU64,
 }
 
 /// The sharded front-end (see the [module docs](self)). Cheaply
@@ -137,12 +149,10 @@ impl Shard {
             inner: Arc::new(ShardInner {
                 replicas: Mutex::new(Vec::new()),
                 replica_threads: Mutex::new(Vec::new()),
-                shutdown: AtomicBool::new(false),
-                wake_addr: Mutex::new(None),
+                engine: Engine::default(),
                 factory: Mutex::new(None),
                 restart_budget: AtomicU64::new(0),
                 replicas_restarted: AtomicU64::new(0),
-                read_poll_ms: AtomicU64::new(0),
             }),
         }
     }
@@ -166,26 +176,20 @@ impl Shard {
     }
 
     /// Sets the read-poll period in milliseconds (`0` = the default,
-    /// [`DEFAULT_READ_POLL_MS`]) — socket poll granularity and the base
-    /// of the supervisor's probe pacing; pass the same value as the
-    /// replicas' [`ServerConfig::read_poll_ms`](crate::ServerConfig::read_poll_ms)
+    /// [`DEFAULT_READ_POLL_MS`](crate::server::DEFAULT_READ_POLL_MS)) —
+    /// socket poll granularity and the base of the supervisor's probe
+    /// pacing; pass the same value as the replicas'
+    /// [`ServerConfig::read_poll_ms`](crate::ServerConfig::read_poll_ms)
     /// so one knob tunes the whole deployment.
     pub fn set_read_poll_ms(&self, ms: u64) {
-        self.inner.read_poll_ms.store(ms, Ordering::Release);
+        let poll = &self.inner.engine.read_poll_ms;
+        poll.store(ms, Ordering::Release);
     }
 
     /// Replicas the supervisor has restarted so far.
     #[must_use]
     pub fn replicas_restarted(&self) -> u64 {
         self.inner.replicas_restarted.load(Ordering::Relaxed)
-    }
-
-    fn read_poll(&self) -> Duration {
-        let ms = match self.inner.read_poll_ms.load(Ordering::Acquire) {
-            0 => DEFAULT_READ_POLL_MS,
-            ms => ms,
-        };
-        Duration::from_millis(ms)
     }
 
     /// Spawns `server` as an in-process replica on a loopback port of
@@ -198,19 +202,7 @@ impl Shard {
     /// [`ErrorKind::Io`] when the replica cannot bind or its accept
     /// thread cannot be spawned.
     pub fn spawn_replica(&self, server: Server) -> Result<SocketAddr, LeqaError> {
-        let bound = server.bind("127.0.0.1:0")?;
-        let addr = bound.local_addr();
-        let handle = std::thread::Builder::new()
-            .name("leqa-shard-replica".to_string())
-            .spawn(move || {
-                let _ = bound.run();
-            })
-            .map_err(LeqaError::from)?;
-        self.inner
-            .replica_threads
-            .lock()
-            .expect("no poisoning")
-            .push(handle);
+        let addr = self.start_replica(&server)?;
         self.push_replica(Replica {
             addr: Mutex::new(addr),
             alive: AtomicBool::new(true),
@@ -250,20 +242,14 @@ impl Shard {
     /// Whether shutdown was requested. Once set it never clears.
     #[must_use]
     pub fn is_shutting_down(&self) -> bool {
-        self.inner.shutdown.load(Ordering::Acquire)
+        self.inner.engine.is_shutting_down()
     }
 
     /// Requests graceful shutdown: the accept loop stops, client
     /// connections drain, and spawned replicas are stopped and joined by
     /// [`BoundShard::run`]. Idempotent.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        let wake = *self.inner.wake_addr.lock().expect("no poisoning");
-        if let Some(addr) = wake {
-            // Wake a blocked `accept`; the loop re-checks the flag
-            // before serving whatever it accepted.
-            let _ = TcpStream::connect_timeout(&addr, self.read_poll());
-        }
+        self.inner.engine.shutdown();
     }
 
     /// Binds the front-end listener (port `0` lets the OS pick).
@@ -272,16 +258,28 @@ impl Shard {
     ///
     /// [`ErrorKind::Io`] when the address cannot be bound.
     pub fn bind(&self, addr: &str) -> Result<BoundShard, LeqaError> {
-        let listener = TcpListener::bind(addr)
-            .map_err(LeqaError::from)
-            .map_err(|e| e.context(format!("binding `{addr}`")))?;
-        let local = listener.local_addr().map_err(LeqaError::from)?;
-        *self.inner.wake_addr.lock().expect("no poisoning") = Some(local);
+        let (listener, local) = self.inner.engine.bind(addr)?;
         Ok(BoundShard {
             shard: self.clone(),
             listener,
             local,
         })
+    }
+
+    /// Binds `server` on a loopback port of the OS's choosing and runs
+    /// its accept loop on a thread joined at shutdown.
+    fn start_replica(&self, server: &Server) -> Result<SocketAddr, LeqaError> {
+        let bound = server.bind("127.0.0.1:0")?;
+        let addr = bound.local_addr();
+        let handle = std::thread::Builder::new()
+            .name("leqa-shard-replica".to_string())
+            .spawn(move || {
+                let _ = bound.run();
+            })
+            .map_err(LeqaError::from)?;
+        let mut threads = self.inner.replica_threads.lock().expect("no poisoning");
+        threads.push(handle);
+        Ok(addr)
     }
 
     fn push_replica(&self, replica: Replica) {
@@ -297,9 +295,10 @@ impl Shard {
     }
 
     /// One supervisor pass: probe live replicas (deadline-bounded stats
-    /// ping), restart dead supervised ones while the budget lasts.
+    /// ping); revive dead supervised ones that answer again, and restart
+    /// the rest while the budget lasts.
     fn supervise_once(&self) {
-        let deadline = self.read_poll() * 4;
+        let deadline = self.inner.engine.read_poll() * 4;
         for replica in self.replica_snapshot() {
             if self.is_shutting_down() {
                 return;
@@ -309,7 +308,13 @@ impl Shard {
                     replica.alive.store(false, Ordering::Release);
                 }
             } else if replica.supervised {
-                self.try_restart(&replica);
+                // A dropped link marks its replica dead, but a fault can
+                // close one connection without killing the replica.
+                if probe_replica(&replica, deadline) {
+                    replica.revive();
+                } else {
+                    self.try_restart(&replica);
+                }
             }
         }
     }
@@ -334,23 +339,9 @@ impl Shard {
         let Ok(server) = factory() else {
             return;
         };
-        let Ok(bound) = server.bind("127.0.0.1:0") else {
+        let Ok(addr) = self.start_replica(&server) else {
             return;
         };
-        let addr = bound.local_addr();
-        let Ok(handle) = std::thread::Builder::new()
-            .name("leqa-shard-replica".to_string())
-            .spawn(move || {
-                let _ = bound.run();
-            })
-        else {
-            return;
-        };
-        self.inner
-            .replica_threads
-            .lock()
-            .expect("no poisoning")
-            .push(handle);
         {
             let mut slot = replica.server.lock().expect("no poisoning");
             // The old incarnation may be half-dead rather than gone;
@@ -360,11 +351,10 @@ impl Shard {
             }
             *slot = Some(server);
         }
-        *replica.addr.lock().expect("no poisoning") = addr;
         // Publish the new address *before* the generation bump: a link
         // that observes the new generation must connect to the new port.
-        replica.generation.fetch_add(1, Ordering::AcqRel);
-        replica.alive.store(true, Ordering::Release);
+        *replica.addr.lock().expect("no poisoning") = addr;
+        replica.revive();
         self.inner
             .replicas_restarted
             .fetch_add(1, Ordering::Relaxed);
@@ -372,37 +362,15 @@ impl Shard {
 }
 
 /// Deadline-bounded health probe: connect, send `{"cmd":"stats"}`, and
-/// require at least one full reply line back within the deadline.
+/// require one full reply line back, each step within the deadline.
 fn probe_replica(replica: &Replica, deadline: Duration) -> bool {
-    let addr = replica.addr();
-    let Ok(mut stream) = TcpStream::connect_timeout(&addr, deadline) else {
+    let Ok(mut stream) = TcpStream::connect_timeout(&replica.addr(), deadline) else {
         return false;
     };
-    if stream.set_read_timeout(Some(deadline)).is_err()
-        || stream.set_write_timeout(Some(deadline)).is_err()
-        || stream.write_all(b"{\"cmd\":\"stats\"}\n").is_err()
-        || stream.flush().is_err()
-    {
-        return false;
-    }
-    let start = Instant::now();
-    let mut buf = [0u8; 1024];
-    loop {
-        if start.elapsed() > deadline {
-            return false;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => return false,
-            Ok(n) => {
-                if buf[..n].contains(&b'\n') {
-                    return true;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            // WouldBlock/TimedOut: the read timeout is the deadline.
-            Err(_) => return false,
-        }
-    }
+    stream.set_read_timeout(Some(deadline)).is_ok()
+        && stream.set_write_timeout(Some(deadline)).is_ok()
+        && stream.write_all(b"{\"cmd\":\"stats\"}\n").is_ok()
+        && read_line_raw(&mut stream).is_some()
 }
 
 /// A [`Shard`] bound to its front-door address, ready to
@@ -446,7 +414,7 @@ impl BoundShard {
                     // a dead replica is noticed within a few poll ticks,
                     // slow enough that probes stay background noise.
                     while !shard.is_shutting_down() {
-                        std::thread::sleep(shard.read_poll() * 2);
+                        std::thread::sleep(shard.inner.engine.read_poll() * 2);
                         if shard.is_shutting_down() {
                             break;
                         }
@@ -455,33 +423,7 @@ impl BoundShard {
                 })
                 .map_err(LeqaError::from)?
         };
-        let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        for stream in self.listener.incoming() {
-            if self.shard.is_shutting_down() {
-                break;
-            }
-            let stream = match stream {
-                Ok(stream) => stream,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    std::thread::sleep(self.shard.read_poll());
-                    continue;
-                }
-            };
-            handles.retain(|h| !h.is_finished());
-            let shard = self.shard.clone();
-            let handle = std::thread::Builder::new()
-                .name("leqa-shard-conn".to_string())
-                .spawn(move || {
-                    let _ = serve_client(&shard, stream);
-                })
-                .map_err(LeqaError::from)?;
-            handles.push(handle);
-        }
-        drop(self.listener);
-        for handle in handles {
-            let _ = handle.join();
-        }
+        conn::accept_loop(&self.shard, self.listener)?;
         let _ = supervisor.join();
         // Stop spawned replicas (already draining when the shutdown came
         // over the wire — `Server::shutdown` is idempotent) and join
@@ -508,27 +450,16 @@ impl BoundShard {
 
 // ── Per-connection state ─────────────────────────────────────────────
 
-/// How a reply reaches the client.
-enum Deliver {
-    /// Frame-mode client: write a frame carrying this tag.
-    Tag(u32),
-    /// Line-mode client: rendezvous with the (serial) client loop.
-    Sync(mpsc::Sender<String>),
-}
-
 enum PendingKind {
     /// Forward the replica's reply verbatim.
-    Work(Deliver),
-    /// Merge every replica's stats, deliver the sum.
-    Stats {
+    Work,
+    /// A control frame sent to every live replica, answered once each
+    /// `outstanding` replica replied or died: `stats` with the sum of the
+    /// replies (`acc`), `shutdown` with one ack, then the shard stops.
+    Broadcast {
+        control: ControlFrame,
         outstanding: Vec<usize>,
-        acc: StatsResponse,
-        deliver: Deliver,
-    },
-    /// Deliver one ack once every replica acked, then stop the shard.
-    Shutdown {
-        outstanding: Vec<usize>,
-        deliver: Deliver,
+        acc: Box<StatsResponse>,
     },
 }
 
@@ -539,6 +470,7 @@ struct Pending {
     hash: u64,
     /// The frame payload, for re-sending on failover.
     payload: String,
+    deliver: Reply,
     kind: PendingKind,
 }
 
@@ -555,42 +487,25 @@ enum Link {
     Dead { generation: u64 },
 }
 
-struct ClientWriter {
-    stream: TcpStream,
-    /// False until the client upgrades; selects line vs frame replies.
-    frame_mode: bool,
-}
-
-impl ClientWriter {
-    fn deliver(&mut self, tag: u32, reply: &str) -> std::io::Result<()> {
-        if self.frame_mode {
-            write_frame(&mut self.stream, tag, reply.as_bytes())
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
-        } else {
-            self.stream.write_all(reply.as_bytes())?;
-            self.stream.write_all(b"\n")?;
-        }
-        self.stream.flush()
-    }
-}
-
 struct ConnState {
     shard: Shard,
     /// Replica set snapshot (index-stable for this connection; the
     /// `alive` flags inside are the shared fleet-wide ones).
     replicas: Vec<Arc<Replica>>,
-    writer: Mutex<ClientWriter>,
     links: Vec<Mutex<Link>>,
     pending: Mutex<HashMap<u32, Pending>>,
     /// Internal tags for line-mode requests.
     next_tag: AtomicU32,
-    /// Set when the client loop exits; replica readers poll it.
+    /// Set when the client connection closes; replica readers poll it.
     closed: AtomicBool,
 }
 
-impl ConnState {
-    fn pending_is_empty(&self) -> bool {
-        self.pending.lock().expect("no poisoning").is_empty()
+/// One client connection's state, shared with its replica readers.
+pub(crate) struct ClientConn(Arc<ConnState>);
+
+impl Drop for ClientConn {
+    fn drop(&mut self) {
+        self.0.closed.store(true, Ordering::Release);
     }
 }
 
@@ -600,220 +515,76 @@ fn error_frame(kind: ErrorKind, message: impl Into<String>) -> String {
         .encode()
 }
 
-/// Serves one client connection end to end (line mode, then frame mode
-/// after an upgrade).
-fn serve_client(shard: &Shard, stream: TcpStream) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(shard.read_poll()))?;
-    stream.set_nodelay(true)?;
-    let replicas = shard.replica_snapshot();
-    let conn = Arc::new(ConnState {
-        shard: shard.clone(),
-        links: (0..replicas.len())
-            .map(|_| Mutex::new(Link::Closed))
-            .collect(),
-        replicas,
-        writer: Mutex::new(ClientWriter {
-            stream: stream.try_clone()?,
-            frame_mode: false,
-        }),
-        pending: Mutex::new(HashMap::new()),
-        next_tag: AtomicU32::new(0),
-        closed: AtomicBool::new(false),
-    });
-    let result = serve_client_lines(&conn, stream);
-    conn.closed.store(true, Ordering::Release);
-    result
-}
+/// The shard's side of the connection engine: every request is routed
+/// to a replica (or broadcast) and answered when the replica replies.
+impl Handler for Shard {
+    type Conn = ClientConn;
 
-/// Line-mode client loop: strict one-reply-per-line rendezvous, exactly
-/// like a single daemon's NDJSON engine. Hands off to
-/// [`serve_client_frames`] on upgrade.
-fn serve_client_lines(conn: &Arc<ConnState>, stream: TcpStream) -> std::io::Result<()> {
-    let mut reader = std::io::BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()),
-            Ok(_) => {
-                if let Some(proto) = upgrade_request(&line) {
-                    let ack = UpgradeAck { proto }.to_json().encode();
-                    {
-                        let mut writer = conn.writer.lock().expect("no poisoning");
-                        writer.deliver(0, &ack)?;
-                        writer.frame_mode = true;
-                    }
-                    let residual = reader.buffer().to_vec();
-                    return serve_client_frames(conn, reader.into_inner(), &residual);
-                }
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    let reply = request_reply(conn, trimmed);
-                    conn.writer
-                        .lock()
-                        .expect("no poisoning")
-                        .deliver(0, &reply)?;
-                    if conn.shard.is_shutting_down() {
-                        return Ok(());
-                    }
-                }
-                line.clear();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if conn.shard.is_shutting_down() {
-                    return Ok(());
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                let reply = error_frame(ErrorKind::Json, "line is not valid UTF-8");
-                return conn.writer.lock().expect("no poisoning").deliver(0, &reply);
-            }
-            Err(e) => return Err(e),
-        }
+    const THREAD: &'static str = "leqa-shard-conn";
+
+    fn engine(&self) -> &Engine {
+        &self.inner.engine
     }
-}
 
-/// Frame-mode client loop: decode client frames, submit each with its
-/// tag; replica readers deliver replies directly (out of order).
-fn serve_client_frames(
-    conn: &Arc<ConnState>,
-    mut stream: TcpStream,
-    residual: &[u8],
-) -> std::io::Result<()> {
-    let mut decoder = FrameDecoder::new();
-    decoder.push(residual);
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        loop {
-            match decoder.next() {
-                Ok(Some((tag, payload))) => submit_client_frame(conn, tag, payload),
-                Ok(None) => break,
-                Err(fe) => {
-                    let reply = ErrorFrame::new(fe.error).to_json().encode();
-                    let _ = conn
-                        .writer
-                        .lock()
-                        .expect("no poisoning")
-                        .deliver(fe.tag.unwrap_or(0), &reply);
-                    return Ok(());
-                }
-            }
-        }
-        if conn.shard.is_shutting_down() && conn.pending_is_empty() {
-            return Ok(());
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => {
-                if let Err(fe) = decoder.finish() {
-                    let reply = ErrorFrame::new(fe.error).to_json().encode();
-                    let _ = conn
-                        .writer
-                        .lock()
-                        .expect("no poisoning")
-                        .deliver(fe.tag.unwrap_or(0), &reply);
-                }
-                // Let in-flight replies drain before tearing down the
-                // connection (replica readers deliver them directly).
-                while !conn.pending_is_empty() && !conn.shard.is_shutting_down() {
-                    std::thread::sleep(conn.shard.read_poll());
-                }
-                return Ok(());
-            }
-            Ok(n) => decoder.push(&buf[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
+    fn open(&self) -> ClientConn {
+        let replicas = self.replica_snapshot();
+        ClientConn(Arc::new(ConnState {
+            shard: self.clone(),
+            links: (0..replicas.len())
+                .map(|_| Mutex::new(Link::Closed))
+                .collect(),
+            replicas,
+            pending: Mutex::new(HashMap::new()),
+            next_tag: AtomicU32::new(0),
+            closed: AtomicBool::new(false),
+        }))
     }
-}
 
-/// Line-mode request: submit under an internal tag and wait for the
-/// (single) reply, preserving the NDJSON one-reply-per-line-in-order
-/// contract.
-fn request_reply(conn: &Arc<ConnState>, text: &str) -> String {
-    let (tx, rx) = mpsc::channel();
-    let tag = conn.next_tag.fetch_add(1, Ordering::Relaxed);
-    submit(conn, tag, text.to_string(), Deliver::Sync(tx));
-    rx.recv()
-        .unwrap_or_else(|_| error_frame(ErrorKind::Internal, "reply channel dropped"))
-}
-
-/// Frame-mode request: the client's tag is the routing identity; a tag
-/// already in flight is refused (its reply could not be matched).
-fn submit_client_frame(conn: &Arc<ConnState>, tag: u32, payload: Vec<u8>) {
-    let text = match String::from_utf8(payload) {
-        Ok(text) => text,
-        Err(_) => {
-            let reply = error_frame(ErrorKind::Json, "frame payload is not valid UTF-8");
-            let _ = conn
-                .writer
-                .lock()
-                .expect("no poisoning")
-                .deliver(tag, &reply);
-            return;
-        }
-    };
-    if conn
-        .pending
-        .lock()
-        .expect("no poisoning")
-        .contains_key(&tag)
-    {
-        let reply = error_frame(
-            ErrorKind::Json,
-            format!("tag {tag} is already in flight on this connection"),
-        );
-        let _ = conn
-            .writer
-            .lock()
-            .expect("no poisoning")
-            .deliver(tag, &reply);
-        return;
+    /// Line mode: submit under an internal tag and wait for the one
+    /// reply, keeping NDJSON's one-reply-per-line-in-order contract.
+    fn line(&self, conn: &ClientConn, line: &str) -> String {
+        let tag = conn.0.next_tag.fetch_add(1, Ordering::Relaxed);
+        let (reply, rx) = Reply::rendezvous(tag);
+        submit(&conn.0, tag, line.to_string(), reply, false);
+        rx.recv().map_or_else(
+            |_| error_frame(ErrorKind::Internal, "reply channel dropped"),
+            |out| out.reply,
+        )
     }
-    submit(conn, tag, text, Deliver::Tag(tag));
+
+    /// Frame mode: the client's tag is the routing identity; replica
+    /// readers answer out of order.
+    fn frame(&self, conn: &ClientConn, tag: u32, text: String, reply: Reply) {
+        submit(&conn.0, tag, text, reply, true);
+    }
+
+    fn error_reply(&self, error: LeqaError) -> String {
+        ErrorFrame::new(error).to_json().encode()
+    }
 }
 
 /// Classifies and routes one request: work frames go to the replica
 /// owning the program's content hash; control frames broadcast.
-fn submit(conn: &Arc<ConnState>, tag: u32, text: String, deliver: Deliver) {
+/// `framed` says whether the client speaks `frame1`.
+fn submit(conn: &Arc<ConnState>, tag: u32, text: String, deliver: Reply, framed: bool) {
     let frame = match Frame::parse(text.trim()) {
         Ok(frame) => frame,
-        Err(e) => {
-            deliver_reply(conn, &deliver, &ErrorFrame::new(e).to_json().encode());
-            return;
-        }
+        Err(e) => return deliver.send(ErrorFrame::new(e).to_json().encode()),
     };
     match frame {
         Frame::Control(ControlFrame::Upgrade(_)) => {
-            let reply = match deliver {
-                Deliver::Tag(_) => {
-                    error_frame(ErrorKind::Json, "connection already upgraded to frame1")
-                }
-                Deliver::Sync(_) => error_frame(
-                    ErrorKind::Json,
-                    "`upgrade` is only available on the TCP transport",
-                ),
+            let message = if framed {
+                "connection already upgraded to frame1"
+            } else {
+                "`upgrade` is only available on the TCP transport"
             };
-            deliver_reply(conn, &deliver, &reply);
+            deliver.send(error_frame(ErrorKind::Json, message));
         }
         Frame::Control(control) => broadcast(conn, tag, &text, control, deliver),
         work => {
             let hash = route_hash(&work, &text);
             let Some(replica) = route(conn, hash) else {
-                deliver_reply(
-                    conn,
-                    &deliver,
-                    &error_frame(
-                        ErrorKind::Unavailable,
-                        "no live replicas (fleet dead or restarting); retry",
-                    ),
-                );
-                return;
+                return deliver.send(no_live_replicas());
             };
             conn.pending.lock().expect("no poisoning").insert(
                 tag,
@@ -821,7 +592,8 @@ fn submit(conn: &Arc<ConnState>, tag: u32, text: String, deliver: Deliver) {
                     replica,
                     hash,
                     payload: text.clone(),
-                    kind: PendingKind::Work(deliver),
+                    deliver,
+                    kind: PendingKind::Work,
                 },
             );
             if !send_to_replica(conn, replica, tag, &text) {
@@ -829,6 +601,13 @@ fn submit(conn: &Arc<ConnState>, tag: u32, text: String, deliver: Deliver) {
             }
         }
     }
+}
+
+fn no_live_replicas() -> String {
+    error_frame(
+        ErrorKind::Unavailable,
+        "no live replicas (fleet dead or restarting); retry",
+    )
 }
 
 /// The routing hash: program identity text for single requests (cache
@@ -862,39 +641,25 @@ fn route(conn: &Arc<ConnState>, hash: u64) -> Option<usize> {
 
 /// Fans a control frame out to every live replica; the pending entry
 /// completes when the last outstanding replica answers (or dies).
-fn broadcast(conn: &Arc<ConnState>, tag: u32, text: &str, control: ControlFrame, deliver: Deliver) {
+fn broadcast(conn: &Arc<ConnState>, tag: u32, text: &str, control: ControlFrame, deliver: Reply) {
     let targets: Vec<usize> = (0..conn.replicas.len())
         .filter(|&r| conn.replicas[r].alive.load(Ordering::Acquire))
         .collect();
     if targets.is_empty() {
-        deliver_reply(
-            conn,
-            &deliver,
-            &error_frame(
-                ErrorKind::Unavailable,
-                "no live replicas (fleet dead or restarting); retry",
-            ),
-        );
-        return;
+        return deliver.send(no_live_replicas());
     }
-    let kind = match control {
-        ControlFrame::Stats => PendingKind::Stats {
-            outstanding: targets.clone(),
-            acc: StatsResponse::default(),
-            deliver,
-        },
-        _ => PendingKind::Shutdown {
-            outstanding: targets.clone(),
-            deliver,
-        },
-    };
     conn.pending.lock().expect("no poisoning").insert(
         tag,
         Pending {
             replica: usize::MAX,
             hash: 0,
             payload: text.to_string(),
-            kind,
+            deliver,
+            kind: PendingKind::Broadcast {
+                control,
+                outstanding: targets.clone(),
+                acc: Box::default(),
+            },
         },
     );
     for r in targets {
@@ -921,20 +686,15 @@ fn send_to_replica(conn: &Arc<ConnState>, r: usize, tag: u32, text: &str) -> boo
         Link::Up { generation, .. } | Link::Dead { generation } => *generation < current,
     };
     if reopen && replica.alive.load(Ordering::Acquire) {
-        match open_link(conn, r, current) {
-            Some(stream) => {
-                *link = Link::Up {
-                    stream,
-                    generation: current,
-                }
-            }
-            None => {
-                *link = Link::Dead {
-                    generation: current,
-                };
-                return false;
-            }
-        }
+        *link = match open_link(conn, r, current) {
+            Some(stream) => Link::Up {
+                stream,
+                generation: current,
+            },
+            None => Link::Dead {
+                generation: current,
+            },
+        };
     }
     let Link::Up { stream, .. } = &mut *link else {
         return false;
@@ -954,15 +714,15 @@ fn send_to_replica(conn: &Arc<ConnState>, r: usize, tag: u32, text: &str) -> boo
 fn open_link(conn: &Arc<ConnState>, r: usize, generation: u64) -> Option<TcpStream> {
     let mut stream = TcpStream::connect(conn.replicas[r].addr()).ok()?;
     stream.set_nodelay(true).ok()?;
-    let upgrade = ControlFrame::Upgrade(crate::FrameProto::Frame1)
-        .to_json()
-        .encode();
-    stream.write_all(upgrade.as_bytes()).ok()?;
-    stream.write_all(b"\n").ok()?;
-    stream.flush().ok()?;
-    let ack = read_line_raw(&mut stream)?;
+    let upgrade = ControlFrame::Upgrade(crate::FrameProto::Frame1).to_json();
+    stream
+        .write_all(format!("{}\n", upgrade.encode()).as_bytes())
+        .ok()?;
+    let ack = String::from_utf8(read_line_raw(&mut stream)?).ok()?;
     UpgradeAck::from_json(&json::parse(ack.trim()).ok()?).ok()?;
-    stream.set_read_timeout(Some(conn.shard.read_poll())).ok()?;
+    stream
+        .set_read_timeout(Some(conn.shard.inner.engine.read_poll()))
+        .ok()?;
     let reader_stream = stream.try_clone().ok()?;
     let conn = Arc::clone(conn);
     std::thread::Builder::new()
@@ -972,31 +732,23 @@ fn open_link(conn: &Arc<ConnState>, r: usize, generation: u64) -> Option<TcpStre
     Some(stream)
 }
 
-/// Reads one `\n`-terminated line byte by byte (used only for the
-/// once-per-link upgrade ack, where buffering past the line would
-/// swallow the start of the frame stream).
-fn read_line_raw(stream: &mut TcpStream) -> Option<String> {
+/// Reads one `\n`-terminated line of at most 4 KiB byte by byte (a
+/// link's upgrade ack, where buffering past the line would swallow the
+/// start of the frame stream, or a probe's stats reply). A read timeout
+/// ends it like EOF.
+fn read_line_raw(stream: &mut TcpStream) -> Option<Vec<u8>> {
     let mut line = Vec::new();
     let mut byte = [0u8; 1];
-    loop {
+    while line.len() <= 4096 {
         match stream.read(&mut byte) {
             Ok(0) => return None,
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    return String::from_utf8(line).ok();
-                }
-                line.push(byte[0]);
-                if line.len() > 4096 {
-                    return None; // not an ack line
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
+            Ok(_) if byte[0] == b'\n' => return Some(line),
+            Ok(_) => line.push(byte[0]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => return None,
         }
     }
+    None
 }
 
 /// Drains reply frames from replica `r` (generation `generation`) and
@@ -1027,10 +779,7 @@ fn replica_reader(conn: &Arc<ConnState>, r: usize, generation: u64, mut stream: 
                     }
                 }
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if conn::is_tick(&e) => {}
             Err(_) => {
                 fail_replica(conn, r, generation);
                 return;
@@ -1041,34 +790,30 @@ fn replica_reader(conn: &Arc<ConnState>, r: usize, generation: u64, mut stream: 
 
 /// Completes (or advances) the pending entry a replica reply belongs to.
 fn handle_replica_reply(conn: &Arc<ConnState>, r: usize, tag: u32, payload: &[u8]) {
-    let text = match String::from_utf8(payload.to_vec()) {
-        Ok(text) => text,
-        Err(_) => {
-            // The protocol is ASCII JSON, so a non-UTF-8 reply can only
-            // be transport corruption (e.g. injected byte flips):
-            // resend the request instead of forwarding garbage.
-            resend_pending(conn, r, tag);
-            return;
-        }
+    let Ok(text) = String::from_utf8(payload.to_vec()) else {
+        // The protocol is ASCII JSON, so a non-UTF-8 reply can only be
+        // transport corruption (e.g. injected byte flips): resend the
+        // request instead of forwarding garbage.
+        return resend_pending(conn, r, tag);
     };
     let mut pending = conn.pending.lock().expect("no poisoning");
     let done = match pending.get_mut(&tag) {
         None => return, // stale (re-routed after this replica died)
         Some(entry) => match &mut entry.kind {
-            PendingKind::Work(_) => true,
-            PendingKind::Stats {
-                outstanding, acc, ..
+            PendingKind::Work => true,
+            PendingKind::Broadcast {
+                control,
+                outstanding,
+                acc,
             } => {
-                if let Ok(stats) = json::parse(&text)
-                    .map_err(LeqaError::from)
-                    .and_then(|doc| StatsResponse::from_json(&doc))
-                {
-                    acc.merge(&stats);
+                if *control == ControlFrame::Stats {
+                    if let Ok(stats) = json::parse(&text)
+                        .map_err(LeqaError::from)
+                        .and_then(|doc| StatsResponse::from_json(&doc))
+                    {
+                        acc.merge(&stats);
+                    }
                 }
-                outstanding.retain(|&x| x != r);
-                outstanding.is_empty()
-            }
-            PendingKind::Shutdown { outstanding, .. } => {
                 outstanding.retain(|&x| x != r);
                 outstanding.is_empty()
             }
@@ -1085,41 +830,25 @@ fn handle_replica_reply(conn: &Arc<ConnState>, r: usize, tag: u32, payload: &[u8
 /// Delivers a completed pending entry to the client.
 fn complete(conn: &Arc<ConnState>, entry: Pending, reply: Option<String>) {
     match entry.kind {
-        PendingKind::Work(deliver) => {
-            let text = reply.unwrap_or_else(|| {
-                error_frame(
-                    ErrorKind::Unavailable,
-                    "replica connection lost with no live replica to fail over to; retry",
-                )
-            });
-            deliver_reply(conn, &deliver, &text);
-        }
-        PendingKind::Stats {
-            mut acc, deliver, ..
+        PendingKind::Work => entry.deliver.send(reply.unwrap_or_else(|| {
+            error_frame(
+                ErrorKind::Unavailable,
+                "replica connection lost with no live replica to fail over to; retry",
+            )
+        })),
+        PendingKind::Broadcast {
+            control: ControlFrame::Stats,
+            mut acc,
+            ..
         } => {
             // The replicas each report 0 restarts (the supervisor lives
             // here, not there); the fleet-wide count is the shard's.
             acc.replicas_restarted += conn.shard.replicas_restarted();
-            deliver_reply(conn, &deliver, &acc.to_json().encode());
+            entry.deliver.send(acc.to_json().encode());
         }
-        PendingKind::Shutdown { deliver, .. } => {
-            deliver_reply(conn, &deliver, &ShutdownAck.to_json().encode());
+        PendingKind::Broadcast { .. } => {
+            entry.deliver.send(ShutdownAck.to_json().encode());
             conn.shard.shutdown();
-        }
-    }
-}
-
-fn deliver_reply(conn: &Arc<ConnState>, deliver: &Deliver, reply: &str) {
-    match deliver {
-        Deliver::Tag(tag) => {
-            let _ = conn
-                .writer
-                .lock()
-                .expect("no poisoning")
-                .deliver(*tag, reply);
-        }
-        Deliver::Sync(tx) => {
-            let _ = tx.send(reply.to_string());
         }
     }
 }
@@ -1154,7 +883,7 @@ fn fail_replica(conn: &Arc<ConnState>, r: usize, generation: u64) {
         for tag in tags {
             let entry = pending.get_mut(&tag).expect("tag present");
             match &mut entry.kind {
-                PendingKind::Work(_) => {
+                PendingKind::Work => {
                     if entry.replica != r {
                         continue;
                     }
@@ -1168,8 +897,7 @@ fn fail_replica(conn: &Arc<ConnState>, r: usize, generation: u64) {
                         }
                     }
                 }
-                PendingKind::Stats { outstanding, .. }
-                | PendingKind::Shutdown { outstanding, .. } => {
+                PendingKind::Broadcast { outstanding, .. } => {
                     outstanding.retain(|&x| x != r);
                     if outstanding.is_empty() {
                         completed.push(pending.remove(&tag).expect("tag present"));
@@ -1203,8 +931,8 @@ fn resend_pending(conn: &Arc<ConnState>, r: usize, tag: u32) {
     let payload = {
         let pending = conn.pending.lock().expect("no poisoning");
         pending.get(&tag).and_then(|entry| match &entry.kind {
-            PendingKind::Work(_) => (entry.replica == r).then(|| entry.payload.clone()),
-            PendingKind::Stats { outstanding, .. } | PendingKind::Shutdown { outstanding, .. } => {
+            PendingKind::Work => (entry.replica == r).then(|| entry.payload.clone()),
+            PendingKind::Broadcast { outstanding, .. } => {
                 outstanding.contains(&r).then(|| entry.payload.clone())
             }
         })
@@ -1220,7 +948,7 @@ fn resend_pending(conn: &Arc<ConnState>, r: usize, tag: u32) {
 mod tests {
     use super::*;
     use crate::{EstimateRequest, ProgramSpec, Request, Session};
-    use std::io::BufReader;
+    use std::io::{BufRead, BufReader};
 
     fn estimate_line(name: &str) -> String {
         Request::Estimate(EstimateRequest::new(ProgramSpec::bench(name)))

@@ -323,3 +323,74 @@ fn double_upgrade_is_refused() {
     shutdown_via(addr);
     handle.join().expect("no panic").expect("clean run");
 }
+
+/// A frame whose tag is still in flight is refused on that tag, because
+/// its reply could not be told apart from the first request's; the
+/// first request is unaffected, and the tag is free again as soon as its
+/// reply arrives. Deterministic via the FIFO gate, with no inflight cap.
+#[test]
+#[cfg(unix)]
+fn a_tag_in_flight_is_refused_and_free_again_after_its_reply() {
+    let (_server, addr, handle) = start(ServerConfig::new());
+
+    let dir = std::env::temp_dir().join(format!("leqa-frames-tag-reuse-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let fifo = dir.join("gate.qc");
+    let status = std::process::Command::new("mkfifo")
+        .arg(&fifo)
+        .status()
+        .expect("mkfifo runs");
+    assert!(status.success(), "mkfifo failed");
+
+    let mut client = FrameClient::connect(addr);
+    let hog_line = Request::Estimate(EstimateRequest::new(ProgramSpec::path(
+        fifo.to_str().expect("utf8 path"),
+    )))
+    .to_json()
+    .encode();
+    client.send(11, &hog_line);
+
+    // Poll stats until the hog provably holds its slot (blocked reading
+    // the FIFO), so tag 11 is in flight.
+    let stats_line = ControlFrame::Stats.to_json().encode();
+    loop {
+        client.send(1, &stats_line);
+        let (tag, payload) = client.recv();
+        assert_eq!(tag, 1);
+        let stats = StatsResponse::from_json(&json::parse(&payload).unwrap()).unwrap();
+        if stats.inflight >= 1 {
+            break;
+        }
+        std::thread::yield_now();
+    }
+
+    // Tag 11 again while the hog runs: refused on tag 11, naming the tag.
+    client.send(11, &estimate_line("qft_8"));
+    let (tag, payload) = client.recv();
+    assert_eq!(tag, 11);
+    let frame = ErrorFrame::from_json(&json::parse(&payload).unwrap()).expect("error frame");
+    assert_eq!(frame.error.kind(), ErrorKind::Json);
+    assert!(payload.contains("tag 11"), "{payload}");
+
+    // Release the gate: the hog's own reply still arrives on tag 11.
+    std::fs::write(&fifo, ".qubits 2\ncnot 0 1\nh 0\n").expect("feed the fifo");
+    let (tag, payload) = client.recv();
+    assert_eq!(tag, 11);
+    assert!(
+        payload.starts_with("{\"schema_version\":1,\"op\":\"estimate\""),
+        "hog reply: {payload}"
+    );
+
+    // The reply freed the tag: reusing it right away is served.
+    client.send(11, &estimate_line("qft_8"));
+    let (tag, payload) = client.recv();
+    assert_eq!(tag, 11);
+    assert!(
+        payload.starts_with("{\"schema_version\":1,\"op\":\"estimate\""),
+        "reused tag: {payload}"
+    );
+
+    shutdown_via(addr);
+    handle.join().expect("no panic").expect("clean run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
