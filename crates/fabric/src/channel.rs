@@ -86,19 +86,16 @@ impl Channel {
     /// Horizontal channels occupy indices `0 .. (a-1)·b`, vertical channels
     /// follow. See [`ChannelId::count`] for the total.
     pub fn id(self, dims: FabricDims) -> ChannelId {
-        let a = dims.width() as usize;
-        let b = dims.height() as usize;
-        let idx = match self.orientation {
+        match self.orientation {
             ChannelOrientation::Horizontal => {
                 debug_assert!(self.origin.x + 1 < dims.width());
-                self.origin.y as usize * (a - 1) + self.origin.x as usize
+                ChannelId::horizontal(dims, self.origin)
             }
             ChannelOrientation::Vertical => {
                 debug_assert!(self.origin.y + 1 < dims.height());
-                (a - 1) * b + self.origin.y as usize * a + self.origin.x as usize
+                ChannelId::vertical(dims, self.origin)
             }
-        };
-        ChannelId(idx)
+        }
     }
 }
 
@@ -114,6 +111,23 @@ impl std::fmt::Display for Channel {
 pub struct ChannelId(pub usize);
 
 impl ChannelId {
+    /// The horizontal channel whose left end is `origin`. Consecutive
+    /// channels along a row have consecutive ids.
+    #[inline]
+    pub(crate) fn horizontal(dims: FabricDims, origin: Ulb) -> ChannelId {
+        let a = dims.width() as usize;
+        ChannelId(origin.y as usize * (a - 1) + origin.x as usize)
+    }
+
+    /// The vertical channel whose upper end is `origin`. Consecutive
+    /// channels down a column are `width` ids apart.
+    #[inline]
+    pub(crate) fn vertical(dims: FabricDims, origin: Ulb) -> ChannelId {
+        let a = dims.width() as usize;
+        let b = dims.height() as usize;
+        ChannelId((a - 1) * b + origin.y as usize * a + origin.x as usize)
+    }
+
     /// Total number of channels on a fabric:
     /// `(a-1)·b` horizontal plus `a·(b-1)` vertical.
     pub fn count(dims: FabricDims) -> usize {

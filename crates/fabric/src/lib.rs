@@ -9,6 +9,7 @@
 //! * [`Channel`] / [`ChannelId`] — the routing channels between adjacent
 //!   ULBs, with a dense index for occupancy bookkeeping,
 //! * [`route::xy_route`] — deterministic dimension-ordered (X-then-Y) paths,
+//!   also walked as dense channel ids ([`route::xy_channel_ids`]),
 //! * [`FabricMap`] — defect/heterogeneity overlay (dead cells and
 //!   channels, per-region parameter overrides, defect-avoiding routing),
 //! * [`PhysicalParams`] / [`GateDelays`] — the physical parameter set of

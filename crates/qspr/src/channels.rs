@@ -51,9 +51,8 @@ pub struct ChannelOccupancy {
     dims: FabricDims,
     capacity: usize,
     t_move: Micros,
-    /// `capacity` server-free times per channel, flattened; each channel's
-    /// window is sorted ascending starting at its `heads` index (mod
-    /// `capacity`).
+    /// Each channel's server-free times, flattened; a channel's window is
+    /// sorted ascending from its `heads` index, wrapping at its end.
     free_at: Vec<f64>,
     /// Rotating index of the earliest-free slot per channel.
     heads: Vec<u32>,
@@ -171,39 +170,53 @@ impl ChannelOccupancy {
     /// The qubit takes the earliest-free of the channel's `N_c` slots
     /// (FCFS), waiting if all are busy.
     pub fn traverse(&mut self, channel: Channel, at: Micros) -> Micros {
-        let id = channel.id(self.dims).0;
+        Micros::new(self.book(channel.id(self.dims), at.as_f64()))
+    }
+
+    /// [`traverse`](Self::traverse) by dense channel id, in µs: the
+    /// booking the mapper's transfer kernel runs once per hop.
+    pub(crate) fn book(&mut self, id: ChannelId, at: f64) -> f64 {
+        let id = id.0;
         let (lo, hi, t_move) = self.slots_of(id);
         let cap = hi - lo;
         let slots = &mut self.free_at[lo..hi];
         let head = self.heads[id] as usize;
 
-        let start = at.as_f64().max(slots[head]);
+        let start = at.max(slots[head]);
         let end = start + t_move;
 
         // Rebook the head slot at `end` and rotate: the remaining window
-        // (head+1 .. head+cap−1) is already sorted, and `end` usually
-        // belongs after all of it (service time is constant), so the write
-        // lands in place. A late straggler bubbles backwards at most
-        // `cap − 1` steps.
+        // (head+1 .. head+cap−1, wrapping) is already sorted, and `end`
+        // usually belongs after all of it (service time is constant), so
+        // the write lands in place. A late straggler bubbles backwards, one
+        // wrapping step at a time, at most `cap − 1` steps.
         slots[head] = end;
-        let new_head = (head + 1) % cap;
-        self.heads[id] = new_head as u32;
-        let mut j = cap - 1; // logical position of `end` within the window
-        while j > 0 {
-            let cur = (new_head + j) % cap;
-            let prev = (new_head + j - 1) % cap;
+        let next = head + 1;
+        self.heads[id] = if next == cap { 0 } else { next as u32 };
+        let mut cur = head;
+        for _ in 1..cap {
+            let prev = if cur == 0 { cap - 1 } else { cur - 1 };
             if slots[prev] > slots[cur] {
                 slots.swap(prev, cur);
-                j -= 1;
+                cur = prev;
             } else {
                 break;
             }
         }
 
         self.load[id] += 1;
-        self.congestion_wait += start - at.as_f64();
+        self.congestion_wait += start - at;
         self.traversals += 1;
-        Micros::new(end)
+        end
+    }
+
+    /// The queue-free time of a route, in µs: the sum of its channels'
+    /// `T_move`, or `hops × T_move` on a uniform fabric.
+    pub(crate) fn transit(&self, route: impl ExactSizeIterator<Item = ChannelId>) -> f64 {
+        match &self.hetero {
+            Some(h) => route.map(|id| h.t_moves[id.0]).sum(),
+            None => route.len() as f64 * self.t_move.as_f64(),
+        }
     }
 
     /// Total time qubits spent waiting for channel slots.
@@ -359,6 +372,52 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn rotating_window_matches_min_scan_reference_on_overlay_layout() {
+        // Base capacity 3; one overlay narrows a region to 1 slot and slows
+        // it, another widens a region to 5 slots: per-channel windows of
+        // three sizes side by side in one `free_at`.
+        let dims = FabricDims::new(5, 4).unwrap();
+        let mut map = FabricMap::pristine(dims);
+        for (x0, x1, t_move_us, capacity) in [(0, 1, Some(250.0), 1), (3, 4, None, 5)] {
+            map.push_overlay(leqa_fabric::RegionOverlay {
+                x0,
+                y0: 0,
+                x1,
+                y1: 3,
+                t_move_us,
+                qubit_speed: None,
+                channel_capacity: Some(capacity),
+            })
+            .unwrap();
+        }
+        let mut occ = ChannelOccupancy::new_with_map(dims, 3, Micros::new(100.0), &map);
+        let channels: Vec<Channel> = map.channels().collect();
+        let mut reference: Vec<Vec<f64>> = channels
+            .iter()
+            .map(|&ch| vec![0.0; map.channel_capacity_at(ch, 3) as usize])
+            .collect();
+        let widths: Vec<usize> = reference.iter().map(Vec::len).collect();
+        assert!(widths.contains(&1) && widths.contains(&3) && widths.contains(&5));
+
+        let arrivals = [
+            0.0, 0.0, 950.0, 10.0, 0.0, 2500.0, 30.0, 30.0, 30.0, 1200.0, 5.0, 42.0, 0.0, 9999.0,
+            77.0, 77.0, 0.0, 0.0, 0.0, 640.0,
+        ];
+        // Every channel sees every arrival, interleaved across channels.
+        for &at in &arrivals {
+            for (i, &ch) in channels.iter().enumerate() {
+                let t_move = map.channel_t_move_at(ch, 100.0);
+                let got = occ.traverse(ch, Micros::new(at));
+                let want = reference_traverse(&mut reference[i], at, t_move);
+                assert_eq!(got, Micros::new(want), "channel {ch}, at {at}");
+                let min = reference[i].iter().cloned().fold(f64::INFINITY, f64::min);
+                assert_eq!(occ.peek_wait(ch, Micros::ZERO), Micros::new(min.max(0.0)));
+            }
+        }
+        assert_eq!(occ.traversals(), (arrivals.len() * channels.len()) as u64);
+    }
 }
 
 impl ChannelOccupancy {
@@ -367,10 +426,14 @@ impl ChannelOccupancy {
     ///
     /// O(1): the rotating window keeps the earliest-free slot at the head.
     pub fn peek_wait(&self, channel: Channel, at: Micros) -> Micros {
-        let id = channel.id(self.dims).0;
-        let (lo, _, _) = self.slots_of(id);
-        let earliest = self.free_at[lo + self.heads[id] as usize];
-        Micros::new((earliest - at.as_f64()).max(0.0))
+        Micros::new(self.peek(channel.id(self.dims), at.as_f64()))
+    }
+
+    /// [`peek_wait`](Self::peek_wait) by dense channel id, in µs.
+    pub(crate) fn peek(&self, id: ChannelId, at: f64) -> f64 {
+        let (lo, _, _) = self.slots_of(id.0);
+        let earliest = self.free_at[lo + self.heads[id.0] as usize];
+        (earliest - at).max(0.0)
     }
 }
 

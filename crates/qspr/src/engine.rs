@@ -3,24 +3,30 @@
 //! # The zero-alloc hot path
 //!
 //! One mapping run needs a pile of working buffers — qubit positions,
-//! ready times, the CSR successor graph, the ready heap, route and
-//! channel-calendar storage. [`MapScratch`] owns all of them and is
-//! reusable across runs (any program, any fabric), so services that map
-//! repeatedly — `compare`/`map` endpoints, the bench suite — stop
-//! churning the allocator: after the first call on a thread, a run
-//! allocates only its outputs (placement, channel heatmap, optional
-//! trace). [`Mapper::map`] and [`Mapper::map_with_trace`] keep a
+//! ready times, the CSR successor graph, the ready heap, the defect
+//! router's route buffers and the channel calendars. [`MapScratch`] owns
+//! all of them and is reusable across runs (any program, any fabric), so
+//! services that map repeatedly — `compare`/`map` endpoints, the bench
+//! suite — stop churning the allocator: after the first call on a
+//! thread, a run allocates only its outputs (placement, channel heatmap,
+//! optional trace). [`Mapper::map`] and [`Mapper::map_with_trace`] keep a
 //! thread-local scratch automatically; [`Mapper::map_with_scratch`]
 //! takes a caller-owned one. Scratch reuse is bit-identical to fresh
 //! buffers (pinned by `reused_scratch_is_bit_identical` below and the
 //! workspace differential tests).
+//!
+//! Transfers on a fabric without dead cells or channels use no route
+//! buffer: each walks dense channel ids by arithmetic
+//! ([`route::xy_channel_ids`]) and books every id directly. Only the
+//! defect router fills the `Vec<Channel>` buffers.
 
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use leqa_circuit::{FtOp, Iig, NodeId, Qodg, QodgNode};
-use leqa_fabric::{route, Channel, FabricDims, FabricMap, Micros, PhysicalParams, Ulb};
+use leqa_fabric::route::{self, ChannelIds};
+use leqa_fabric::{Channel, FabricDims, FabricMap, Micros, PhysicalParams, Ulb};
 
 use crate::channels::ChannelOccupancy;
 use crate::placement::{initial_placement, PlacementStrategy};
@@ -221,10 +227,18 @@ impl Mapper {
             succ_edges,
             remaining,
             heap,
-            route: route_buf,
+            route,
             route_alt,
             channels: channels_slot,
         } = scratch;
+        let mut transfers = Transfers {
+            strategy: self.config.router,
+            dims,
+            defects,
+            route,
+            alt: route_alt,
+            last: None,
+        };
 
         let channels: &mut ChannelOccupancy = match channels_slot {
             Some(c) => {
@@ -354,22 +368,10 @@ impl Mapper {
 
                     // Outbound trip of the control qubit.
                     let depart = qubit_ready[control.index()];
-                    let mut t = Micros::new(depart);
-                    route_transfer(
-                        self.config.router,
-                        defects,
-                        channels,
-                        from,
-                        to,
-                        t,
-                        route_buf,
-                        route_alt,
-                    )?;
-                    let distance = route_buf.len() as u64;
-                    for &ch in route_buf.iter() {
-                        t = channels.traverse(ch, t);
-                    }
-                    let arrival = t.as_f64();
+                    let (arrival, distance) = transfers.send(channels, from, to, depart)?;
+                    // Queue-free travel time of the outbound trip, for the
+                    // trace's `outbound_wait`.
+                    let transit = trace.is_some().then(|| transfers.last_transit(channels));
 
                     // Gate executes when both qubits and the ULB are ready.
                     let start = arrival.max(qubit_ready[target.index()]).max(ulb_free[ulb]);
@@ -382,21 +384,8 @@ impl Mapper {
                     // (home-based) or settles nearby (drift).
                     match self.config.movement {
                         MovementModel::HomeBased => {
-                            let mut back = Micros::new(end);
-                            route_transfer(
-                                self.config.router,
-                                defects,
-                                channels,
-                                to,
-                                from,
-                                back,
-                                route_buf,
-                                route_alt,
-                            )?;
-                            for &ch in route_buf.iter() {
-                                back = channels.traverse(ch, back);
-                            }
-                            qubit_ready[control.index()] = back.as_f64();
+                            let (back, _) = transfers.send(channels, to, from, end)?;
+                            qubit_ready[control.index()] = back;
                             stats.total_hops += 2 * distance;
                         }
                         MovementModel::Drift => {
@@ -413,36 +402,22 @@ impl Mapper {
                                 .expect("Q <= usable ULBs guarantees a free one");
                             residents[dims.index_of(settle)] += 1;
                             position[control.index()] = settle;
-                            let mut back = Micros::new(end);
-                            route_transfer(
-                                self.config.router,
-                                defects,
-                                channels,
-                                to,
-                                settle,
-                                back,
-                                route_buf,
-                                route_alt,
-                            )?;
-                            for &ch in route_buf.iter() {
-                                back = channels.traverse(ch, back);
-                            }
-                            qubit_ready[control.index()] = back.as_f64();
+                            let (back, _) = transfers.send(channels, to, settle, end)?;
+                            qubit_ready[control.index()] = back;
                             stats.total_hops += distance + to.manhattan_distance(settle) as u64;
                         }
                     }
 
                     stats.cnot_ops += 1;
                     stats.total_cnot_distance += distance;
-                    if let Some(trace) = trace.as_mut() {
-                        let ideal = distance as f64 * t_move.as_f64();
+                    if let (Some(trace), Some(transit)) = (trace.as_mut(), transit) {
                         trace.push(OpRecord {
                             node,
                             op,
                             start: Micros::new(start),
                             end: Micros::new(end),
                             distance: distance as u32,
-                            outbound_wait: Micros::new((arrival - depart - ideal).max(0.0)),
+                            outbound_wait: Micros::new((arrival - depart - transit).max(0.0)),
                         });
                     }
                 }
@@ -475,7 +450,8 @@ impl Mapper {
 
 /// Reusable working storage for [`Mapper`] runs (see the module docs):
 /// positions, ready times, the CSR successor graph, the ready heap, the
-/// route buffers and the channel calendars. One scratch serves any
+/// route buffers (used only on fabrics with dead cells or channels) and
+/// the channel calendars. One scratch serves any
 /// sequence of programs and fabrics; buffers grow to the high-water mark
 /// and stay.
 #[derive(Debug, Default)]
@@ -516,66 +492,103 @@ fn with_thread_scratch<R>(f: impl FnOnce(&mut MapScratch) -> R) -> R {
     })
 }
 
-/// Chooses the channel sequence for one transfer under the configured
-/// routing discipline, filling `out` in place (`alt` is the comparison
-/// buffer the adaptive router probes against) — no allocation once the
-/// buffers reached the fabric diameter.
-fn pick_route_into(
+/// Routes and books one run's transfers under its routing discipline.
+///
+/// On a fabric without dead cells or channels (pristine, or overlays
+/// only) a transfer walks dense channel ids by arithmetic
+/// ([`pick_walk`]); with defects it takes a validated channel list from
+/// [`defect_route_into`] in the scratch route buffers.
+struct Transfers<'a> {
     strategy: RouterStrategy,
-    channels: &ChannelOccupancy,
-    from: Ulb,
-    to: Ulb,
-    at: Micros,
-    out: &mut Vec<Channel>,
-    alt: &mut Vec<Channel>,
-) {
-    match strategy {
-        RouterStrategy::Xy => route::xy_channels_into(from, to, out),
-        RouterStrategy::Yx => route::yx_channels_into(from, to, out),
-        RouterStrategy::Adaptive => {
-            route::xy_channels_into(from, to, out);
-            route::yx_channels_into(from, to, alt);
-            if out == alt {
-                return; // straight line: no choice to make
+    dims: FabricDims,
+    defects: Option<&'a FabricMap>,
+    route: &'a mut Vec<Channel>,
+    alt: &'a mut Vec<Channel>,
+    /// The walk the last transfer took; `None` when it took `route`.
+    last: Option<ChannelIds>,
+}
+
+impl Transfers<'_> {
+    /// Sends a qubit from `from` to `to`, leaving at `at` µs: picks the
+    /// route, books each hop, and returns the arrival time and the hop
+    /// count.
+    ///
+    /// # Errors
+    ///
+    /// [`MapError::Unroutable`] when the defect map disconnects `from` and
+    /// `to`.
+    fn send(
+        &mut self,
+        channels: &mut ChannelOccupancy,
+        from: Ulb,
+        to: Ulb,
+        at: f64,
+    ) -> Result<(f64, u64), MapError> {
+        let mut t = at;
+        let Some(map) = self.defects else {
+            let walk = pick_walk(self.strategy, self.dims, channels, from, to, at);
+            let hops = walk.len() as u64;
+            for id in walk.clone() {
+                t = channels.book(id, t);
             }
-            let probe = |path: &[Channel]| -> f64 {
-                path.iter()
-                    .map(|ch| channels.peek_wait(*ch, at).as_f64())
-                    .sum()
-            };
-            if probe(out) > probe(alt) {
-                std::mem::swap(out, alt);
-            }
+            self.last = Some(walk);
+            return Ok((t, hops));
+        };
+        defect_route_into(
+            self.strategy,
+            map,
+            channels,
+            from,
+            to,
+            Micros::new(at),
+            self.route,
+            self.alt,
+        )?;
+        for ch in self.route.iter() {
+            t = channels.book(ch.id(self.dims), t);
+        }
+        self.last = None;
+        Ok((t, self.route.len() as u64))
+    }
+
+    /// The queue-free travel time of the last transfer, in µs.
+    fn last_transit(&self, channels: &ChannelOccupancy) -> f64 {
+        match &self.last {
+            Some(walk) => channels.transit(walk.clone()),
+            None => channels.transit(self.route.iter().map(|ch| ch.id(self.dims))),
         }
     }
 }
 
-/// Routes one transfer, honouring a defect map when present: without
-/// defects this is exactly [`pick_route_into`]; with defects, the minimal
-/// dimension-ordered candidates are validated against the map and a BFS
-/// detour is taken when both are blocked.
-///
-/// # Errors
-///
-/// [`MapError::Unroutable`] when the defect map disconnects `from` and
-/// `to`.
-#[allow(clippy::too_many_arguments)]
-fn route_transfer(
+/// Chooses the id walk for one transfer on a fabric without dead cells or
+/// channels. The adaptive router probes the queueing wait along both
+/// dimension orders (without booking) and takes YX only when it waits
+/// strictly less; on a straight line the two coincide and XY is taken
+/// unprobed.
+fn pick_walk(
     strategy: RouterStrategy,
-    defects: Option<&FabricMap>,
+    dims: FabricDims,
     channels: &ChannelOccupancy,
     from: Ulb,
     to: Ulb,
-    at: Micros,
-    out: &mut Vec<Channel>,
-    alt: &mut Vec<Channel>,
-) -> Result<(), MapError> {
-    match defects {
-        None => {
-            pick_route_into(strategy, channels, from, to, at, out, alt);
-            Ok(())
+    at: f64,
+) -> ChannelIds {
+    match strategy {
+        RouterStrategy::Xy => route::xy_channel_ids(dims, from, to),
+        RouterStrategy::Yx => route::yx_channel_ids(dims, from, to),
+        RouterStrategy::Adaptive => {
+            let xy = route::xy_channel_ids(dims, from, to);
+            if from.x == to.x || from.y == to.y {
+                return xy;
+            }
+            let yx = route::yx_channel_ids(dims, from, to);
+            let probe = |walk: ChannelIds| -> f64 { walk.map(|id| channels.peek(id, at)).sum() };
+            if probe(xy.clone()) > probe(yx.clone()) {
+                yx
+            } else {
+                xy
+            }
         }
-        Some(map) => defect_route_into(strategy, map, channels, from, to, at, out, alt),
     }
 }
 
@@ -749,7 +762,9 @@ pub struct MappingStats {
     pub cnot_ops: u64,
     /// Channel hops travelled (out- and return trips).
     pub total_hops: u64,
-    /// Sum over CNOTs of the control→target Manhattan distance.
+    /// Sum over CNOTs of the control's outbound hops: the control→target
+    /// Manhattan distance, or the length of the detour on a fabric with
+    /// dead cells or channels.
     pub total_cnot_distance: u64,
     /// Total time qubits queued at saturated channels.
     pub congestion_wait: Micros,
@@ -1011,6 +1026,43 @@ mod trace_tests {
             }
             assert!(r.end > r.start);
         }
+    }
+
+    #[test]
+    fn outbound_wait_counts_only_queueing_on_a_slow_overlay() {
+        // Every hop of a 4x4 fabric slowed to 250 µs; one CNOT from (0,0)
+        // to (3,3) on an otherwise idle fabric queues nowhere, so its six
+        // slow hops are travel, not waiting.
+        let dims = FabricDims::new(4, 4).unwrap();
+        let mut map = FabricMap::pristine(dims);
+        map.push_overlay(leqa_fabric::RegionOverlay {
+            x0: 0,
+            y0: 0,
+            x1: 3,
+            y1: 3,
+            t_move_us: Some(250.0),
+            qubit_speed: None,
+            channel_capacity: None,
+        })
+        .unwrap();
+        let mut ft = FtCircuit::new(16);
+        ft.push_cnot(q(0), q(15)).unwrap();
+        let qodg = Qodg::from_ft_circuit(&ft);
+        let mapper = Mapper::with_config(MapperConfig {
+            dims,
+            params: PhysicalParams::dac13(),
+            placement: PlacementStrategy::RowMajor,
+            router: RouterStrategy::Xy,
+            movement: MovementModel::HomeBased,
+            seed: 0,
+        })
+        .with_fabric_map(Arc::new(map));
+        let (result, trace) = mapper.map_with_trace(&qodg).unwrap();
+        assert_eq!(result.stats.congestion_wait, Micros::ZERO);
+        let record = trace.records()[0];
+        assert_eq!(record.distance, 6);
+        assert_eq!(record.start, Micros::new(1500.0));
+        assert_eq!(record.outbound_wait, Micros::ZERO);
     }
 
     #[test]

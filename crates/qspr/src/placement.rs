@@ -66,19 +66,28 @@ pub fn initial_placement(
         PlacementStrategy::IigCluster => bfs_order(iig),
     };
 
-    let mut sites: Vec<Ulb> = match strategy {
-        PlacementStrategy::RowMajor | PlacementStrategy::Random => dims.ulbs().collect(),
-        PlacementStrategy::IigCluster => spiral_sites(dims),
-    };
-    if let Some(map) = map.filter(|m| m.has_defects()) {
-        sites.retain(|u| map.cell_enabled(*u));
-    }
+    let defects = map.filter(|m| m.has_defects());
+    Ok(match strategy {
+        PlacementStrategy::RowMajor | PlacementStrategy::Random => {
+            assign(&order, dims.ulbs(), defects)
+        }
+        PlacementStrategy::IigCluster => assign(&order, spiral_sites(dims), defects),
+    })
+}
 
-    let mut placement = vec![Ulb::new(0, 0); iig.num_qubits() as usize];
-    for (rank, qubit) in order.iter().enumerate() {
-        placement[qubit.index()] = sites[rank];
+/// Gives the qubit of rank `r` in `order` the `r`-th live site, drawing
+/// only as many sites as there are qubits.
+fn assign(
+    order: &[QubitId],
+    sites: impl Iterator<Item = Ulb>,
+    defects: Option<&FabricMap>,
+) -> Vec<Ulb> {
+    let live = sites.filter(|u| defects.is_none_or(|m| m.cell_enabled(*u)));
+    let mut placement = vec![Ulb::new(0, 0); order.len()];
+    for (qubit, site) in order.iter().zip(live) {
+        placement[qubit.index()] = site;
     }
-    Ok(placement)
+    placement
 }
 
 /// Orders qubits by a BFS over the IIG that expands the heaviest edges
@@ -127,10 +136,12 @@ fn bfs_order(iig: &Iig) -> Vec<QubitId> {
 }
 
 /// ULBs ordered along a center-out spiral (ring by ring of increasing
-/// Manhattan radius), so consecutive ranks are physically close.
-fn spiral_sites(dims: FabricDims) -> Vec<Ulb> {
+/// Manhattan radius), so consecutive ranks are physically close. Lazy:
+/// placing `Q` qubits walks only the rings that hold the first `Q` live
+/// sites.
+fn spiral_sites(dims: FabricDims) -> impl Iterator<Item = Ulb> {
     let center = Ulb::new(dims.width() / 2, dims.height() / 2);
-    dims.rings(center).collect()
+    dims.rings(center)
 }
 
 #[cfg(test)]
@@ -285,7 +296,7 @@ mod tests {
     #[test]
     fn spiral_starts_at_center() {
         let dims = FabricDims::new(9, 9).unwrap();
-        let sites = spiral_sites(dims);
+        let sites: Vec<Ulb> = spiral_sites(dims).collect();
         assert_eq!(sites[0], Ulb::new(4, 4));
         assert_eq!(sites.len() as u64, dims.area());
     }

@@ -20,7 +20,9 @@ pub struct OpRecord {
     pub start: Micros,
     /// When the gate finished.
     pub end: Micros,
-    /// Control→target Manhattan distance (0 for one-qubit ops).
+    /// Channel hops of the control's outbound trip (0 for one-qubit ops):
+    /// the control→target Manhattan distance, or the length of the detour
+    /// on a fabric with dead cells or channels.
     pub distance: u32,
     /// Time spent queueing at congested channels on the outbound trip.
     pub outbound_wait: Micros,
@@ -116,7 +118,8 @@ pub struct TraceStats {
     pub ops: u64,
     /// CNOT records.
     pub cnot_ops: u64,
-    /// Sum over CNOT records of the control→target Manhattan distance.
+    /// Sum over CNOT records of [`OpRecord::distance`]: outbound hops,
+    /// which exceed the Manhattan distance where a detour was taken.
     pub total_cnot_distance: u64,
     /// Total time spent queueing at congested channels.
     pub total_outbound_wait: Micros,
