@@ -24,8 +24,8 @@
 //! sharded profile cache, and executes:
 //!
 //! * `estimate` mode — one [`sweep_profile_squares`] call per
-//!   (workload, params) group rides the sweep engine's convex-census
-//!   bisection along the whole fabric axis; every cell is bit-identical
+//!   (workload, params) group resolves the whole fabric axis through the
+//!   program's path table; every cell is bit-identical
 //!   to an independent [`Session::estimate`] call (the engine contract,
 //!   pinned by `crates/api/tests/experiment.rs`).
 //! * `map` / `compare` modes — the remaining cells fan out over the

@@ -202,3 +202,61 @@ fn clear_cache_is_safe_under_concurrent_loads() {
     assert_eq!(stats.cache_hits + stats.cache_misses, stats.loads);
     assert_eq!(stats.loads, 20);
 }
+
+/// The requests one racer sends: a sweep over its own interleaved sides,
+/// each followed by an estimate at a side the next racer sweeps, then an
+/// estimate between its own sweep values.
+fn racer_requests(racer: u32) -> Vec<Request> {
+    let program = || ProgramSpec::bench("qft_16");
+    let own: Vec<u32> = (0..4).map(|k| 6 + racer + 8 * k).collect();
+    let mut requests = vec![Request::Sweep(SweepRequest::new(program(), own.clone()))];
+    for &side in &own {
+        let next = 6 + (side - 6 + 1) % 32;
+        requests.push(Request::Estimate(
+            EstimateRequest::new(program()).with_fabric(next, next),
+        ));
+    }
+    let between = own[1] + 3;
+    requests.push(Request::Estimate(
+        EstimateRequest::new(program()).with_fabric(between, between),
+    ));
+    requests
+}
+
+#[test]
+fn cold_path_table_race_answers_like_fresh_sessions() {
+    // The program is loaded and profiled, but nothing has resolved a
+    // critical path: eight racers fill its path table concurrently.
+    let session = Session::builder().build().unwrap();
+    let handle = session.load(&ProgramSpec::bench("qft_16")).unwrap();
+    assert_eq!(handle.profile_data().critical_path_passes(), 0);
+
+    const RACERS: u32 = 8;
+    let start = std::sync::Barrier::new(RACERS as usize);
+    let replies: Vec<Vec<String>> = std::thread::scope(|scope| {
+        let racers: Vec<_> = (0..RACERS)
+            .map(|racer| {
+                let (session, start) = (&session, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    racer_requests(racer)
+                        .iter()
+                        .map(|req| wire(&session.execute(req)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        racers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+
+    for (racer, got) in (0..RACERS).zip(&replies) {
+        for (req, got) in racer_requests(racer).iter().zip(got) {
+            // Loaded first, as on the racing session, so the cache flags
+            // agree too.
+            let fresh = Session::builder().build().unwrap();
+            fresh.load(req.program()).unwrap();
+            assert_eq!(got, &wire(&fresh.execute(req)), "racer {racer}");
+        }
+    }
+    assert!(handle.profile_data().critical_path_passes() >= 1);
+}

@@ -1,21 +1,26 @@
-//! Experiment-grid throughput: the declarative engine
+//! Experiment-grid amortisation: the declarative engine
 //! ([`Session::batch_experiment`]) against the equivalent serial loop of
 //! single-cell `estimate` requests on the same grid.
 //!
 //! The engine's claim (PERF.md "The experiment-grid bench"): distinct
 //! programs are profiled once through the session cache, each
-//! (workload, params) group's fabric axis rides one census-bisection
-//! sweep, and router/movement variants replay the group's points — so a
-//! grid run beats the cell-by-cell loop ≥ 3× even single-threaded,
-//! while `crates/api/tests/experiment.rs` pins the rows bit-identical.
+//! (workload, params) group's fabric axis rides one sweep through the
+//! program's path table, and router/movement variants replay the group's
+//! points, while `crates/api/tests/experiment.rs` pins the rows
+//! bit-identical to the serial loop.
+//!
+//! The headline is deterministic: the full critical-path passes
+//! (`ProfileData::critical_path_passes`) the serial loop and the grid
+//! each run on a fresh session, over the full grid. Their ratio is
+//! appended to `BENCH_JSON` as an `experiment/pass_ratio` record, which
+//! `scripts/perf_gate.sh` gates against `BENCH_throughput.json`. The
+//! criterion group times both sides on a warm session for reference.
 //!
 //! `BENCH_JSON=$PWD/BENCH_throughput.json cargo bench -p leqa-bench
-//! --bench experiment_grid` appends one JSON line per measurement plus
-//! an `experiment/speedup` summary record. Set
-//! `EXPERIMENT_BENCH_SMOKE=1` for the reduced CI variant.
+//! --bench experiment_grid`. Set `EXPERIMENT_BENCH_SMOKE=1` for the
+//! reduced CI variant; it shrinks only the timed grid.
 
 use std::io::Write as _;
-use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -25,50 +30,72 @@ fn smoke() -> bool {
     std::env::var("EXPERIMENT_BENCH_SMOKE").is_ok_and(|v| v == "1")
 }
 
-fn workloads() -> Vec<&'static str> {
-    if smoke() {
-        vec!["qft_8", "8bitadder"]
-    } else {
-        vec!["qft_8", "qft_16", "8bitadder"]
-    }
+/// An acceptance-shaped grid: workloads × sides × 2 routers.
+struct Grid {
+    workloads: &'static [&'static str],
+    sides: (u32, u32, u32),
 }
 
-fn sides() -> Vec<u32> {
-    if smoke() {
-        (10..=50).step_by(10).collect()
-    } else {
-        (10..=55).step_by(5).collect()
-    }
-}
+/// 3 workloads × 10 sides × 2 routers = 60 cells.
+const FULL: Grid = Grid {
+    workloads: &["qft_8", "qft_16", "8bitadder"],
+    sides: (10, 55, 5),
+};
 
-/// The acceptance-shaped grid: workloads × sides × 2 routers.
-fn spec() -> ScenarioSpec {
-    let (min, max, step) = if smoke() { (10, 50, 10) } else { (10, 55, 5) };
-    ScenarioSpec::new(workloads(), [FabricEntry::Range { min, max, step }])
+const SMOKE: Grid = Grid {
+    workloads: &["qft_8", "8bitadder"],
+    sides: (10, 50, 10),
+};
+
+impl Grid {
+    fn spec(&self) -> ScenarioSpec {
+        let (min, max, step) = self.sides;
+        ScenarioSpec::new(
+            self.workloads.iter().copied(),
+            [FabricEntry::Range { min, max, step }],
+        )
         .with_routers([qspr::RouterStrategy::Xy, qspr::RouterStrategy::Yx])
-}
+    }
 
-/// The equivalent serial loop: one `estimate` request per cell, in the
-/// same cell order — what a user would hand-script without the engine.
-fn run_serial(session: &Session) -> usize {
-    let mut cells = 0;
-    for workload in workloads() {
-        for _router in ["xy", "yx"] {
-            for &side in &sides() {
-                session
-                    .estimate(
-                        &EstimateRequest::new(ProgramSpec::bench(workload)).with_fabric(side, side),
-                    )
-                    .expect("grid programs fit some fabric or report unfit");
-                cells += 1;
+    /// The equivalent serial loop: one `estimate` request per cell, in the
+    /// same cell order — what a user would hand-script without the engine.
+    fn run_serial(&self, session: &Session) -> usize {
+        let (min, max, step) = self.sides;
+        let mut cells = 0;
+        for &workload in self.workloads {
+            for _router in ["xy", "yx"] {
+                for side in (min..=max).step_by(step as usize) {
+                    session
+                        .estimate(
+                            &EstimateRequest::new(ProgramSpec::bench(workload))
+                                .with_fabric(side, side),
+                        )
+                        .expect("grid programs fit some fabric or report unfit");
+                    cells += 1;
+                }
             }
         }
+        cells
     }
-    cells
+
+    /// Full critical-path passes run against the grid's programs.
+    fn passes(&self, session: &Session) -> u64 {
+        self.workloads
+            .iter()
+            .map(|&w| {
+                session
+                    .load(&ProgramSpec::bench(w))
+                    .expect("grid programs load")
+                    .profile_data()
+                    .critical_path_passes()
+            })
+            .sum()
+    }
 }
 
 fn bench_experiment_grid(c: &mut Criterion) {
-    let spec = spec();
+    let grid = if smoke() { SMOKE } else { FULL };
+    let spec = grid.spec();
     let session = Session::builder().build().expect("default session");
     // Warm the cache once: both sides then measure steady-state service
     // behaviour rather than first-touch lowering.
@@ -81,34 +108,20 @@ fn bench_experiment_grid(c: &mut Criterion) {
     });
     group.bench_function(
         criterion::BenchmarkId::from_parameter("serial_cells"),
-        |b| b.iter(|| run_serial(&session)),
+        |b| b.iter(|| grid.run_serial(&session)),
     );
     group.finish();
 
-    // Headline: median-of-5 grid vs serial wall-clock on the warm session.
-    let median = |f: &dyn Fn()| -> f64 {
-        let mut samples = Vec::new();
-        for _ in 0..5 {
-            let t0 = Instant::now();
-            f();
-            samples.push(t0.elapsed().as_secs_f64());
-        }
-        samples.sort_by(f64::total_cmp);
-        samples[samples.len() / 2]
-    };
-    let grid_s = median(&|| {
-        std::hint::black_box(session.batch_experiment(&spec).expect("grid runs"));
-    });
-    let cells = run_serial(&session);
-    let serial_s = median(&|| {
-        std::hint::black_box(run_serial(&session));
-    });
-    let speedup = serial_s / grid_s;
-    let verdict = if speedup >= 3.0 { "MET" } else { "NOT MET" };
+    // Headline: full passes on fresh sessions, over the full grid.
+    let serial = Session::builder().build().expect("default session");
+    let cells = FULL.run_serial(&serial);
+    let serial_passes = FULL.passes(&serial);
+    let engine = Session::builder().build().expect("default session");
+    engine.batch_experiment(&FULL.spec()).expect("grid runs");
+    let grid_passes = FULL.passes(&engine);
+    let ratio = serial_passes as f64 / grid_passes.max(1) as f64;
     println!(
-        "experiment grid speedup: {speedup:.2}x (serial {:.2} ms vs grid {:.2} ms, {cells} cells) — amortisation target >= 3x: {verdict}",
-        serial_s * 1e3,
-        grid_s * 1e3,
+        "experiment grid full passes: serial {serial_passes} vs grid {grid_passes} over {cells} cells — {ratio:.2}x"
     );
 
     if let Ok(path) = std::env::var("BENCH_JSON") {
@@ -119,9 +132,7 @@ fn bench_experiment_grid(c: &mut Criterion) {
         {
             let _ = writeln!(
                 file,
-                "{{\"name\":\"experiment/speedup\",\"speedup\":{speedup:.4},\"serial_ms\":{:.4},\"grid_ms\":{:.4},\"cells\":{cells}}}",
-                serial_s * 1e3,
-                grid_s * 1e3,
+                "{{\"name\":\"experiment/pass_ratio\",\"speedup\":{ratio:.4},\"serial_passes\":{serial_passes},\"grid_passes\":{grid_passes},\"cells\":{cells}}}",
             );
         }
     }

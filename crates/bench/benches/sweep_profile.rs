@@ -3,8 +3,8 @@
 //! independent `Estimator::estimate` calls.
 //!
 //! The engine amortises the program-dependent `O(ops)` work (IIG, zone
-//! statistics, uncongested-delay terms, critical-path passes via convex
-//! census bisection), so the sweep must come out ≥ 5× faster while
+//! statistics, uncongested-delay terms, critical-path passes via the
+//! profile's path table), so the sweep must come out ≥ 5× faster while
 //! producing bit-identical estimates (`tests/differential.rs` pins the
 //! bit-identity; this bench prints and checks the speedup).
 

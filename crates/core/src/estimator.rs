@@ -135,7 +135,10 @@ impl Estimator {
 
     /// Runs the fabric-dependent part of Algorithm 1 against a prebuilt
     /// [`ProgramProfile`]. Bit-identical to [`estimate`](Self::estimate) on
-    /// the profile's QODG; the `O(ops)` program traversals are skipped.
+    /// the profile's QODG; the `O(ops)` program traversals are skipped, and
+    /// so is the critical-path walk when the profile's path table already
+    /// resolves this `L_CNOT^avg` (a one-point resolve through the code
+    /// the sweep engine uses).
     ///
     /// # Errors
     ///
@@ -152,14 +155,10 @@ impl Estimator {
             correction.as_ref(),
         )?;
         let params = correction.as_ref().map_or(&self.params, |c| &c.params);
-        let mut scratch = CriticalPathScratch::new();
-        let critical = routing_aware_critical_path(
-            params,
-            &self.options,
-            profile.qodg(),
-            quantities.l_cnot_avg,
-            &mut scratch,
-        );
+        let critical = profile
+            .critical_paths(params, &self.options, &[quantities.l_cnot_avg])
+            .pop()
+            .expect("one path per value");
         Ok(assemble_estimate(params, quantities, critical))
     }
 
@@ -371,8 +370,9 @@ struct MapCorrection {
 /// routing latencies added to the node delays.
 ///
 /// A free function over `(params, options)` rather than an [`Estimator`]
-/// method: it is fabric-independent by construction, and the sweep engine
-/// calls it once per path regime without inventing a placeholder fabric.
+/// method: it is fabric-independent by construction, and the path table
+/// ([`crate::paths`]) calls it per full pass without inventing a
+/// placeholder fabric.
 pub(crate) fn routing_aware_critical_path(
     params: &PhysicalParams,
     options: &EstimatorOptions,

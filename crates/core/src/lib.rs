@@ -82,6 +82,7 @@ mod error;
 mod estimator;
 pub mod exec;
 pub mod meter;
+mod paths;
 pub mod pool;
 pub mod presence;
 mod profile;

@@ -11,14 +11,17 @@
 //! The precomputation itself lives in the owned, borrow-free
 //! [`ProfileData`], so long-lived callers (the `leqa-api` session cache)
 //! can store it next to the program and re-attach it to the QODG with
-//! [`ProgramProfile::from_data`] at zero cost per request.
+//! [`ProgramProfile::from_data`] at zero cost per request. It also keeps
+//! the program's path table ([`crate::paths`]), so every caller reusing
+//! the data resolves each `L_CNOT^avg` once per delay model.
 
 use std::borrow::Cow;
 
-use leqa_circuit::{Iig, Qodg, QubitId};
-use leqa_fabric::Micros;
+use leqa_circuit::{CriticalPath, Iig, Qodg, QubitId};
+use leqa_fabric::{Micros, PhysicalParams};
 
-use crate::{presence, tsp};
+use crate::paths::PathTable;
+use crate::{presence, tsp, EstimatorOptions};
 
 /// The owned program-dependent precomputation of Algorithm 1 (lines 1–8):
 /// the IIG, Eq. 7's zone average and Eq. 12's weighted uncongested-delay
@@ -27,6 +30,10 @@ use crate::{presence, tsp};
 /// Unlike [`ProgramProfile`] this holds no borrow of the QODG, so it can
 /// be cached and moved freely; pair it back up with the program it was
 /// computed from via [`ProgramProfile::from_data`].
+///
+/// It also carries the critical paths resolved against the program, a
+/// bounded cache shared by every caller holding the data. The cache is
+/// left out of equality, starts empty in a clone and is never persisted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileData {
     iig: Iig,
@@ -37,6 +44,8 @@ pub struct ProfileData {
     uncong_numerator: f64,
     /// `Σ_i strength_i` over qubits with interactions (Eq. 12 denominator).
     strength_total: f64,
+    /// Critical paths resolved against this program.
+    paths: PathTable,
 }
 
 impl ProfileData {
@@ -72,6 +81,7 @@ impl ProfileData {
             avg_zone_area,
             uncong_numerator,
             strength_total,
+            paths: PathTable::default(),
         }
     }
 
@@ -93,6 +103,14 @@ impl ProfileData {
     pub fn uncongested_delay(&self, qubit_speed: f64) -> Option<Micros> {
         (self.strength_total > 0.0)
             .then(|| Micros::new(self.uncong_numerator / self.strength_total / qubit_speed))
+    }
+
+    /// Full critical-path passes (`O(|V|+|E|)` QODG walks) run against
+    /// this data. Queries the path table answers without a walk leave it
+    /// unchanged.
+    #[inline]
+    pub fn critical_path_passes(&self) -> u64 {
+        self.paths.passes()
     }
 }
 
@@ -153,7 +171,8 @@ impl<'a> ProgramProfile<'a> {
     ///
     /// The caller must pair the data with *its own* QODG; attaching a
     /// different program's data silently yields that other program's
-    /// congestion quantities.
+    /// congestion quantities (a QODG of another size at least bypasses
+    /// the data's path table).
     #[must_use]
     pub fn from_data(qodg: &'a Qodg, data: &'a ProfileData) -> Self {
         ProgramProfile {
@@ -204,6 +223,17 @@ impl<'a> ProgramProfile<'a> {
     /// paid at construction.
     pub fn uncongested_delay(&self, qubit_speed: f64) -> Option<Micros> {
         self.data.uncongested_delay(qubit_speed)
+    }
+
+    /// The routing-aware critical path (Algorithm 1 line 19) at each
+    /// `L_CNOT^avg` in `xs`, in order, through the data's path table.
+    pub(crate) fn critical_paths(
+        &self,
+        params: &PhysicalParams,
+        options: &EstimatorOptions,
+        xs: &[Micros],
+    ) -> Vec<CriticalPath> {
+        self.data.paths.resolve(self.qodg, params, options, xs)
     }
 }
 
@@ -266,6 +296,29 @@ mod tests {
         let d1 = profile.uncongested_delay(0.001).unwrap().as_f64();
         let d2 = profile.uncongested_delay(0.002).unwrap().as_f64();
         assert!((d1 / d2 - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn clones_start_with_an_empty_path_table() {
+        let qodg = star_qodg();
+        let data = ProfileData::new(&qodg);
+        let estimator = crate::Estimator::new(
+            leqa_fabric::FabricDims::new(4, 4).unwrap(),
+            PhysicalParams::dac13(),
+        );
+        let warm = estimator
+            .estimate_with_profile(&ProgramProfile::from_data(&qodg, &data))
+            .unwrap();
+        assert_eq!(data.critical_path_passes(), 1);
+
+        let clone = data.clone();
+        assert_eq!(clone, data, "the table is left out of equality");
+        assert_eq!(clone.critical_path_passes(), 0);
+        let cold = estimator
+            .estimate_with_profile(&ProgramProfile::from_data(&qodg, &clone))
+            .unwrap();
+        assert_eq!(clone.critical_path_passes(), 1);
+        assert_eq!(cold.critical, warm.critical);
     }
 
     #[test]

@@ -15,29 +15,30 @@
 //!    the run-length-compressed coverage histogram
 //!    ([`crate::coverage::CoverageHistogram`], `O(terms · s²)` instead of
 //!    `O(terms · A)`).
-//! 3. **Census bisection** — the routing-aware critical path depends on the
+//! 3. **Path table** — the routing-aware critical path depends on the
 //!    fabric only through the scalar `L_CNOT^avg`, and the optimal path is
-//!    piecewise-constant in it. The engine sorts the candidates'
-//!    `L_CNOT^avg` values and recursively bisects: when the two endpoints
-//!    of an interval select the *same* path, every interior candidate
-//!    provably shares it (the longest-path envelope is convex in
-//!    `L_CNOT^avg`) and only the path's length is re-accumulated, in
-//!    exactly the order the full `O(|V|+|E|)` pass would have used.
-//!    Typical sweeps cross a handful of path regimes, so ~`log N` full
-//!    passes replace `N`.
+//!    piecewise-constant in it. The profile's path table
+//!    ([`crate::ProfileData`]) resolves the candidates' `L_CNOT^avg` values
+//!    together: values an earlier query resolved are hits; a value between
+//!    two resolved values that select the *same* path provably shares it
+//!    (the longest-path envelope is convex in `L_CNOT^avg`) and only
+//!    re-accumulates the path's length, in exactly the order the full
+//!    `O(|V|+|E|)` pass would have used; the rest take full passes,
+//!    bisecting each unresolved run. What a sweep learns stays with the
+//!    profile, so a repeat sweep on a warm profile walks nothing.
 //!
 //! Every estimate produced this way is bit-identical to an independent
 //! [`Estimator::estimate`] call on the same candidate (asserted per
-//! workload by `tests/differential.rs`).
+//! workload by `tests/differential.rs`, on fresh and on warm profiles).
 //!
-//! With the `parallel` feature the per-candidate loop runs on scoped
-//! worker threads (one per core); candidate results are identical either
-//! way.
+//! With the `parallel` feature the per-candidate pricing loop runs on the
+//! process-wide worker pool ([`crate::pool`]); candidate results are
+//! identical either way.
 
-use leqa_circuit::{CriticalPath, CriticalPathScratch, Qodg, QodgNode};
+use leqa_circuit::Qodg;
 use leqa_fabric::{FabricDims, Micros, PhysicalParams};
 
-use crate::estimator::{assemble_estimate, routing_aware_critical_path, RoutingQuantities};
+use crate::estimator::{assemble_estimate, RoutingQuantities};
 use crate::{Estimate, Estimator, EstimatorOptions, ProgramProfile};
 
 /// Outcome of one fabric-size candidate.
@@ -91,7 +92,7 @@ pub fn sweep_profile(
 /// Square-fabric convenience over [`sweep_profile`]: one point per side,
 /// in input order — the reuse hook shared by the API's `sweep` endpoint
 /// and the experiment engine's fabric axis, so both ride the same
-/// census-bisection amortisation (and the same bit-identity contract).
+/// path-table amortisation (and the same bit-identity contract).
 ///
 /// # Errors
 ///
@@ -111,9 +112,8 @@ pub fn sweep_profile_squares(
     Ok(sweep_profile(profile, params, options, candidates))
 }
 
-/// Like [`sweep_fabrics`], forcing the per-candidate loop onto scoped
-/// worker threads (capped by the platform's available parallelism) even
-/// when the `parallel` feature is off.
+/// Like [`sweep_fabrics`], forcing the per-candidate loop onto the
+/// worker pool ([`crate::pool`]) even when the `parallel` feature is off.
 ///
 /// Estimation is CPU-bound and candidates are independent, so wide sweeps
 /// — the paper's fabric-size exploration loop — scale with cores. Results
@@ -195,16 +195,15 @@ fn run_sweep(
             .collect()
     };
 
-    // Phase 2: resolve the routing-aware critical path for every distinct
-    // L_CNOT^avg by convex bisection. The critical-path and assembly
-    // kernels are fabric-independent free functions, so no placeholder
-    // fabric is involved.
+    // Phase 2: resolve the routing-aware critical path of every fitting
+    // candidate through the profile's path table, which bisects whatever
+    // earlier queries left unresolved.
     let xs: Vec<Micros> = quantities
         .iter()
         .flatten()
         .map(|q: &RoutingQuantities| q.l_cnot_avg)
         .collect();
-    let censuses = CensusCache::resolve(params, &options, profile.qodg(), &xs);
+    let mut critical = profile.critical_paths(params, &options, &xs).into_iter();
 
     // Phase 3: assemble the estimates (Eq. 1) in candidate order.
     candidates
@@ -212,9 +211,7 @@ fn run_sweep(
         .zip(quantities)
         .map(|(dims, quantities)| {
             let estimate = quantities.map(|q| {
-                let critical = censuses
-                    .materialize(q.l_cnot_avg)
-                    .expect("phase 2 resolved every candidate's L_CNOT^avg");
+                let critical = critical.next().expect("one path per fitting candidate");
                 assemble_estimate(params, q, critical)
             });
             SweepPoint { dims, estimate }
@@ -235,7 +232,7 @@ fn candidate_quantities(
         .ok()
 }
 
-/// Phase 1 across scoped worker threads.
+/// Phase 1 on the worker pool.
 fn quantities_threaded(
     profile: &ProgramProfile<'_>,
     params: &PhysicalParams,
@@ -245,205 +242,6 @@ fn quantities_threaded(
     crate::exec::parallel_map(candidates, |&dims| {
         candidate_quantities(profile, params, options, dims)
     })
-}
-
-/// Resolved critical paths per distinct `L_CNOT^avg` value: a handful of
-/// *template* paths from full passes, plus a `(template, length)` pair per
-/// value — template paths are shared until [`materialize`] clones one into
-/// an [`Estimate`], so each candidate pays exactly one path copy.
-///
-/// [`materialize`]: CensusCache::materialize
-struct CensusCache {
-    /// Distinct `L_CNOT^avg` values, ascending.
-    xs: Vec<f64>,
-    /// `(index into templates, length at xs[i])`.
-    resolved: Vec<Option<(usize, Micros)>>,
-    /// Critical paths produced by full passes, one per path regime hit.
-    templates: Vec<CriticalPath>,
-}
-
-impl CensusCache {
-    /// Computes the routing-aware critical path for every value in `xs`.
-    ///
-    /// In exact arithmetic the longest-path length is a convex
-    /// piecewise-linear function of `L_CNOT^avg` (each start→end path
-    /// contributes the line `base + n_CNOT · x`), so if the full
-    /// `O(|V|+|E|)` pass selects the same path at both endpoints of an
-    /// interval, that path is optimal on the whole interval; interior
-    /// values then only re-accumulate its length. Intervals whose
-    /// endpoints disagree are bisected with a full pass in the middle.
-    ///
-    /// Floats bend the lines by ULPs, so an interior reuse is additionally
-    /// guarded: if any *other* discovered path regime comes within a few
-    /// ULPs of (or beats) the template's length at that value, the engine
-    /// falls back to a full pass there instead of trusting the convexity
-    /// argument across a near-degenerate tie. (`tests/differential.rs`
-    /// pins the resulting bit-identity across the workload suite.)
-    fn resolve(
-        params: &PhysicalParams,
-        options: &EstimatorOptions,
-        qodg: &Qodg,
-        xs: &[Micros],
-    ) -> CensusCache {
-        let mut unique: Vec<f64> = xs.iter().map(|x| x.as_f64()).collect();
-        unique.sort_by(f64::total_cmp);
-        unique.dedup();
-
-        let mut cache = CensusCache {
-            resolved: vec![None; unique.len()],
-            xs: unique,
-            templates: Vec::new(),
-        };
-        if cache.xs.is_empty() {
-            return cache;
-        }
-
-        let mut scratch = CriticalPathScratch::new();
-        if !options.update_critical_path {
-            // Ablation mode: node delays ignore routing, so the pass is
-            // independent of L_CNOT^avg — one pass serves every candidate.
-            let cp = routing_aware_critical_path(params, options, qodg, Micros::ZERO, &mut scratch);
-            let length = cp.length;
-            cache.templates.push(cp);
-            cache.resolved.fill(Some((0, length)));
-            return cache;
-        }
-
-        let last = cache.xs.len() - 1;
-        cache.full_pass(params, options, qodg, 0, &mut scratch);
-        if last > 0 {
-            cache.full_pass(params, options, qodg, last, &mut scratch);
-        }
-        cache.solve(params, options, qodg, 0, last, &mut scratch);
-        cache
-    }
-
-    /// Runs the full critical-path pass at `xs[i]`, registering its path
-    /// as a template (deduplicated against the previous passes' paths).
-    fn full_pass(
-        &mut self,
-        params: &PhysicalParams,
-        options: &EstimatorOptions,
-        qodg: &Qodg,
-        i: usize,
-        scratch: &mut CriticalPathScratch,
-    ) {
-        let x = Micros::new(self.xs[i]);
-        let cp = routing_aware_critical_path(params, options, qodg, x, scratch);
-        let length = cp.length;
-        let template = match self.templates.iter().position(|t| t.path == cp.path) {
-            Some(t) => t,
-            None => {
-                self.templates.push(cp);
-                self.templates.len() - 1
-            }
-        };
-        self.resolved[i] = Some((template, length));
-    }
-
-    /// Fills `resolved[lo..=hi]` given that both endpoints already are.
-    fn solve(
-        &mut self,
-        params: &PhysicalParams,
-        options: &EstimatorOptions,
-        qodg: &Qodg,
-        lo: usize,
-        hi: usize,
-        scratch: &mut CriticalPathScratch,
-    ) {
-        if hi <= lo + 1 {
-            return;
-        }
-        let (tpl_lo, _) = self.resolved[lo].expect("endpoint resolved");
-        let (tpl_hi, _) = self.resolved[hi].expect("endpoint resolved");
-        if tpl_lo == tpl_hi {
-            // One path rules the whole interval: re-accumulate its length
-            // at each interior value in DP order. Guard each reuse against
-            // the other discovered regimes (see `resolve`): a rival within
-            // a few ULPs means the full pass's winner is
-            // rounding-determined there, so run the full pass.
-            for mid in lo + 1..hi {
-                let x = Micros::new(self.xs[mid]);
-                let length = accumulate_along(params, qodg, &self.templates[tpl_lo], x);
-                if self.rival_near(params, qodg, tpl_lo, length, x) {
-                    self.full_pass(params, options, qodg, mid, scratch);
-                } else {
-                    self.resolved[mid] = Some((tpl_lo, length));
-                }
-            }
-        } else {
-            let mid = lo + (hi - lo) / 2;
-            self.full_pass(params, options, qodg, mid, scratch);
-            self.solve(params, options, qodg, lo, mid, scratch);
-            self.solve(params, options, qodg, mid, hi, scratch);
-        }
-    }
-
-    /// Whether any template other than `chosen` reaches (or ULP-grazes)
-    /// `length` at `x`. Cheap in the common case: sweeps usually discover
-    /// a single path regime, and the loop skips `chosen` itself.
-    fn rival_near(
-        &self,
-        params: &PhysicalParams,
-        qodg: &Qodg,
-        chosen: usize,
-        length: Micros,
-        x: Micros,
-    ) -> bool {
-        const REL_MARGIN: f64 = 1e-12;
-        self.templates.iter().enumerate().any(|(t, template)| {
-            if t == chosen {
-                return false;
-            }
-            let rival = accumulate_along(params, qodg, template, x).as_f64();
-            rival >= length.as_f64() * (1.0 - REL_MARGIN)
-        })
-    }
-
-    /// Builds the owned [`CriticalPath`] for a phase-1 `L_CNOT^avg` value
-    /// (one path copy — the only one a candidate pays).
-    fn materialize(&self, x: Micros) -> Option<CriticalPath> {
-        let i = self
-            .xs
-            .binary_search_by(|probe| probe.total_cmp(&x.as_f64()))
-            .ok()?;
-        let (template, length) = self.resolved[i]?;
-        let template = &self.templates[template];
-        Some(CriticalPath {
-            length,
-            cnot_count: template.cnot_count,
-            one_qubit_counts: template.one_qubit_counts,
-            path: template.path.clone(),
-        })
-    }
-}
-
-/// Re-accumulates a known path's length at a new `L_CNOT^avg`: node delays
-/// added in first-to-last order — exactly the float additions the full
-/// pass performs along its argmax chain, so the length is bit-identical to
-/// what the pass would return for this path.
-fn accumulate_along(
-    params: &PhysicalParams,
-    qodg: &Qodg,
-    template: &CriticalPath,
-    l_cnot_avg: Micros,
-) -> Micros {
-    let l_one_qubit_avg = params.one_qubit_routing_latency();
-    let delays = *params.gate_delays();
-
-    let mut length = Micros::ZERO;
-    for &id in &template.path {
-        if let QodgNode::Op(op) = qodg.node(id) {
-            let own = match op {
-                leqa_circuit::FtOp::Cnot { .. } => delays.cnot() + l_cnot_avg,
-                leqa_circuit::FtOp::OneQubit { kind, .. } => {
-                    delays.one_qubit(kind) + l_one_qubit_avg
-                }
-            };
-            length += own;
-        }
-    }
-    length
 }
 
 #[cfg(test)]
@@ -542,7 +340,7 @@ mod tests {
     #[test]
     fn sweep_is_bit_identical_to_independent_estimates() {
         // The engine's contract: profile reuse, compressed coverage and
-        // census bisection change the cost, never the bits.
+        // the path table change the cost, never the bits.
         let qodg = dense_qodg();
         let params = PhysicalParams::dac13();
         let opts = EstimatorOptions::default();

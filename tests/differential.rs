@@ -5,13 +5,15 @@
 //! estimation flow, sharing only the numeric kernels. Every quantity is
 //! compared **bit-for-bit** across the full workload suite (QFT, adders,
 //! Shor slices, the table suite's families, random circuits), plus a
-//! property test over random circuits.
+//! property test over random circuits. A second group runs the suite
+//! through one shared, warming `ProfileData` (its path table) in several
+//! orders against fresh estimates.
 
 use std::collections::HashMap;
 
 use leqa::coverage::CoverageHistogram;
-use leqa::sweep::sweep_fabrics;
-use leqa::{queue, tsp, Estimator, EstimatorOptions, ProgramProfile};
+use leqa::sweep::{sweep_fabrics, sweep_profile};
+use leqa::{queue, tsp, Estimate, Estimator, EstimatorOptions, ProfileData, ProgramProfile};
 use leqa_circuit::{decompose::lower_to_ft, FtOp, Iig, NodeId, Qodg, QodgNode, QubitId};
 use leqa_fabric::{FabricDims, Micros, OneQubitKind, PhysicalParams};
 use leqa_workloads::qft::qft;
@@ -339,6 +341,99 @@ fn estimates_bit_identical_with_floor_rounding_and_short_esq() {
     for (name, qodg) in workloads().into_iter().take(4) {
         assert_estimates_match(&name, &qodg, options);
     }
+}
+
+// ── Warm path-table differentials ────────────────────────────────────────
+
+fn assert_same_estimate(at: &str, got: &Option<Estimate>, want: &Option<Estimate>) {
+    match (got, want) {
+        (Some(g), Some(w)) => {
+            assert_eq!(g.latency, w.latency, "{at}: latency");
+            assert_eq!(g.l_cnot_avg, w.l_cnot_avg, "{at}: L_CNOT");
+            assert_eq!(g.l_one_qubit_avg, w.l_one_qubit_avg, "{at}: L_g");
+            assert_eq!(g.d_uncong, w.d_uncong, "{at}: d_uncong");
+            assert_eq!(
+                g.avg_zone_area.to_bits(),
+                w.avg_zone_area.to_bits(),
+                "{at}: B"
+            );
+            assert_eq!(g.zone_side, w.zone_side, "{at}: zone side");
+            assert_eq!(g.esq, w.esq, "{at}: esq");
+            assert_eq!(g.critical, w.critical, "{at}: critical");
+            assert_eq!(g.qubit_count, w.qubit_count, "{at}: qubits");
+        }
+        (None, None) => {}
+        other => panic!("{at}: fit disagreement {other:?}"),
+    }
+}
+
+/// Estimates `candidates` through shared profiles whose path tables warm
+/// as they go, and compares every field with a fresh
+/// `Estimator::estimate`. One profile serves ascending sides, then
+/// descending sides, then one `sweep_profile`. A second profile starts
+/// with a sweep over every other side and then estimates the rest, one
+/// by one, so they land between resolved values.
+fn assert_warm_tables_match(name: &str, qodg: &Qodg, candidates: &[FabricDims]) {
+    let params = PhysicalParams::dac13();
+    let options = EstimatorOptions::default();
+    let estimator = |dims: FabricDims| Estimator::with_options(dims, params.clone(), options);
+    let fresh: Vec<Option<Estimate>> = candidates
+        .iter()
+        .map(|&dims| estimator(dims).estimate(qodg).ok())
+        .collect();
+    let check = |order: &str, run: Vec<Option<Estimate>>| {
+        for ((dims, got), want) in candidates.iter().zip(&run).zip(&fresh) {
+            assert_same_estimate(&format!("{name}@{dims:?} ({order})"), got, want);
+        }
+    };
+
+    let data = ProfileData::new(qodg);
+    let profile = ProgramProfile::from_data(qodg, &data);
+    let one = |dims: FabricDims| estimator(dims).estimate_with_profile(&profile).ok();
+    check("ascending", candidates.iter().map(|&d| one(d)).collect());
+    let mut descending: Vec<_> = candidates.iter().rev().map(|&d| one(d)).collect();
+    descending.reverse();
+    check("descending", descending);
+    let swept = sweep_profile(&profile, &params, options, candidates.iter().copied());
+    check("sweep", swept.into_iter().map(|p| p.estimate).collect());
+
+    let data = ProfileData::new(qodg);
+    let profile = ProgramProfile::from_data(qodg, &data);
+    let every_other = candidates.iter().step_by(2).copied();
+    let mut interleaved: Vec<Option<Estimate>> = vec![None; candidates.len()];
+    for (i, point) in sweep_profile(&profile, &params, options, every_other)
+        .into_iter()
+        .enumerate()
+    {
+        interleaved[2 * i] = point.estimate;
+    }
+    for i in (1..candidates.len()).step_by(2).rev() {
+        interleaved[i] = estimator(candidates[i])
+            .estimate_with_profile(&profile)
+            .ok();
+    }
+    check("interleaved", interleaved);
+}
+
+#[test]
+fn warm_path_tables_bit_identical_across_suite() {
+    for (name, qodg) in workloads() {
+        assert_warm_tables_match(&name, &qodg, &candidate_dims(qodg.num_qubits() as u64));
+    }
+}
+
+#[test]
+fn warm_path_tables_bit_identical_on_gf2_ties() {
+    // `gf2^64mult` selects a different node path at almost every side
+    // from 40 to 80, all with one op census: exact ties that float
+    // rounding breaks.
+    let bench = Benchmark::by_name("gf2^64mult").expect("known");
+    let ft = lower_to_ft(&bench.circuit()).expect("suite lowers");
+    let qodg = Qodg::from_ft_circuit(&ft);
+    let sides: Vec<FabricDims> = (40..=80)
+        .map(|s| FabricDims::new(s, s).expect("valid"))
+        .collect();
+    assert_warm_tables_match("gf2^64mult", &qodg, &sides);
 }
 
 // ── Property test over random circuits ───────────────────────────────────
