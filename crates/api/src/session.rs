@@ -53,11 +53,14 @@ use crate::store::ProfileStore;
 use crate::BatchResponse;
 
 /// The cached, spec-independent part of a loaded program: canonical
-/// source, lowered QODG, and the lazily-computed [`ProfileData`]. Shared
-/// (via `Arc`) by every request whose content hashes to it.
+/// source and its content key, lowered QODG, and the lazily-computed
+/// [`ProfileData`]. Shared (via `Arc`) by every request whose content
+/// hashes to it.
 #[derive(Debug)]
 struct ProgramData {
     source: String,
+    /// `fnv1a(source)`: the cache key, which also names the snapshot file.
+    key: u64,
     qodg: Qodg,
     /// Computed on first use by an endpoint that needs it (estimate,
     /// sweep, zones, compare, `dot --graph iig`) — `map` and `gen` never
@@ -121,7 +124,7 @@ impl ProgramHandle {
     pub fn profile_data(&self) -> &ProfileData {
         self.shared.profile.get_or_init(|| {
             if let Some(store) = &self.store {
-                match store.load(&self.shared.source) {
+                match store.load_keyed(self.shared.key, &self.shared.source) {
                     Ok(data) => {
                         self.counters.store_hits.fetch_add(1, Ordering::Relaxed);
                         return data;
@@ -138,7 +141,7 @@ impl ProgramHandle {
             if let Some(store) = &self.store {
                 // Best-effort: a failed save costs the next restart a
                 // rebuild, never this request.
-                let _ = store.save(&self.shared.source, &data);
+                let _ = store.save_keyed(self.shared.key, &self.shared.source, &data);
             }
             data
         })
@@ -582,13 +585,21 @@ impl Session {
         })
     }
 
-    /// Lowers a resolved circuit into the shareable program data.
-    fn lower(&self, resolved: &ResolvedSpec) -> Result<ProgramData, LeqaError> {
-        let ft = lower_to_ft(&resolved.circuit)
+    /// Lowers a resolved circuit into the shareable program data, which
+    /// takes ownership of the canonical text.
+    fn lower(
+        &self,
+        label: &str,
+        circuit: &Circuit,
+        source: String,
+        key: u64,
+    ) -> Result<ProgramData, LeqaError> {
+        let ft = lower_to_ft(circuit)
             .map_err(LeqaError::from)
-            .map_err(|e| e.context(format!("lowering `{}`", resolved.label)))?;
+            .map_err(|e| e.context(format!("lowering `{label}`")))?;
         Ok(ProgramData {
-            source: resolved.source.clone(),
+            source,
+            key,
             qodg: Qodg::from_ft_circuit(&ft),
             profile: OnceLock::new(),
         })
@@ -641,14 +652,20 @@ impl Session {
         // insert-or-adopt under the shard write lock. A concurrent load
         // of the same program may win the race; the loser adopts the
         // winner's entry so profiles stay exactly-once.
-        let candidate = Arc::new(self.lower(&resolved)?);
-        let (shared, fresh) = self.cache.insert(resolved.key, candidate);
+        let ResolvedSpec {
+            label,
+            circuit,
+            source,
+            key,
+        } = resolved;
+        let candidate = Arc::new(self.lower(&label, &circuit, source, key)?);
+        let (shared, fresh) = self.cache.insert(key, candidate);
         if fresh {
             self.counters.record_miss();
         } else {
             self.counters.record_hit();
         }
-        Ok((self.handle(resolved.label, shared), !fresh))
+        Ok((self.handle(label, shared), !fresh))
     }
 
     /// Resolves a per-request fabric override against the session fabric.
@@ -796,7 +813,7 @@ impl Session {
             if let Some(shared) = self.cache.lookup(r.key, &r.source) {
                 return Ok((shared, true));
             }
-            let candidate = Arc::new(self.lower(r)?);
+            let candidate = Arc::new(self.lower(&r.label, &r.circuit, r.source.clone(), r.key)?);
             let (shared, fresh) = self.cache.insert(r.key, candidate);
             Ok((shared, !fresh))
         });
@@ -961,8 +978,9 @@ impl Session {
 
         let source = format!("stream:{}", entry.stream.name());
         let data = entry.profile.get_or_init(|| {
+            let source_key = fnv1a(source.as_bytes());
             if let Some(store) = &self.store {
-                match store.load(&source) {
+                match store.load_keyed(source_key, &source) {
                     Ok(data) => {
                         self.counters.store_hits.fetch_add(1, Ordering::Relaxed);
                         return data;
@@ -981,7 +999,7 @@ impl Session {
                 .finish()
                 .expect("generated shor streams are well-formed");
             if let Some(store) = &self.store {
-                let _ = store.save(&source, &data);
+                let _ = store.save_keyed(source_key, &source, &data);
             }
             data
         });

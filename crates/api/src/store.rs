@@ -294,8 +294,13 @@ impl ProfileStore {
     /// The snapshot path for a program's canonical source text.
     #[must_use]
     pub fn path_for(&self, source: &str) -> PathBuf {
-        self.dir
-            .join(format!("{:016x}.{SNAPSHOT_EXT}", fnv1a(source.as_bytes())))
+        self.path_for_key(fnv1a(source.as_bytes()))
+    }
+
+    /// The snapshot path for a source whose content key `fnv1a(source)`
+    /// is `key`.
+    fn path_for_key(&self, key: u64) -> PathBuf {
+        self.dir.join(format!("{key:016x}.{SNAPSHOT_EXT}"))
     }
 
     /// Loads the snapshot for `source`, verifying the checksum and that
@@ -308,7 +313,13 @@ impl ProfileStore {
     /// when the file exists but cannot be trusted. Callers treat every
     /// error as a miss and recompute.
     pub fn load(&self, source: &str) -> Result<ProfileData, SnapshotError> {
-        let path = self.path_for(source);
+        self.load_keyed(fnv1a(source.as_bytes()), source)
+    }
+
+    /// [`load`](Self::load) for a caller that already holds the source's
+    /// content key, `fnv1a(source)`, so the text is not hashed again.
+    pub(crate) fn load_keyed(&self, key: u64, source: &str) -> Result<ProfileData, SnapshotError> {
+        let path = self.path_for_key(key);
         let bytes = match std::fs::read(&path) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -338,7 +349,18 @@ impl ProfileStore {
     /// treat save failures as best-effort (a cold restart, not a request
     /// failure).
     pub fn save(&self, source: &str, data: &ProfileData) -> Result<(), SnapshotError> {
-        let path = self.path_for(source);
+        self.save_keyed(fnv1a(source.as_bytes()), source, data)
+    }
+
+    /// [`save`](Self::save) for a caller that already holds the source's
+    /// content key, `fnv1a(source)`.
+    pub(crate) fn save_keyed(
+        &self,
+        key: u64,
+        source: &str,
+        data: &ProfileData,
+    ) -> Result<(), SnapshotError> {
+        let path = self.path_for_key(key);
         let tmp = self.dir.join(format!(
             ".tmp-{}-{}",
             std::process::id(),

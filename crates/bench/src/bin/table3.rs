@@ -4,10 +4,139 @@
 //! Absolute runtimes are incomparable across machines and languages (the
 //! paper used Java on a 2010 Pentium dual-core); what must reproduce is
 //! the *shape*: the speedup grows with the operation count.
+//!
+//! LEQA's time is the cold estimate, split into its two stages: the
+//! program profile (IIG and the Eq. 7/12 aggregates) and the fabric half
+//! (Eqs. 1–11 and the critical path). Lowering and the QODG build are
+//! shared by both tools and fall outside Table 3's timers, as in the
+//! paper; they are still measured, as is a warm query (the fabric half
+//! again, with the critical path already resolved). With
+//! `BENCH_JSON=FILE` each program appends one JSON line to `FILE` with
+//! every stage and each ratio with its numerator and denominator, the
+//! cost trajectory recorded in `BENCH_cost.json`.
 
-use leqa_bench::run_benchmark;
+use std::io::Write as _;
+use std::time::Instant;
+
+use leqa::{Estimator, ProfileData, ProgramProfile};
+use leqa_api::json::Json;
+use leqa_circuit::{decompose::lower_to_ft, Qodg};
 use leqa_fabric::{FabricDims, PhysicalParams};
-use leqa_workloads::SUITE;
+use leqa_workloads::{Benchmark, SUITE};
+use qspr::Mapper;
+
+/// One program's stage timings, in milliseconds.
+struct Stages {
+    qubits: u64,
+    ops: u64,
+    lower_ms: f64,
+    qodg_ms: f64,
+    mapper_ms: f64,
+    profile_ms: f64,
+    fabric_half_ms: f64,
+    /// The fabric half again, its critical path now resolved in the
+    /// profile's path table: what a warm design-loop query pays.
+    warm_ms: f64,
+}
+
+impl Stages {
+    fn estimator_ms(&self) -> f64 {
+        self.profile_ms + self.fabric_half_ms
+    }
+
+    /// Table 3's speedup: mapper over cold estimator.
+    fn speedup(&self) -> f64 {
+        self.mapper_ms / self.estimator_ms()
+    }
+
+    fn to_json(&self, name: &str) -> Json {
+        let ratio = |numerator: f64, denominator: f64| {
+            Json::obj(vec![
+                ("value", Json::Num(numerator / denominator)),
+                ("numerator_ms", Json::Num(numerator)),
+                ("denominator_ms", Json::Num(denominator)),
+            ])
+        };
+        let shared = self.lower_ms + self.qodg_ms;
+        Json::obj(vec![
+            ("name", Json::str(format!("table3/{name}"))),
+            ("qubits", Json::Num(self.qubits as f64)),
+            ("ops", Json::Num(self.ops as f64)),
+            ("lower_ms", Json::Num(self.lower_ms)),
+            ("qodg_ms", Json::Num(self.qodg_ms)),
+            ("mapper_ms", Json::Num(self.mapper_ms)),
+            ("estimator_ms", Json::Num(self.estimator_ms())),
+            ("profile_ms", Json::Num(self.profile_ms)),
+            ("fabric_half_ms", Json::Num(self.fabric_half_ms)),
+            ("warm_ms", Json::Num(self.warm_ms)),
+            // Table 3's column: mapper over estimator.
+            ("speedup", ratio(self.mapper_ms, self.estimator_ms())),
+            // From the circuit: both sides also lower and build the QODG.
+            (
+                "cold_speedup",
+                ratio(shared + self.mapper_ms, shared + self.estimator_ms()),
+            ),
+        ])
+    }
+}
+
+fn ms_since(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64() * 1e3
+}
+
+/// Lowers, maps and estimates one program, timing every stage once.
+fn measure(bench: &Benchmark, dims: FabricDims, params: &PhysicalParams) -> Stages {
+    let circuit = bench.circuit();
+    let t0 = Instant::now();
+    let ft = lower_to_ft(&circuit).expect("suite circuits lower cleanly");
+    let lower_ms = ms_since(t0);
+    let t0 = Instant::now();
+    let qodg = Qodg::from_ft_circuit(&ft);
+    let qodg_ms = ms_since(t0);
+    drop(ft);
+
+    let t0 = Instant::now();
+    let mapped = Mapper::new(dims, params.clone()).map(&qodg);
+    let mapper_ms = ms_since(t0);
+    mapped.expect("suite fits the fabric");
+
+    let estimator = Estimator::new(dims, params.clone());
+    let t0 = Instant::now();
+    let data = ProfileData::new(&qodg);
+    let profile_ms = ms_since(t0);
+    let profile = ProgramProfile::from_data(&qodg, &data);
+    let t0 = Instant::now();
+    let estimate = estimator.estimate_with_profile(&profile);
+    let fabric_half_ms = ms_since(t0);
+    estimate.expect("suite fits the fabric");
+    let t0 = Instant::now();
+    let warm = estimator.estimate_with_profile(&profile);
+    let warm_ms = ms_since(t0);
+    warm.expect("suite fits the fabric");
+
+    Stages {
+        qubits: u64::from(qodg.num_qubits()),
+        ops: qodg.op_count() as u64,
+        lower_ms,
+        qodg_ms,
+        mapper_ms,
+        profile_ms,
+        fabric_half_ms,
+        warm_ms,
+    }
+}
+
+fn emit(line: &str) {
+    if let Ok(path) = std::env::var("BENCH_JSON") {
+        if let Ok(mut file) = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)
+        {
+            let _ = writeln!(file, "{line}");
+        }
+    }
+}
 
 fn main() {
     let dims = FabricDims::dac13();
@@ -37,23 +166,23 @@ fn main() {
     let mut first_speedup = None;
     let mut last_speedup = 0.0;
     for bench in &SUITE {
-        let row = run_benchmark(bench, dims, &params);
-        if first_speedup.is_none() {
-            first_speedup = Some(row.speedup);
-        }
-        last_speedup = row.speedup;
+        let stages = measure(bench, dims, &params);
+        let speedup = stages.speedup();
+        first_speedup.get_or_insert(speedup);
+        last_speedup = speedup;
         println!(
             "{:<16} {:>7} {:>9} | {:>9.4} {:>9.5} {:>8.1} | {:>9.1} {:>9.3} {:>8.1}",
-            row.name,
-            row.qubits,
-            row.ops,
-            row.qspr_runtime_s,
-            row.leqa_runtime_s,
-            row.speedup,
+            bench.name,
+            stages.qubits,
+            stages.ops,
+            stages.mapper_ms / 1e3,
+            stages.estimator_ms() / 1e3,
+            speedup,
             bench.paper.qspr_runtime_s,
             bench.paper.leqa_runtime_s,
             bench.paper.speedup,
         );
+        emit(&stages.to_json(bench.name).encode());
     }
     println!("{}", "-".repeat(110));
     println!(

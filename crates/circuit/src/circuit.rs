@@ -80,13 +80,11 @@ impl Circuit {
     /// Returns [`CircuitError::QubitOutOfRange`] if the gate touches a wire
     /// at or beyond [`num_qubits`](Self::num_qubits).
     pub fn push(&mut self, gate: Gate) -> Result<(), CircuitError> {
-        for q in gate.qubits() {
-            if q.0 >= self.num_qubits {
-                return Err(CircuitError::QubitOutOfRange {
-                    qubit: q,
-                    num_qubits: self.num_qubits,
-                });
-            }
+        if let Some(qubit) = gate.operands().find(|q| q.0 >= self.num_qubits) {
+            return Err(CircuitError::QubitOutOfRange {
+                qubit,
+                num_qubits: self.num_qubits,
+            });
         }
         self.gates.push(gate);
         Ok(())
@@ -191,6 +189,11 @@ impl FtCircuit {
         &self.ops
     }
 
+    /// Makes room for exactly `additional` more ops.
+    pub(crate) fn reserve_exact(&mut self, additional: usize) {
+        self.ops.reserve_exact(additional);
+    }
+
     /// Appends an op, validating operands.
     ///
     /// # Errors
@@ -268,6 +271,29 @@ mod tests {
             c.push(Gate::not(QubitId(2))),
             Err(CircuitError::QubitOutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn push_names_the_first_offending_operand() {
+        let q = QubitId;
+        let gates = [
+            (Gate::toffoli(q(0), q(8), q(5)).unwrap(), q(8)),
+            (Gate::mct(vec![q(0), q(6), q(1), q(9)], q(7)).unwrap(), q(6)),
+            (Gate::mct(vec![q(0), q(2), q(1)], q(7)).unwrap(), q(7)),
+            (Gate::mcf(vec![q(0), q(1)], q(9), q(3)).unwrap(), q(9)),
+            (Gate::mcf(vec![q(0), q(1)], q(3), q(11)).unwrap(), q(11)),
+        ];
+        for (gate, first) in gates {
+            let expected = *gate.qubits().iter().find(|x| x.0 >= 4).unwrap();
+            assert_eq!(expected, first);
+            assert_eq!(
+                Circuit::new(4).push(gate),
+                Err(CircuitError::QubitOutOfRange {
+                    qubit: first,
+                    num_qubits: 4
+                })
+            );
+        }
     }
 
     #[test]

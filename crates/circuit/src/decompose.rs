@@ -52,11 +52,21 @@ pub fn lower_to_ft(circuit: &Circuit) -> Result<FtCircuit, CircuitError> {
         expand_gate(gate, &mut next_qubit, &mut simple)?;
     }
 
-    // Pass 2: lower 3-input Toffolis to the FT set.
+    // Pass 2: lower 3-input Toffolis to the FT set, into an op list
+    // sized once.
     let mut ft = FtCircuit::new(next_qubit);
     if let Some(name) = circuit.name() {
         ft.set_name(name);
     }
+    ft.reserve_exact(
+        simple
+            .iter()
+            .map(|g| match g {
+                SimpleGate::Toffoli(..) => FT_OPS_PER_TOFFOLI,
+                SimpleGate::One(..) | SimpleGate::Cnot(..) => 1,
+            })
+            .sum(),
+    );
     for g in simple {
         match g {
             SimpleGate::One(kind, q) => ft.push_one_qubit(kind, q)?,

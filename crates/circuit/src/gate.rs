@@ -92,10 +92,17 @@ pub enum Gate {
     },
 }
 
-fn ensure_distinct(qubits: &[QubitId]) -> Result<(), CircuitError> {
-    for (i, &q) in qubits.iter().enumerate() {
-        if qubits[i + 1..].contains(&q) {
-            return Err(CircuitError::DuplicateOperand { qubit: q });
+/// Rejects a wire that appears twice in `head` followed by `tail`,
+/// naming the first operand that recurs later in that order.
+fn ensure_distinct(head: &[QubitId], tail: &[QubitId]) -> Result<(), CircuitError> {
+    for (i, q) in head.iter().enumerate() {
+        if head[i + 1..].contains(q) || tail.contains(q) {
+            return Err(CircuitError::DuplicateOperand { qubit: *q });
+        }
+    }
+    for (i, q) in tail.iter().enumerate() {
+        if tail[i + 1..].contains(q) {
+            return Err(CircuitError::DuplicateOperand { qubit: *q });
         }
     }
     Ok(())
@@ -121,7 +128,7 @@ impl Gate {
     ///
     /// Returns [`CircuitError::DuplicateOperand`] if `control == target`.
     pub fn cnot(control: QubitId, target: QubitId) -> Result<Gate, CircuitError> {
-        ensure_distinct(&[control, target])?;
+        ensure_distinct(&[control, target], &[])?;
         Ok(Gate::Cnot { control, target })
     }
 
@@ -132,7 +139,7 @@ impl Gate {
     /// Returns [`CircuitError::DuplicateOperand`] if any two operands
     /// coincide.
     pub fn toffoli(c1: QubitId, c2: QubitId, target: QubitId) -> Result<Gate, CircuitError> {
-        ensure_distinct(&[c1, c2, target])?;
+        ensure_distinct(&[c1, c2, target], &[])?;
         Ok(Gate::Toffoli { c1, c2, target })
     }
 
@@ -143,7 +150,7 @@ impl Gate {
     /// Returns [`CircuitError::DuplicateOperand`] if any two operands
     /// coincide.
     pub fn fredkin(control: QubitId, a: QubitId, b: QubitId) -> Result<Gate, CircuitError> {
-        ensure_distinct(&[control, a, b])?;
+        ensure_distinct(&[control, a, b], &[])?;
         Ok(Gate::Fredkin { control, a, b })
     }
 
@@ -158,9 +165,7 @@ impl Gate {
         if controls.is_empty() {
             return Err(CircuitError::EmptyControls);
         }
-        let mut all = controls.clone();
-        all.push(target);
-        ensure_distinct(&all)?;
+        ensure_distinct(&controls, &[target])?;
         Ok(match controls.len() {
             1 => Gate::Cnot {
                 control: controls[0],
@@ -186,10 +191,7 @@ impl Gate {
         if controls.is_empty() {
             return Err(CircuitError::EmptyControls);
         }
-        let mut all = controls.clone();
-        all.push(a);
-        all.push(b);
-        ensure_distinct(&all)?;
+        ensure_distinct(&controls, &[a, b])?;
         Ok(match controls.len() {
             1 => Gate::Fredkin {
                 control: controls[0],
@@ -202,29 +204,26 @@ impl Gate {
 
     /// All wires this gate touches, controls first.
     pub fn qubits(&self) -> Vec<QubitId> {
-        match self {
-            Gate::OneQubit { target, .. } => vec![*target],
-            Gate::Cnot { control, target } => vec![*control, *target],
-            Gate::Toffoli { c1, c2, target } => vec![*c1, *c2, *target],
-            Gate::Fredkin { control, a, b } => vec![*control, *a, *b],
-            Gate::Mct { controls, target } => {
-                let mut v = controls.clone();
-                v.push(*target);
-                v
-            }
-            Gate::Mcf { controls, a, b } => {
-                let mut v = controls.clone();
-                v.push(*a);
-                v.push(*b);
-                v
-            }
-        }
+        self.operands().collect()
+    }
+
+    /// The wires of [`qubits`](Self::qubits), in the same order, without
+    /// allocating.
+    pub(crate) fn operands(&self) -> impl Iterator<Item = QubitId> + '_ {
+        let (controls, rest): (&[QubitId], [Option<QubitId>; 3]) = match self {
+            Gate::OneQubit { target, .. } => (&[], [Some(*target), None, None]),
+            Gate::Cnot { control, target } => (&[], [Some(*control), Some(*target), None]),
+            Gate::Toffoli { c1, c2, target } => (&[], [Some(*c1), Some(*c2), Some(*target)]),
+            Gate::Fredkin { control, a, b } => (&[], [Some(*control), Some(*a), Some(*b)]),
+            Gate::Mct { controls, target } => (controls, [Some(*target), None, None]),
+            Gate::Mcf { controls, a, b } => (controls, [Some(*a), Some(*b), None]),
+        };
+        controls.iter().copied().chain(rest.into_iter().flatten())
     }
 
     /// The largest qubit index this gate touches.
     pub fn max_qubit(&self) -> QubitId {
-        self.qubits()
-            .into_iter()
+        self.operands()
             .max()
             .expect("every gate touches at least one qubit")
     }
@@ -291,6 +290,31 @@ mod tests {
         assert!(Gate::fredkin(QubitId(0), QubitId(1), QubitId(1)).is_err());
         assert!(Gate::mct(vec![QubitId(0), QubitId(1)], QubitId(1)).is_err());
         assert!(Gate::mcf(vec![QubitId(0)], QubitId(1), QubitId(0)).is_err());
+    }
+
+    /// The duplicate check as it stood before: scan the concatenated
+    /// operand list for the first wire that recurs later.
+    fn first_repeat(all: &[QubitId]) -> Option<QubitId> {
+        (0..all.len())
+            .find(|&i| all[i + 1..].contains(&all[i]))
+            .map(|i| all[i])
+    }
+
+    #[test]
+    fn multi_controlled_duplicates_are_named_like_the_concatenated_scan() {
+        // Every operand list of length 3 to 5 over 4 wires.
+        for len in 3..=5u32 {
+            for code in 0..4u32.pow(len) {
+                let all: Vec<QubitId> = (0..len).map(|i| QubitId(code / 4u32.pow(i) % 4)).collect();
+                let expected =
+                    first_repeat(&all).map(|qubit| CircuitError::DuplicateOperand { qubit });
+                let n = all.len();
+                let mct = Gate::mct(all[..n - 1].to_vec(), all[n - 1]);
+                assert_eq!(mct.err(), expected, "mct {all:?}");
+                let mcf = Gate::mcf(all[..n - 2].to_vec(), all[n - 2], all[n - 1]);
+                assert_eq!(mcf.err(), expected, "mcf {all:?}");
+            }
+        }
     }
 
     #[test]

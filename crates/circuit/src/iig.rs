@@ -11,10 +11,11 @@
 //!
 //! The graph is stored in compressed sparse row (CSR) form: one flat arena
 //! of `(neighbour, weight)` entries sorted within each qubit's run, plus an
-//! offset table — no per-qubit hash maps. Construction sorts and
-//! run-length-encodes the CNOT pair stream, so building from a circuit of
-//! `g` two-qubit ops costs `O(g log g)` with zero per-node allocation, and
-//! `degree`/`strength` are O(1) lookups (strengths are precomputed).
+//! offset table — no per-qubit hash maps. Construction counts the CNOT
+//! pair stream with [`count_edges`], so building from a circuit of `g` ops
+//! over `Q` qubits costs `O(g + Q)` plus a sort of each qubit's distinct
+//! partners, with no per-node allocation, and `degree`/`strength` are O(1)
+//! lookups (strengths are precomputed).
 
 use crate::{FtCircuit, FtOp, Qodg, QubitId};
 
@@ -55,43 +56,20 @@ pub struct Iig {
 impl Iig {
     /// Builds the IIG by a single traversal of the lowered circuit.
     pub fn from_ft_circuit(circuit: &FtCircuit) -> Self {
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for op in circuit.ops() {
-            if let FtOp::Cnot { control, target } = *op {
-                pairs.push(normalize(control, target));
-            }
-        }
-        Iig::from_pairs(circuit.num_qubits(), pairs)
+        let ops = circuit.ops();
+        let edges = count_edges(circuit.num_qubits(), ops.len(), || {
+            ops.iter().filter_map(|&op| cnot_pair(op))
+        });
+        Iig::from_sorted_edges(circuit.num_qubits(), edges)
     }
 
-    /// Builds the IIG by traversing a QODG (Algorithm 1, line 1:
-    /// `O(|V| + |E|)` plus the pair sort).
+    /// Builds the IIG by traversing a QODG (Algorithm 1, line 1), in time
+    /// linear in its ops and qubits (see [`count_edges`]).
     pub fn from_qodg(qodg: &Qodg) -> Self {
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for (_, op) in qodg.op_nodes() {
-            if let FtOp::Cnot { control, target } = op {
-                pairs.push(normalize(control, target));
-            }
-        }
-        Iig::from_pairs(qodg.num_qubits(), pairs)
-    }
-
-    /// Builds the CSR arenas from the raw interaction pair stream by
-    /// sort + run-length dedup (two passes over the sorted pairs, no
-    /// per-node allocation).
-    fn from_pairs(num_qubits: u32, mut pairs: Vec<(u32, u32)>) -> Self {
-        pairs.sort_unstable();
-        let mut edges: Vec<(u32, u32, u64)> = Vec::new();
-        let mut i = 0;
-        while i < pairs.len() {
-            let (a, b) = pairs[i];
-            let start = i;
-            while i < pairs.len() && pairs[i] == (a, b) {
-                i += 1;
-            }
-            edges.push((a, b, (i - start) as u64));
-        }
-        Iig::from_sorted_edges(num_qubits, edges)
+        let edges = count_edges(qodg.num_qubits(), qodg.op_count(), || {
+            qodg.op_nodes().filter_map(|(_, op)| cnot_pair(op))
+        });
+        Iig::from_sorted_edges(qodg.num_qubits(), edges)
     }
 
     /// Rebuilds an IIG from its unique weighted edge list — the inverse
@@ -281,14 +259,140 @@ impl Iig {
     }
 }
 
+/// The normalized `(lo, hi)` endpoints of a CNOT; `None` for one-qubit ops.
 #[inline]
-fn normalize(a: QubitId, b: QubitId) -> (u32, u32) {
-    debug_assert_ne!(a, b, "no self-loops in the IIG");
-    if a.0 <= b.0 {
-        (a.0, b.0)
-    } else {
-        (b.0, a.0)
+fn cnot_pair(op: FtOp) -> Option<(u32, u32)> {
+    match op {
+        FtOp::Cnot { control, target } => {
+            debug_assert_ne!(control, target, "no self-loops in the IIG");
+            Some((control.0.min(target.0), control.0.max(target.0)))
+        }
+        FtOp::OneQubit { .. } => None,
     }
+}
+
+/// The IIG counting kernel: turns normalized CNOT endpoint pairs
+/// `(lo, hi)`, `lo < hi < num_qubits`, into the sorted, unique, weighted
+/// edge run `(lo, hi, count)` — the run a sort and run-length encoding of
+/// the whole pair stream yields — in time linear in the pairs and qubits.
+///
+/// `pairs` must yield the same sequence on every call, and at most
+/// `bound` pairs. Two layouts, chosen from `num_qubits` and `bound`
+/// alone:
+///
+/// - **Dense**: a `Q × Q` matrix of `u32` counters, when it is no larger
+///   than a buffer of `bound` pairs would be (`4·Q² ≤ 8·bound`). One
+///   pass counts, one row-major scan of the upper triangle emits.
+/// - **Bucketed**: otherwise, a counting sort of the partners by lower
+///   endpoint (two passes over `pairs`), then per endpoint an `O(Q)`
+///   counter array tallies its bucket and only the distinct partners are
+///   sorted. Only the entries pairs land on are visited, so a short
+///   stream over a wide register stays cheap.
+///
+/// Both produce exactly the same run; the builders in this module and
+/// the streaming accumulator in `leqa::stream` all go through here.
+///
+/// # Examples
+///
+/// ```
+/// use leqa_circuit::count_edges;
+///
+/// let pairs = [(1, 2), (0, 1), (1, 2)];
+/// let run = count_edges(3, pairs.len(), || pairs.iter().copied());
+/// assert_eq!(run, vec![(0, 1, 1), (1, 2, 2)]);
+/// ```
+pub fn count_edges<I>(num_qubits: u32, bound: usize, pairs: impl Fn() -> I) -> Vec<(u32, u32, u64)>
+where
+    I: Iterator<Item = (u32, u32)>,
+{
+    let q = num_qubits as usize;
+    let cells = (q as u64) * (q as u64);
+    if cells <= (bound as u64).saturating_mul(2) && bound <= u32::MAX as usize {
+        count_dense(q, pairs())
+    } else {
+        count_bucketed(q, pairs)
+    }
+}
+
+/// The dense layout of [`count_edges`]: `bound ≤ u32::MAX` pairs, so no
+/// counter overflows.
+fn count_dense(q: usize, pairs: impl Iterator<Item = (u32, u32)>) -> Vec<(u32, u32, u64)> {
+    let mut counts = vec![0u32; q * q];
+    let mut distinct = 0usize;
+    for (lo, hi) in pairs {
+        debug_assert!(lo < hi, "pairs are normalized and loop-free");
+        let cell = &mut counts[lo as usize * q + hi as usize];
+        distinct += usize::from(*cell == 0);
+        *cell += 1;
+    }
+    let mut edges = Vec::with_capacity(distinct);
+    for (lo, row) in counts.chunks_exact(q.max(1)).enumerate() {
+        for (hi, &w) in row.iter().enumerate().skip(lo + 1) {
+            if w != 0 {
+                edges.push((lo as u32, hi as u32, u64::from(w)));
+            }
+        }
+    }
+    edges
+}
+
+/// The bucketed layout of [`count_edges`]. Its two `O(Q)` arrays are
+/// touched only where pairs land, so its work is linear in the pairs
+/// plus a sort of the distinct endpoints, however wide the register.
+fn count_bucketed<I>(q: usize, pairs: impl Fn() -> I) -> Vec<(u32, u32, u64)>
+where
+    I: Iterator<Item = (u32, u32)>,
+{
+    // Counting sort of the partners by lower endpoint, over the lower
+    // endpoints that occur: `heads[lo]` counts `lo`'s pairs, then becomes
+    // its write cursor, and ends as the end of its bucket.
+    let mut heads = vec![0usize; q];
+    let mut lows: Vec<u32> = Vec::new();
+    let mut total = 0;
+    for (lo, hi) in pairs() {
+        debug_assert!(lo < hi, "pairs are normalized and loop-free");
+        let head = &mut heads[lo as usize];
+        if *head == 0 {
+            lows.push(lo);
+        }
+        *head += 1;
+        total += 1;
+    }
+    lows.sort_unstable();
+    let mut offset = 0;
+    for &lo in &lows {
+        offset += std::mem::replace(&mut heads[lo as usize], offset);
+    }
+    let mut partners = vec![0u32; total];
+    for (lo, hi) in pairs() {
+        let head = &mut heads[lo as usize];
+        partners[*head] = hi;
+        *head += 1;
+    }
+
+    // Bucket by bucket in ascending `lo`: tally the partners, then sort
+    // only the distinct ones.
+    let mut tally = vec![0u64; q];
+    let mut distinct: Vec<u32> = Vec::new();
+    let mut edges = Vec::new();
+    let mut start = 0;
+    for &lo in &lows {
+        let end = heads[lo as usize];
+        distinct.clear();
+        for &hi in &partners[start..end] {
+            let count = &mut tally[hi as usize];
+            if *count == 0 {
+                distinct.push(hi);
+            }
+            *count += 1;
+        }
+        start = end;
+        distinct.sort_unstable();
+        for &hi in &distinct {
+            edges.push((lo, hi, std::mem::take(&mut tally[hi as usize])));
+        }
+    }
+    edges
 }
 
 #[cfg(test)]

@@ -60,7 +60,7 @@ pub mod viz;
 pub use circuit::{Circuit, CircuitStats, FtCircuit};
 pub use error::CircuitError;
 pub use gate::{FtOp, Gate, QubitId};
-pub use iig::Iig;
+pub use iig::{count_edges, Iig};
 pub use qodg::{CriticalPath, CriticalPathScratch, NodeId, Qodg, QodgNode};
 
 pub use leqa_fabric::OneQubitKind;

@@ -206,46 +206,124 @@ fn parse_gate(head: &str, rest: &[&str], line: usize) -> Result<Gate, CircuitErr
 }
 
 /// Renders a circuit back to the text format; `parse(&write(c))` round-trips.
+///
+/// The text is measured first and then written into a buffer of exactly
+/// that size: one allocation per call, none per gate.
 pub fn write(circuit: &Circuit) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    if let Some(name) = circuit.name() {
-        let _ = writeln!(out, ".name {name}");
+    let mut len = 0usize;
+    render(circuit, &mut len);
+    let mut out = String::with_capacity(len);
+    render(circuit, &mut out);
+    debug_assert_eq!(out.len(), len, "the measuring pass sizes the text exactly");
+    out
+}
+
+/// Where [`render`] puts the text: a byte count when measuring, the
+/// buffer when writing.
+trait Sink {
+    fn text(&mut self, text: &str);
+    fn id(&mut self, id: u32);
+}
+
+impl Sink for usize {
+    fn text(&mut self, text: &str) {
+        *self += text.len();
     }
-    let _ = writeln!(out, ".qubits {}", circuit.num_qubits());
+
+    fn id(&mut self, id: u32) {
+        *self += id.checked_ilog10().map_or(1, |digits| digits as usize + 1);
+    }
+}
+
+impl Sink for String {
+    fn text(&mut self, text: &str) {
+        self.push_str(text);
+    }
+
+    fn id(&mut self, mut id: u32) {
+        let mut digits = [0u8; 10];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (id % 10) as u8;
+            id /= 10;
+            if id == 0 {
+                break;
+            }
+        }
+        self.extend(digits[at..].iter().map(|&d| char::from(d)));
+    }
+}
+
+/// The text format's mnemonic for a one-qubit kind.
+fn mnemonic(kind: OneQubitKind) -> &'static str {
+    match kind {
+        OneQubitKind::H => "h",
+        OneQubitKind::T => "t",
+        OneQubitKind::Tdg => "tdg",
+        OneQubitKind::S => "s",
+        OneQubitKind::Sdg => "sdg",
+        OneQubitKind::X => "x",
+        OneQubitKind::Y => "y",
+        OneQubitKind::Z => "z",
+    }
+}
+
+/// Writes `ids` separated by single spaces.
+fn id_list(out: &mut impl Sink, ids: &[QubitId]) {
+    for (i, q) in ids.iter().enumerate() {
+        if i > 0 {
+            out.text(" ");
+        }
+        out.id(q.0);
+    }
+}
+
+/// The one rendering of the text format, run once to measure and once to
+/// write.
+fn render(circuit: &Circuit, out: &mut impl Sink) {
+    if let Some(name) = circuit.name() {
+        out.text(".name ");
+        out.text(name);
+        out.text("\n");
+    }
+    out.text(".qubits ");
+    out.id(circuit.num_qubits());
+    out.text("\n");
     for gate in circuit.gates() {
         match gate {
             Gate::OneQubit { kind, target } => {
-                let mnemonic = match kind {
-                    OneQubitKind::Tdg => "tdg",
-                    OneQubitKind::Sdg => "sdg",
-                    k => {
-                        let _ = writeln!(out, "{} {}", k.mnemonic().to_ascii_lowercase(), target.0);
-                        continue;
-                    }
-                };
-                let _ = writeln!(out, "{mnemonic} {}", target.0);
+                out.text(mnemonic(*kind));
+                out.text(" ");
+                out.id(target.0);
             }
             Gate::Cnot { control, target } => {
-                let _ = writeln!(out, "cnot {} {}", control.0, target.0);
+                out.text("cnot ");
+                id_list(out, &[*control, *target]);
             }
             Gate::Toffoli { c1, c2, target } => {
-                let _ = writeln!(out, "toffoli {} {} {}", c1.0, c2.0, target.0);
+                out.text("toffoli ");
+                id_list(out, &[*c1, *c2, *target]);
             }
             Gate::Fredkin { control, a, b } => {
-                let _ = writeln!(out, "fredkin {} {} {}", control.0, a.0, b.0);
+                out.text("fredkin ");
+                id_list(out, &[*control, *a, *b]);
             }
             Gate::Mct { controls, target } => {
-                let list: Vec<String> = controls.iter().map(|q| q.0.to_string()).collect();
-                let _ = writeln!(out, "mct {} {}", list.join(" "), target.0);
+                out.text("mct ");
+                id_list(out, controls);
+                out.text(" ");
+                out.id(target.0);
             }
             Gate::Mcf { controls, a, b } => {
-                let list: Vec<String> = controls.iter().map(|q| q.0.to_string()).collect();
-                let _ = writeln!(out, "mcf {} : {} {}", list.join(" "), a.0, b.0);
+                out.text("mcf ");
+                id_list(out, controls);
+                out.text(" : ");
+                id_list(out, &[*a, *b]);
             }
         }
+        out.text("\n");
     }
-    out
 }
 
 #[cfg(test)]

@@ -4,10 +4,11 @@
 //! way to *regression-test* a bound is to measure it from inside the
 //! process: external RSS numbers are noisy (allocator slack, test harness
 //! overhead) and platform-dependent. [`CountingAlloc`] wraps the system
-//! allocator with two atomic counters — live bytes and the high-water
-//! mark — so a test binary can install it with `#[global_allocator]` and
-//! assert `peak_bytes()` against a budget (see
-//! `crates/core/tests/bounded_memory.rs`).
+//! allocator with three atomic counters — live bytes, their high-water
+//! mark and the number of allocation calls — so a test binary can install
+//! it with `#[global_allocator]` and assert `peak_bytes()` against a
+//! budget (see `crates/core/tests/bounded_memory.rs`) or `allocations()`
+//! against a count (see `crates/core/tests/cold_allocs.rs`).
 //!
 //! The counters track *requested* bytes, not allocator-internal overhead;
 //! that is exactly what the streaming-vs-materialized comparison needs,
@@ -20,7 +21,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A [`System`]-backed allocator that tracks live bytes and their peak.
+/// A [`System`]-backed allocator that tracks live bytes, their peak and
+/// the number of allocation calls.
 ///
 /// All counter updates are relaxed atomics: the peak is maintained with a
 /// `fetch_max` loop, so concurrent allocations can under-report the peak
@@ -45,6 +47,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub struct CountingAlloc {
     live: AtomicUsize,
     peak: AtomicUsize,
+    allocs: AtomicUsize,
 }
 
 impl CountingAlloc {
@@ -54,7 +57,18 @@ impl CountingAlloc {
         CountingAlloc {
             live: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
+            allocs: AtomicUsize::new(0),
         }
+    }
+
+    /// Allocation calls since process start: every `alloc`,
+    /// `alloc_zeroed` and `realloc` that succeeded (a grown `Vec` counts
+    /// once per reallocation). Unlike byte figures these repeat exactly
+    /// for the same input, so tests difference two readings and assert a
+    /// count.
+    #[must_use]
+    pub fn allocations(&self) -> usize {
+        self.allocs.load(Ordering::Relaxed)
     }
 
     /// Bytes currently allocated and not yet freed.
@@ -78,6 +92,7 @@ impl CountingAlloc {
     }
 
     fn add(&self, bytes: usize) {
+        self.allocs.fetch_add(1, Ordering::Relaxed);
         let live = self.live.fetch_add(bytes, Ordering::Relaxed) + bytes;
         self.peak.fetch_max(live, Ordering::Relaxed);
     }
@@ -144,8 +159,10 @@ mod tests {
             assert!(!p.is_null());
             assert_eq!(a.live_bytes(), 1024);
             assert_eq!(a.peak_bytes(), 1024);
+            assert_eq!(a.allocations(), 1);
             a.dealloc(p, layout);
         }
+        assert_eq!(a.allocations(), 1, "a free is not an allocation");
         assert_eq!(a.live_bytes(), 0);
         assert_eq!(a.peak_bytes(), 1024, "peak survives the free");
         a.reset_peak();
@@ -163,6 +180,7 @@ mod tests {
             assert!(!p2.is_null());
             assert_eq!(a.live_bytes(), 4096);
             assert!(a.peak_bytes() >= 4096);
+            assert_eq!(a.allocations(), 2, "a reallocation counts once");
             a.dealloc(p2, Layout::from_size_align(4096, 8).unwrap());
         }
         assert_eq!(a.live_bytes(), 0);

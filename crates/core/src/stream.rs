@@ -16,9 +16,10 @@
 //! bounded by `O(qubits + unique IIG edges)`, never by the op count:
 //!
 //! - [`IigAccumulator`] buffers normalized CNOT endpoint pairs in fixed
-//!   chunks, sorts and run-length-encodes each chunk, and merges the
-//!   sorted runs geometrically (LSM-style) so the final single run is the
-//!   same sorted unique edge list a whole-stream sort+dedup would produce.
+//!   chunks, counts each chunk into a sorted weighted run with the same
+//!   kernel the materialized IIG uses ([`count_edges`]), and merges the
+//!   runs geometrically (LSM-style) so the final single run is the same
+//!   sorted unique edge list a whole-stream sort+dedup would produce.
 //! - [`StreamingProfileBuilder`] feeds the accumulator and finishes into a
 //!   [`ProfileData`] via [`Iig::from_weighted_edges`] — *bit-identical* to
 //!   [`ProfileData::new`] on the materialized QODG of the same stream,
@@ -33,14 +34,14 @@
 //! [`estimate_stream`](crate::Estimator::estimate_stream); `leqa-api`
 //! auto-selects it above a session-configurable op-count threshold.
 
-use leqa_circuit::{CircuitError, CriticalPath, FtCircuit, FtOp, Iig};
+use leqa_circuit::{count_edges, CircuitError, CriticalPath, FtCircuit, FtOp, Iig};
 use leqa_fabric::Micros;
 
 use crate::estimator::OpDelays;
 use crate::{EstimateError, ProfileData};
 
 /// Default pair-buffer capacity for [`IigAccumulator`]: 64 Ki pairs
-/// (512 KiB) — large enough that chunk sorting is a rounding error next
+/// (512 KiB) — large enough that chunk counting is a rounding error next
 /// to gate generation, small enough to be irrelevant to peak RSS.
 pub const DEFAULT_CHUNK_PAIRS: usize = 64 * 1024;
 
@@ -121,9 +122,10 @@ where
 }
 
 /// Incremental CSR-IIG construction: buffered chunks of normalized CNOT
-/// endpoint pairs, each sorted and run-length-encoded on flush, with the
-/// sorted runs merged geometrically so total work stays `O(n log n)` and
-/// live memory stays proportional to the *unique* edge count.
+/// endpoint pairs, each counted into a sorted weighted run on flush (by
+/// [`count_edges`], the materialized builders' kernel), with the runs
+/// merged geometrically so live memory stays proportional to the
+/// *unique* edge count.
 ///
 /// The final [`finish`](Self::finish) produces an [`Iig`] bit-identical to
 /// [`Iig::from_qodg`] on the materialized program: a single sorted unique
@@ -197,21 +199,15 @@ impl IigAccumulator {
         }
     }
 
-    /// Sorts and run-length-encodes the buffered chunk into a weighted
-    /// run, then restores the geometric invariant (each run at least
-    /// twice the size of the one stacked on it) by merging from the top.
+    /// Counts the buffered chunk into a weighted run, then restores the
+    /// geometric invariant (each run at least twice the size of the one
+    /// stacked on it) by merging from the top.
     fn flush_chunk(&mut self) {
         if self.chunk.is_empty() {
             return;
         }
-        self.chunk.sort_unstable();
-        let mut run: Vec<(u32, u32, u64)> = Vec::new();
-        for &(lo, hi) in &self.chunk {
-            match run.last_mut() {
-                Some((a, b, w)) if *a == lo && *b == hi => *w += 1,
-                _ => run.push((lo, hi, 1)),
-            }
-        }
+        let chunk = &self.chunk;
+        let run = count_edges(self.num_qubits, chunk.len(), || chunk.iter().copied());
         self.chunk.clear();
         self.runs.push(run);
         while self.runs.len() >= 2
