@@ -53,9 +53,9 @@ use crate::store::ProfileStore;
 use crate::BatchResponse;
 
 /// The cached, spec-independent part of a loaded program: canonical
-/// source and its content key, lowered QODG, and the lazily-computed
-/// [`ProfileData`]. Shared (via `Arc`) by every request whose content
-/// hashes to it.
+/// source and its content key, the lowered op list (as the [`Qodg`] view
+/// over it, 12 bytes per op), and the lazily-computed [`ProfileData`].
+/// Shared (via `Arc`) by every request whose content hashes to it.
 #[derive(Debug)]
 struct ProgramData {
     source: String,
@@ -317,7 +317,7 @@ pub struct SessionBuilder {
 
 /// Default op-count threshold above which [`Session::estimate`] switches
 /// generator-backed workloads to the streaming pipeline: one million
-/// lowered ops is roughly where materializing the QODG starts to dominate
+/// lowered ops is roughly where holding the op list starts to dominate
 /// a request's memory footprint while the streamed answer stays
 /// bit-identical.
 pub const DEFAULT_STREAMING_THRESHOLD: u64 = 1_000_000;
@@ -600,7 +600,7 @@ impl Session {
         Ok(ProgramData {
             source,
             key,
-            qodg: Qodg::from_ft_circuit(&ft),
+            qodg: Qodg::from(ft),
             profile: OnceLock::new(),
         })
     }

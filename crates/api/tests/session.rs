@@ -37,6 +37,41 @@ fn estimate_matches_the_engine_bit_for_bit() {
     assert!(!resp.profile_cached);
 }
 
+/// `streaming_threshold` promises bit-identical replies, including when
+/// every path has length 0 (zero gate delays, routing left out of the
+/// node delays) and the tie at the end node decides the census.
+#[test]
+fn streamed_replies_equal_materialized_ones_when_the_critical_path_is_empty() {
+    use leqa::EstimatorOptions;
+    use leqa_fabric::{GateDelays, Micros, PhysicalParams};
+
+    let params = PhysicalParams::dac13()
+        .to_builder()
+        .gate_delays(GateDelays::from_fn(|_| Micros::ZERO, Micros::ZERO))
+        .build()
+        .unwrap();
+    let options = EstimatorOptions {
+        update_critical_path: false,
+        ..EstimatorOptions::default()
+    };
+    let reply = |threshold: u64| {
+        let s = Session::builder()
+            .params(params.clone())
+            .options(options)
+            .streaming_threshold(threshold)
+            .build()
+            .unwrap();
+        let req = Request::Estimate(EstimateRequest::new(ProgramSpec::bench("shor_8")));
+        s.execute(&req).unwrap().to_json().encode()
+    };
+    let materialized = reply(u64::MAX);
+    assert!(
+        materialized.contains("\"latency_us\":245365.9178782562,"),
+        "{materialized}"
+    );
+    assert_eq!(reply(0), materialized);
+}
+
 #[test]
 fn repeat_requests_hit_the_profile_cache() {
     let s = session();

@@ -36,8 +36,7 @@ fn main() {
     let mut cases = Vec::new();
     for name in PICKS {
         let bench = leqa_workloads::Benchmark::by_name(name).expect("known benchmark");
-        let ft = lower_to_ft(&bench.circuit()).expect("suite lowers cleanly");
-        let qodg = Qodg::from_ft_circuit(&ft);
+        let qodg = Qodg::from(lower_to_ft(&bench.circuit()).expect("suite lowers cleanly"));
         let actual = Mapper::new(dims, params.clone())
             .map(&qodg)
             .expect("fits the fabric")

@@ -30,8 +30,7 @@ fn main() {
     let mut qspr_points = Vec::new();
     let mut leqa_points = Vec::new();
     for &n in &sizes {
-        let ft = lower_to_ft(&gf2_mult(n)).expect("gf2 lowers cleanly");
-        let qodg = Qodg::from_ft_circuit(&ft);
+        let qodg = Qodg::from(lower_to_ft(&gf2_mult(n)).expect("gf2 lowers cleanly"));
         let ops = qodg.op_count() as f64;
 
         let t0 = Instant::now();

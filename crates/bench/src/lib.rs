@@ -97,8 +97,7 @@ pub struct RunRow {
 /// the built-in suite on the DAC'13 fabric).
 pub fn run_benchmark(bench: &Benchmark, dims: FabricDims, params: &PhysicalParams) -> RunRow {
     let circuit = bench.circuit();
-    let ft = lower_to_ft(&circuit).expect("suite circuits lower cleanly");
-    let qodg = Qodg::from_ft_circuit(&ft);
+    let qodg = Qodg::from(lower_to_ft(&circuit).expect("suite circuits lower cleanly"));
 
     let mapper = Mapper::new(dims, params.clone());
     let t0 = Instant::now();

@@ -66,10 +66,7 @@ impl Iig {
     /// Builds the IIG by traversing a QODG (Algorithm 1, line 1), in time
     /// linear in its ops and qubits (see [`count_edges`]).
     pub fn from_qodg(qodg: &Qodg) -> Self {
-        let edges = count_edges(qodg.num_qubits(), qodg.op_count(), || {
-            qodg.op_nodes().filter_map(|(_, op)| cnot_pair(op))
-        });
-        Iig::from_sorted_edges(qodg.num_qubits(), edges)
+        Iig::from_ft_circuit(qodg.circuit())
     }
 
     /// Rebuilds an IIG from its unique weighted edge list — the inverse

@@ -16,7 +16,9 @@
 //! * [`decompose`] — the paper's decomposition pipeline (multi-controlled
 //!   Toffoli/Fredkin → 3-input Toffoli via ancillas, Fredkin → 3 Toffolis,
 //!   Toffoli → 15 FT gates), producing an [`FtCircuit`],
-//! * [`Qodg`] — the dependency DAG with critical-path extraction,
+//! * [`Qodg`] — the dependency DAG, a view over the lowered op list, with
+//!   the one critical-path kernel (also over op streams:
+//!   [`stream_critical_path`]),
 //! * [`Iig`] — the interaction intensity graph,
 //! * [`parser`] — a plain-text circuit format, read and write.
 //!
@@ -35,11 +37,11 @@
 //! let ft = lower_to_ft(&c)?;
 //! assert_eq!(ft.ops().len(), 16); // 15 for the Toffoli + 1 CNOT
 //!
-//! let qodg = Qodg::from_ft_circuit(&ft);
-//! assert_eq!(qodg.op_count(), 16);
-//!
 //! let iig = Iig::from_ft_circuit(&ft);
 //! assert_eq!(iig.degree(QubitId(2)), 2); // CNOTs touch q2 with q0 and q1
+//!
+//! let qodg = Qodg::from(ft); // takes the op list over, no copy
+//! assert_eq!(qodg.op_count(), 16);
 //! # Ok(())
 //! # }
 //! ```
@@ -61,6 +63,6 @@ pub use circuit::{Circuit, CircuitStats, FtCircuit};
 pub use error::CircuitError;
 pub use gate::{FtOp, Gate, QubitId};
 pub use iig::{count_edges, Iig};
-pub use qodg::{CriticalPath, CriticalPathScratch, NodeId, Qodg, QodgNode};
+pub use qodg::{stream_critical_path, CriticalPath, CriticalPathScratch, NodeId, Qodg, QodgNode};
 
 pub use leqa_fabric::OneQubitKind;

@@ -48,11 +48,9 @@ pub fn qodg_to_dot(qodg: &Qodg) -> String {
             }
         }
     }
-    for i in 0..qodg.node_count() {
-        for p in qodg.preds(crate::NodeId(i)) {
-            let _ = writeln!(out, "  n{} -> n{i};", p.0);
-        }
-    }
+    qodg.for_each_edge(|pred, node| {
+        let _ = writeln!(out, "  n{} -> n{};", pred.0, node.0);
+    });
     out.push_str("}\n");
     out
 }

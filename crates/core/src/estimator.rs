@@ -9,12 +9,12 @@
 
 use std::sync::Arc;
 
-use leqa_circuit::FtOp;
-use leqa_circuit::{CriticalPath, CriticalPathScratch, Qodg, QodgNode};
+use leqa_circuit::{stream_critical_path, CriticalPath, CriticalPathScratch, FtOp, Qodg, QodgNode};
 use leqa_fabric::{FabricDims, FabricMap, GateDelays, Micros, OneQubitKind, PhysicalParams};
 
 pub use crate::coverage::ZoneRounding;
 use crate::coverage::{CoverageHistogram, DEFAULT_MAX_TERMS};
+use crate::stream::invalid_stream;
 use crate::{queue, EstimateError, ProgramProfile};
 
 /// Tunables of the estimation procedure.
@@ -166,12 +166,13 @@ impl Estimator {
     /// the circuit, the QODG or the op list: the profile pass accumulates
     /// the CSR IIG and the Eq. 7 / Eq. 12 aggregates in bounded memory
     /// ([`crate::stream`]), then a second pass over a fresh iterator runs
-    /// the routing-aware critical path with per-wire state only.
+    /// the routing-aware critical path with per-wire state only: the QODG
+    /// walk's kernel with its per-op argmax off.
     ///
     /// Bit-identical to [`estimate`](Self::estimate) on the materialized
     /// equivalent of the same stream, except that the returned
-    /// [`CriticalPath::path`] is empty (per-wire state cannot name QODG
-    /// nodes); every census field and every latency quantity matches.
+    /// [`CriticalPath::path`] is empty (without the argmax the pass names
+    /// no nodes); every census field and every latency quantity matches.
     ///
     /// # Errors
     ///
@@ -198,7 +199,8 @@ impl Estimator {
         drop(data);
         let params = correction.as_ref().map_or(&self.params, |c| &c.params);
         let delays = OpDelays::new(params, &self.options, quantities.l_cnot_avg);
-        let critical = crate::stream::streaming_critical_path(num_qubits, source.gates(), &delays)?;
+        let critical = stream_critical_path(num_qubits, source.gates(), |op| delays.of(op))
+            .map_err(|e| invalid_stream(e, num_qubits))?;
         Ok(assemble_estimate(params, quantities, critical))
     }
 
@@ -221,7 +223,8 @@ impl Estimator {
             self.routing_quantities_corrected(num_qubits as u64, data, correction.as_ref())?;
         let params = correction.as_ref().map_or(&self.params, |c| &c.params);
         let delays = OpDelays::new(params, &self.options, quantities.l_cnot_avg);
-        let critical = crate::stream::streaming_critical_path(num_qubits, ops, &delays)?;
+        let critical = stream_critical_path(num_qubits, ops, |op| delays.of(op))
+            .map_err(|e| invalid_stream(e, num_qubits))?;
         Ok(assemble_estimate(params, quantities, critical))
     }
 
@@ -393,7 +396,7 @@ pub(crate) fn routing_aware_critical_path(
 /// The per-op delay model of Algorithm 1 line 19 — gate time plus (per the
 /// options) the average routing latency — shared bit-for-bit by the QODG
 /// walk ([`routing_aware_critical_path`]) and the streaming pass
-/// ([`crate::stream::streaming_critical_path`]).
+/// ([`stream_critical_path`]), one kernel in two modes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct OpDelays {
     delays: GateDelays,

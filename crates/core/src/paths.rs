@@ -46,7 +46,8 @@ use crate::EstimatorOptions;
 const MAX_POINTS: usize = 4096;
 
 /// Template node ids kept per program, as a multiple of its QODG node
-/// count: at most 8 bytes per node, against the ~27 the QODG holds.
+/// count: at most 8 bytes per node, against the 12 of the op list the
+/// QODG holds.
 const IDS_PER_NODE: usize = 2;
 
 /// The resolved critical paths of one program. A cache: it starts empty
@@ -96,7 +97,7 @@ struct Template {
 }
 
 impl Template {
-    /// Node ids fit `u32`: [`PathTable::resolve`] templates no larger QODG.
+    /// Node ids fit `u32`: a [`Qodg`] has no larger ones.
     fn from_pass(cp: &CriticalPath) -> Template {
         Template {
             path: cp.path.iter().map(|id| id.0 as u32).collect(),
@@ -171,19 +172,6 @@ impl PathTable {
             }
         };
         let nodes = qodg.node_count();
-        if u32::try_from(nodes).is_err() {
-            // Templates store node ids as u32: a larger QODG walks every value.
-            let mut scratch = CriticalPathScratch::new();
-            self.passes.fetch_add(xs.len() as u64, Ordering::Relaxed);
-            return xs
-                .iter()
-                .map(|&x| {
-                    let x = Micros::new(point_of(x));
-                    routing_aware_critical_path(params, options, qodg, x, &mut scratch)
-                })
-                .collect();
-        }
-
         let mut queries: Vec<f64> = xs.iter().map(|&x| point_of(x)).collect();
         queries.sort_by(f64::total_cmp);
         queries.dedup_by(|a, b| a.total_cmp(b).is_eq());

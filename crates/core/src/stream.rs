@@ -2,8 +2,8 @@
 //!
 //! The materialized pipeline (`Circuit` → `lower_to_ft` →
 //! [`Qodg`](leqa_circuit::Qodg) → [`ProfileData::new`]) holds the whole
-//! op list — and the QODG's
-//! node/edge arrays — in memory at once. At cryptographic scale
+//! op list in memory at once, and a critical-path pass adds a 4-byte
+//! argmax per op. At cryptographic scale
 //! (`shor_2048` lowers to tens of millions of FT ops) that costs gigabytes
 //! for quantities that are, mathematically, *streaming aggregates*: the
 //! Eq. 7 zone average and Eq. 12 numerators are per-qubit sums over the
@@ -25,19 +25,17 @@
 //!   [`ProfileData::new`] on the materialized QODG of the same stream,
 //!   regardless of chunk size (the differential suite in
 //!   `tests/streaming.rs` pins this).
-//! - `streaming_critical_path` (crate-internal) replays the stream once more with only a
-//!   per-wire `(distance, census)` frontier, reproducing the exact
-//!   first-predecessor-wins / strictly-greater-replaces tie-breaking of
-//!   the QODG walk, so the resulting latency census is byte-identical.
+//! - [`stream_critical_path`](leqa_circuit::stream_critical_path), the
+//!   QODG's own critical-path kernel with the argmax off, replays the
+//!   stream once more with only a per-wire `(distance, census)` frontier,
+//!   so the resulting latency census is byte-identical.
 //!
 //! The [`Estimator`](crate::Estimator) front door is
 //! [`estimate_stream`](crate::Estimator::estimate_stream); `leqa-api`
 //! auto-selects it above a session-configurable op-count threshold.
 
-use leqa_circuit::{count_edges, CircuitError, CriticalPath, FtCircuit, FtOp, Iig};
-use leqa_fabric::Micros;
+use leqa_circuit::{count_edges, CircuitError, FtCircuit, FtOp, Iig};
 
-use crate::estimator::OpDelays;
 use crate::{EstimateError, ProfileData};
 
 /// Default pair-buffer capacity for [`IigAccumulator`]: 64 Ki pairs
@@ -238,22 +236,21 @@ impl IigAccumulator {
         // merge inside `from_weighted_edges` is a no-op: the CSR comes
         // out bit-identical to the circuit-built IIG (pinned by
         // `weighted_edges_round_trip_bit_identically` in leqa-circuit).
-        Iig::from_weighted_edges(self.num_qubits, merged).map_err(|e| match e {
-            CircuitError::QubitOutOfRange { qubit, num_qubits } => EstimateError::InvalidStream {
-                qubit: qubit.0,
-                num_qubits,
-            },
-            CircuitError::DuplicateOperand { qubit } => EstimateError::InvalidStream {
-                qubit: qubit.0,
-                num_qubits: self.num_qubits,
-            },
-            // `from_weighted_edges` documents only the two arms above.
-            _ => EstimateError::InvalidStream {
-                qubit: self.num_qubits,
-                num_qubits: self.num_qubits,
-            },
-        })
+        Iig::from_weighted_edges(self.num_qubits, merged)
+            .map_err(|e| invalid_stream(e, self.num_qubits))
     }
+}
+
+/// The [`EstimateError`] of a stream whose op broke `e`'s rule.
+pub(crate) fn invalid_stream(e: CircuitError, num_qubits: u32) -> EstimateError {
+    let qubit = match e {
+        CircuitError::QubitOutOfRange { qubit, .. } | CircuitError::DuplicateOperand { qubit } => {
+            qubit.0
+        }
+        // Stream checks report only the two arms above.
+        _ => num_qubits,
+    };
+    EstimateError::InvalidStream { qubit, num_qubits }
 }
 
 /// Merges two sorted unique weighted runs, summing weights on equal keys.
@@ -356,99 +353,13 @@ impl StreamingProfileBuilder {
     }
 }
 
-/// The per-wire op-type census carried along the streaming frontier —
-/// the `N^critical` counters of Eq. 1 for the best path ending on a wire.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Census {
-    cnot: u64,
-    one_qubit: [u64; 8],
-}
-
-impl Census {
-    fn plus(mut self, op: &FtOp) -> Census {
-        match op {
-            FtOp::Cnot { .. } => self.cnot += 1,
-            FtOp::OneQubit { kind, .. } => self.one_qubit[kind.index()] += 1,
-        }
-        self
-    }
-}
-
-/// Algorithm 1 line 19 over a stream: the routing-aware critical path in
-/// `O(qubits)` memory, reproducing the QODG walk's tie-breaking exactly.
-///
-/// Per wire the frontier holds the distance and op-type census of the
-/// longest path ending in the last op that touched it (`None` while the
-/// wire is untouched, i.e. its predecessor is still the start node). For
-/// each op, candidates are scanned in operand order (control, then
-/// target) — the same order the QODG records predecessor edges — taking
-/// the first and replacing only on *strictly greater* distance, exactly
-/// like `Qodg::critical_path_reuse`; merged parallel edges there dedup to
-/// one predecessor, which cannot change this selection because duplicate
-/// candidates carry identical distances.
-///
-/// The returned [`CriticalPath`] matches the materialized one in
-/// `length`, `cnot_count` and `one_qubit_counts`; `path` is empty (the
-/// stream has no node identities to name).
-///
-/// # Errors
-///
-/// [`EstimateError::InvalidStream`] on an out-of-range operand or a
-/// self-loop CNOT.
-pub(crate) fn streaming_critical_path(
-    num_qubits: u32,
-    ops: impl Iterator<Item = FtOp>,
-    delays: &OpDelays,
-) -> Result<CriticalPath, EstimateError> {
-    let mut frontier: Vec<Option<(Micros, Census)>> = vec![None; num_qubits as usize];
-    let invalid = |qubit: u32| EstimateError::InvalidStream { qubit, num_qubits };
-
-    for op in ops {
-        let mut best: Option<(Micros, Census)> = None;
-        for q in op.qubits() {
-            if q.0 >= num_qubits {
-                return Err(invalid(q.0));
-            }
-            let cand = frontier[q.index()].unwrap_or((Micros::ZERO, Census::default()));
-            match best {
-                Some((d, _)) if cand.0 <= d => {}
-                _ => best = Some(cand),
-            }
-        }
-        if let FtOp::Cnot { control, target } = op {
-            if control == target {
-                return Err(invalid(control.0));
-            }
-        }
-        let (dist, census) = best.expect("every FtOp has at least one operand");
-        let next = (dist + delays.of(&op), census.plus(&op));
-        for q in op.qubits() {
-            frontier[q.index()] = Some(next);
-        }
-    }
-
-    // The end node: zero delay, predecessors in wire-index order.
-    let mut best = (Micros::ZERO, Census::default());
-    for state in frontier.iter().flatten() {
-        if state.0 > best.0 {
-            best = *state;
-        }
-    }
-    Ok(CriticalPath {
-        length: best.0,
-        cnot_count: best.1.cnot,
-        one_qubit_counts: best.1.one_qubit,
-        path: Vec::new(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::{routing_aware_critical_path, EstimatorOptions};
+    use crate::estimator::{routing_aware_critical_path, EstimatorOptions, OpDelays};
     use crate::Estimator;
     use leqa_circuit::{CriticalPathScratch, Qodg, QubitId};
-    use leqa_fabric::{FabricDims, OneQubitKind, PhysicalParams};
+    use leqa_fabric::{FabricDims, Micros, OneQubitKind, PhysicalParams};
 
     fn q(i: u32) -> QubitId {
         QubitId(i)
@@ -515,7 +426,9 @@ mod tests {
             let walked =
                 routing_aware_critical_path(&params, &options, &qodg, l_cnot, &mut scratch);
             let delays = OpDelays::new(&params, &options, l_cnot);
-            let streamed = streaming_critical_path(6, ft.ops().iter().copied(), &delays).unwrap();
+            let streamed =
+                leqa_circuit::stream_critical_path(6, ft.ops().iter().copied(), |op| delays.of(op))
+                    .unwrap();
             assert_eq!(streamed.length, walked.length);
             assert_eq!(streamed.cnot_count, walked.cnot_count);
             assert_eq!(streamed.one_qubit_counts, walked.one_qubit_counts);
@@ -576,20 +489,23 @@ mod tests {
         ));
 
         // Same violations through the critical-path pass.
-        let params = PhysicalParams::dac13();
-        let options = EstimatorOptions::default();
-        let delays = OpDelays::new(&params, &options, Micros::ZERO);
-        let bad = [FtOp::Cnot {
-            control: q(0),
-            target: q(7),
-        }];
-        assert_eq!(
-            streaming_critical_path(2, bad.iter().copied(), &delays).unwrap_err(),
-            EstimateError::InvalidStream {
-                qubit: 7,
-                num_qubits: 2
-            }
-        );
+        let estimator = Estimator::new(FabricDims::dac13(), PhysicalParams::dac13());
+        let data = StreamingProfileBuilder::new(2).finish().unwrap();
+        for (control, target) in [(0, 7), (1, 1)] {
+            let bad = [FtOp::Cnot {
+                control: q(control),
+                target: q(target),
+            }];
+            assert_eq!(
+                estimator
+                    .estimate_stream_with_data(2, &data, bad.into_iter())
+                    .unwrap_err(),
+                EstimateError::InvalidStream {
+                    qubit: target,
+                    num_qubits: 2
+                }
+            );
+        }
     }
 
     #[test]

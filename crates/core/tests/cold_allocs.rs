@@ -1,14 +1,18 @@
 //! Allocation gate for the cold path: canonical write, circuit building,
-//! lowering and the IIG build must not allocate per gate. Allocation counts repeat
-//! exactly for the same input, so unlike timings they can be asserted.
+//! lowering and the IIG build must not allocate per gate, and a lowered
+//! program and its critical-path pass hold only the op list and a 4-byte
+//! argmax per op. Allocation counts and live bytes repeat exactly for the
+//! same input, so unlike timings they can be asserted.
 //!
 //! The binary installs [`CountingAlloc`] as its global allocator and holds
 //! a single test, so no other test's allocations land in a measurement.
 
 use leqa::meter::CountingAlloc;
 use leqa_circuit::decompose::lower_to_ft;
-use leqa_circuit::{parser, Circuit, FtCircuit, Gate, Iig, Qodg, QubitId};
-use leqa_fabric::OneQubitKind;
+use leqa_circuit::{
+    parser, Circuit, CriticalPathScratch, FtCircuit, Gate, Iig, NodeId, Qodg, QodgNode, QubitId,
+};
+use leqa_fabric::{Micros, OneQubitKind};
 use leqa_workloads::circuit_by_name;
 
 #[global_allocator]
@@ -104,4 +108,49 @@ fn cold_path_allocations_do_not_grow_with_the_gate_count() {
     let (_, allocs) = counted(|| Iig::from_qodg(&qodg));
     println!("Iig::from_qodg gf2^64mult: {allocs} allocations");
     assert!(allocs <= 8, "Iig::from_qodg made {allocs} allocations");
+    drop(qodg);
+
+    // Resident bytes: the QODG is its op list, 12 bytes per op.
+    let ops = ft.ops().len();
+    let wires = ft.num_qubits() as usize;
+    let slack = 32 * wires + 1024;
+    let before = ALLOC.live_bytes();
+    let qodg = Qodg::from_ft_circuit(&ft);
+    let held = ALLOC.live_bytes() - before;
+    println!(
+        "Qodg gf2^64mult: {held} bytes for {ops} ops ({:.1} B/op)",
+        held as f64 / ops as f64
+    );
+    assert!(
+        held <= 12 * ops + slack,
+        "the QODG holds {held} bytes for {ops} ops"
+    );
+
+    // A full pass with the node path: its scratch keeps per-wire state
+    // and a 4-byte argmax per op, and nothing else is built on the way.
+    let delay = |node: &QodgNode| match node {
+        QodgNode::Op(op) if op.is_cnot() => Micros::new(3.0),
+        _ => Micros::new(1.0),
+    };
+    let mut scratch = CriticalPathScratch::new();
+    let before = ALLOC.live_bytes();
+    ALLOC.reset_peak();
+    let cp = qodg.critical_path_reuse(delay, &mut scratch);
+    let path_bytes = cp.path.capacity() * std::mem::size_of::<NodeId>();
+    let kept = ALLOC.live_bytes() - before - path_bytes;
+    let peak = ALLOC.peak_bytes() - before;
+    println!(
+        "critical-path pass gf2^64mult: {kept} scratch bytes ({:.1} B/op), \
+         peak {peak} with a {}-node path",
+        kept as f64 / ops as f64,
+        cp.path.len()
+    );
+    assert!(
+        kept <= 4 * ops + slack,
+        "the pass keeps {kept} scratch bytes for {ops} ops"
+    );
+    assert!(
+        peak <= 4 * ops + slack + 3 * path_bytes,
+        "the pass peaked at {peak} bytes for {ops} ops"
+    );
 }

@@ -9,9 +9,9 @@
 //! `f64`s, never a tolerance.
 
 use leqa::stream::{FnSource, GateSource, StreamingProfileBuilder};
-use leqa::{Estimate, Estimator, ProfileData};
-use leqa_circuit::{decompose::lower_to_ft, FtCircuit, Qodg};
-use leqa_fabric::{FabricDims, PhysicalParams};
+use leqa::{Estimate, Estimator, EstimatorOptions, ProfileData};
+use leqa_circuit::{decompose::lower_to_ft, FtCircuit, Qodg, QubitId};
+use leqa_fabric::{FabricDims, GateDelays, Micros, PhysicalParams};
 use leqa_workloads::{circuit_by_name, stream_by_name, SUITE};
 use proptest::prelude::*;
 
@@ -135,6 +135,39 @@ fn lazy_shor_stream_estimates_like_the_materialized_circuit() {
     let streamed = est.estimate_stream(&source).unwrap();
     let materialized = est.estimate(&Qodg::from_ft_circuit(&ft)).unwrap();
     assert_estimates_identical(&streamed, &materialized, "shor_12_2");
+}
+
+/// Every gate delay zero and routing left out of the node delays: every
+/// path has length 0, so the end node keeps its first candidate, the last
+/// op on the first touched wire, and the census is that path's. The
+/// stream must pick the same path as the graph walk, not `start`.
+#[test]
+fn zero_length_critical_paths_stream_like_the_graph_walk() {
+    let params = PhysicalParams::dac13()
+        .to_builder()
+        .gate_delays(GateDelays::from_fn(|_| Micros::ZERO, Micros::ZERO))
+        .build()
+        .unwrap();
+    let options = EstimatorOptions {
+        update_critical_path: false,
+        ..EstimatorOptions::default()
+    };
+    let est = Estimator::with_options(FabricDims::dac13(), params, options);
+
+    let mut triangle = FtCircuit::new(3);
+    for (c, t) in [(0, 1), (1, 2), (2, 0)] {
+        triangle.push_cnot(QubitId(c), QubitId(t)).unwrap();
+    }
+    for (ft, name) in [
+        (triangle, "cnot triangle"),
+        (ft_by_name("shor_8"), "shor_8"),
+    ] {
+        let materialized = est.estimate(&Qodg::from_ft_circuit(&ft)).unwrap();
+        assert_eq!(materialized.critical.length, Micros::ZERO, "{name}");
+        assert!(materialized.critical.cnot_count > 0, "{name}");
+        let streamed = est.estimate_stream(&ft).unwrap();
+        assert_estimates_identical(&streamed, &materialized, name);
+    }
 }
 
 proptest! {

@@ -222,10 +222,7 @@ impl Mapper {
             residents,
             qubit_ready,
             ulb_free,
-            succ_offsets,
-            succ_cursor,
-            succ_edges,
-            remaining,
+            successors,
             heap,
             route,
             route_alt,
@@ -273,37 +270,7 @@ impl Mapper {
         ulb_free.clear();
         ulb_free.resize(dims.area() as usize, 0.0);
 
-        // CSR successor graph and remaining-predecessor counters for the
-        // event-driven sweep: counts, prefix sums, then a fill pass — in
-        // the same (ascending node id) order the Vec-of-Vec build used,
-        // so the heap sees identical push order.
-        let n = qodg.node_count();
-        succ_offsets.clear();
-        succ_offsets.resize(n + 1, 0);
-        remaining.clear();
-        remaining.resize(n, 0);
-        for (i, slot) in remaining.iter_mut().enumerate() {
-            let preds = qodg.preds(NodeId(i));
-            *slot = preds.len() as u32;
-            for &p in preds {
-                succ_offsets[p.0 + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            succ_offsets[i + 1] += succ_offsets[i];
-        }
-        succ_cursor.clear();
-        succ_cursor.extend_from_slice(&succ_offsets[..n]);
-        succ_edges.clear();
-        succ_edges.resize(succ_offsets[n], NodeId(0));
-        for i in 0..n {
-            for &p in qodg.preds(NodeId(i)) {
-                succ_edges[succ_cursor[p.0]] = NodeId(i);
-                succ_cursor[p.0] += 1;
-            }
-        }
-        let succs = |node: NodeId| &succ_edges[succ_offsets[node.0]..succ_offsets[node.0 + 1]];
-
+        successors.fill(qodg);
         heap.clear();
         let push_if_ready = |heap: &mut BinaryHeap<ReadyOp>, qubit_ready: &[f64], node: NodeId| {
             if let QodgNode::Op(op) = qodg.node(node) {
@@ -320,12 +287,7 @@ impl Mapper {
         };
 
         // Seed: successors of `start`.
-        for &s in succs(qodg.start()) {
-            remaining[s.0] -= 1;
-            if remaining[s.0] == 0 {
-                push_if_ready(heap, qubit_ready, s);
-            }
-        }
+        successors.release(qodg.start(), |s| push_if_ready(heap, qubit_ready, s));
 
         let mut makespan = 0.0f64;
         let mut stats = MappingStats::default();
@@ -423,12 +385,7 @@ impl Mapper {
                 }
             }
 
-            for &s in succs(node) {
-                remaining[s.0] -= 1;
-                if remaining[s.0] == 0 {
-                    push_if_ready(heap, qubit_ready, s);
-                }
-            }
+            successors.release(node, |s| push_if_ready(heap, qubit_ready, s));
         }
         debug_assert_eq!(processed, qodg.op_count(), "all ops must execute");
 
@@ -460,10 +417,7 @@ pub struct MapScratch {
     residents: Vec<u32>,
     qubit_ready: Vec<f64>,
     ulb_free: Vec<f64>,
-    succ_offsets: Vec<usize>,
-    succ_cursor: Vec<usize>,
-    succ_edges: Vec<NodeId>,
-    remaining: Vec<u32>,
+    successors: Successors,
     heap: BinaryHeap<ReadyOp>,
     route: Vec<Channel>,
     route_alt: Vec<Channel>,
@@ -475,6 +429,67 @@ impl MapScratch {
     #[must_use]
     pub fn new() -> Self {
         MapScratch::default()
+    }
+}
+
+/// The QODG's successor lists in CSR form, each ascending by node id, and
+/// every node's count of predecessors not yet executed: the event-driven
+/// sweep's dependency state. Filled per run from the op list's edges
+/// ([`Qodg::for_each_edge`]: counts, prefix sums, then a fill pass), in
+/// the ascending order the ready heap's push sequence depends on.
+#[derive(Debug, Default)]
+struct Successors {
+    offsets: Vec<usize>,
+    cursor: Vec<usize>,
+    edges: Vec<NodeId>,
+    remaining: Vec<u32>,
+}
+
+impl Successors {
+    fn fill(&mut self, qodg: &Qodg) {
+        let n = qodg.node_count();
+        let Successors {
+            offsets,
+            cursor,
+            edges,
+            remaining,
+        } = self;
+        offsets.clear();
+        offsets.resize(n + 1, 0);
+        remaining.clear();
+        remaining.resize(n, 0);
+        qodg.for_each_edge(|pred, node| {
+            remaining[node.0] += 1;
+            offsets[pred.0 + 1] += 1;
+        });
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        cursor.clear();
+        cursor.extend_from_slice(&offsets[..n]);
+        edges.clear();
+        edges.resize(offsets[n], NodeId(0));
+        qodg.for_each_edge(|pred, node| {
+            edges[cursor[pred.0]] = node;
+            cursor[pred.0] += 1;
+        });
+    }
+
+    /// The successors of `node`, ascending.
+    #[cfg(test)]
+    fn of(&self, node: NodeId) -> &[NodeId] {
+        &self.edges[self.offsets[node.0]..self.offsets[node.0 + 1]]
+    }
+
+    /// Marks `node` executed, handing each successor it was the last
+    /// pending predecessor of to `ready`, in ascending order.
+    fn release(&mut self, node: NodeId, mut ready: impl FnMut(NodeId)) {
+        for &s in &self.edges[self.offsets[node.0]..self.offsets[node.0 + 1]] {
+            self.remaining[s.0] -= 1;
+            if self.remaining[s.0] == 0 {
+                ready(s);
+            }
+        }
     }
 }
 
@@ -971,6 +986,67 @@ mod tests {
         let r = dac13_mapper().map(&qodg).unwrap();
         assert_eq!(r.stats.total_hops, 2 * r.stats.total_cnot_distance);
         assert_eq!(r.stats.channel_traversals, r.stats.total_hops);
+    }
+
+    /// The successor lists and pending-predecessor counts the sweep
+    /// derives from per-wire last pointers equal those read off the
+    /// predecessor table.
+    fn assert_successors_match_preds(qodg: &Qodg, label: &str) {
+        let mut successors = Successors::default();
+        successors.fill(qodg);
+        let n = qodg.node_count();
+        let mut expected = vec![Vec::new(); n];
+        for i in 0..n {
+            let preds = qodg.preds(NodeId(i));
+            assert_eq!(
+                successors.remaining[i] as usize,
+                preds.len(),
+                "{label}: node {i}"
+            );
+            for &p in preds {
+                expected[p.0].push(NodeId(i));
+            }
+        }
+        for (i, list) in expected.iter().enumerate() {
+            assert_eq!(
+                successors.of(NodeId(i)),
+                list.as_slice(),
+                "{label}: node {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn successors_match_the_pred_table() {
+        for bench in &leqa_workloads::SUITE {
+            let ft = leqa_circuit::decompose::lower_to_ft(&bench.circuit()).unwrap();
+            assert_successors_match_preds(&Qodg::from(ft), bench.name);
+        }
+        // Seeded random streams over 1 to 64 wires: mixed, CNOT-only,
+        // one-qubit-only and empty.
+        let mut state = 0x5eed_u64;
+        let mut draw = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) % n
+        };
+        for case in 0..200 {
+            let qubits = 1 + draw(64) as u32;
+            let mut ft = FtCircuit::new(qubits);
+            let cnot_share = [0, 1, 2][case % 3];
+            for _ in 0..draw(300) {
+                let a = draw(u64::from(qubits)) as u32;
+                if qubits > 1 && draw(2) < cnot_share {
+                    let b = (a + 1 + draw(u64::from(qubits - 1)) as u32) % qubits;
+                    ft.push_cnot(q(a), q(b)).unwrap();
+                } else if cnot_share < 2 {
+                    ft.push_one_qubit(OneQubitKind::ALL[draw(8) as usize], q(a))
+                        .unwrap();
+                }
+            }
+            assert_successors_match_preds(&Qodg::from(ft), &format!("random case {case}"));
+        }
     }
 }
 
