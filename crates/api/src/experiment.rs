@@ -1996,9 +1996,17 @@ impl<'s> ExperimentRunner<'s> {
             movement: cell.movement,
             seed: 0,
         });
+        // Compare cells build the profile for the estimate anyway, so the
+        // mapper places from its IIG; map cells count their own.
+        let mapped = match self.plan.mode {
+            ExperimentMode::Compare => {
+                mapper.map_with_iig(handle.qodg(), handle.profile_data().iig())
+            }
+            _ => mapper.map(handle.qodg()),
+        };
         // A program too large for the cell's fabric is an unfit row, not
         // an error: wide grids legitimately span undersized fabrics.
-        let mapped = match mapper.map(handle.qodg()) {
+        let mapped = match mapped {
             Ok(result) => Some(result),
             Err(qspr::MapError::FabricTooSmall { .. }) => None,
             Err(other) => return Err(LeqaError::from(other)),

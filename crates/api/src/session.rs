@@ -1141,8 +1141,12 @@ impl Session {
         handle: &ProgramHandle,
     ) -> Result<CompareResponse, LeqaError> {
         let dims = self.resolve_fabric(req.fabric)?;
-        let actual = Mapper::new(dims, self.params.clone()).map(handle.qodg())?;
-        let profile = ProgramProfile::from_data(handle.qodg(), handle.profile_data());
+        // The estimate needs the profile anyway; the mapper places from
+        // its IIG instead of counting the program's again.
+        let data = handle.profile_data();
+        let actual =
+            Mapper::new(dims, self.params.clone()).map_with_iig(handle.qodg(), data.iig())?;
+        let profile = ProgramProfile::from_data(handle.qodg(), data);
         let estimate = Estimator::with_options(dims, self.params.clone(), self.options)
             .estimate_with_profile(&profile)?;
 

@@ -338,6 +338,51 @@ fn map_and_compare_agree_on_the_actual_latency() {
 }
 
 #[test]
+fn compare_from_snapshot_profiles_is_byte_identical_to_fresh_profiles() {
+    // `compare` places from the profile's IIG, so a profile decoded from
+    // the snapshot store must map exactly as a freshly counted one, and
+    // as the `map` endpoint, which counts its own.
+    let dir = std::env::temp_dir().join(format!("leqa-snapshot-compare-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let last = leqa_workloads::SUITE
+        .iter()
+        .position(|b| b.name == "gf2^64mult")
+        .expect("a suite program");
+    let programs = &leqa_workloads::SUITE[..=last];
+    let filler = Session::builder().cache_dir(&dir).build().unwrap();
+    for bench in programs {
+        let _ = filler
+            .load(&ProgramSpec::bench(bench.name))
+            .unwrap()
+            .profile_data();
+    }
+    drop(filler);
+
+    let restored = Session::builder().cache_dir(&dir).build().unwrap();
+    let fresh = session();
+    for bench in programs {
+        let spec = || ProgramSpec::bench(bench.name);
+        let decoded = restored.compare(&CompareRequest::new(spec())).unwrap();
+        let counted = fresh.compare(&CompareRequest::new(spec())).unwrap();
+        assert_eq!(
+            decoded.to_json().encode(),
+            counted.to_json().encode(),
+            "{}",
+            bench.name
+        );
+        let map = fresh.map(&MapRequest::new(spec())).unwrap();
+        assert_eq!(decoded.actual_us, map.latency_us, "{}", bench.name);
+    }
+    assert_eq!(restored.cache_stats().profile_builds, 0);
+    assert_eq!(
+        restored.store_stats().store_hits,
+        programs.len() as u64,
+        "every compared profile came from the store"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn error_taxonomy_end_to_end() {
     let s = session();
 

@@ -11,10 +11,13 @@
 //! and falls outside Table 3's timers, as in the paper; it is still
 //! measured, as is a warm query (the fabric half again, with the critical
 //! path already resolved). The QODG is a view that takes the lowered op
-//! list over, so neither side has a graph build to time. With
-//! `BENCH_JSON=FILE` each program appends one JSON line to `FILE` with
-//! every stage and each ratio with its numerator and denominator, the
-//! cost trajectory recorded in `BENCH_cost.json`.
+//! list over, so neither side has a graph build to time. Each stage
+//! reports the median of five passes; every cold profile and cold fabric
+//! half pass starts from a fresh `ProfileData`, since the fabric half
+//! keeps the critical paths it resolves. With `BENCH_JSON=FILE` each
+//! program appends one JSON line to `FILE` with every stage and each
+//! ratio with its numerator and denominator, the cost trajectory recorded
+//! in `BENCH_cost.json`.
 
 use std::io::Write as _;
 use std::time::Instant;
@@ -81,34 +84,57 @@ impl Stages {
     }
 }
 
-fn ms_since(t0: Instant) -> f64 {
-    t0.elapsed().as_secs_f64() * 1e3
+/// Passes per stage; a stage reports the median.
+const PASSES: usize = 5;
+
+/// Runs `f` once, returning its wall time in milliseconds and its output.
+fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let t0 = Instant::now();
+    let out = f();
+    (t0.elapsed().as_secs_f64() * 1e3, out)
 }
 
-/// Lowers, maps and estimates one program, timing every stage once.
+/// Runs `pass` [`PASSES`] times, returning the median of the times it
+/// reports and the last pass's output. Set-up inside `pass` but outside
+/// its timer stays out of the figure.
+fn median_of<T>(mut pass: impl FnMut() -> (f64, T)) -> (f64, T) {
+    let mut times = Vec::with_capacity(PASSES);
+    let mut last = None;
+    for _ in 0..PASSES {
+        let (ms, out) = pass();
+        times.push(ms);
+        last = Some(out);
+    }
+    times.sort_by(f64::total_cmp);
+    (times[PASSES / 2], last.expect("at least one pass"))
+}
+
+/// Lowers, maps and estimates one program, timing every stage as the
+/// median of [`PASSES`] passes.
 fn measure(bench: &Benchmark, dims: FabricDims, params: &PhysicalParams) -> Stages {
     let circuit = bench.circuit();
-    let t0 = Instant::now();
-    let qodg = Qodg::from(lower_to_ft(&circuit).expect("suite circuits lower cleanly"));
-    let lower_ms = ms_since(t0);
+    let (lower_ms, qodg) = median_of(|| {
+        timed(|| Qodg::from(lower_to_ft(&circuit).expect("suite circuits lower cleanly")))
+    });
 
-    let t0 = Instant::now();
-    let mapped = Mapper::new(dims, params.clone()).map(&qodg);
-    let mapper_ms = ms_since(t0);
+    let mapper = Mapper::new(dims, params.clone());
+    let (mapper_ms, mapped) = median_of(|| timed(|| mapper.map(&qodg)));
     mapped.expect("suite fits the fabric");
 
     let estimator = Estimator::new(dims, params.clone());
-    let t0 = Instant::now();
-    let data = ProfileData::new(&qodg);
-    let profile_ms = ms_since(t0);
-    let profile = ProgramProfile::from_data(&qodg, &data);
-    let t0 = Instant::now();
-    let estimate = estimator.estimate_with_profile(&profile);
-    let fabric_half_ms = ms_since(t0);
+    let (profile_ms, data) = median_of(|| timed(|| ProfileData::new(&qodg)));
+    let (fabric_half_ms, estimate) = median_of(|| {
+        let fresh = ProfileData::new(&qodg);
+        let profile = ProgramProfile::from_data(&qodg, &fresh);
+        timed(|| estimator.estimate_with_profile(&profile))
+    });
     estimate.expect("suite fits the fabric");
-    let t0 = Instant::now();
-    let warm = estimator.estimate_with_profile(&profile);
-    let warm_ms = ms_since(t0);
+    // Warm: the path the first query resolves stays with the profile.
+    let profile = ProgramProfile::from_data(&qodg, &data);
+    estimator
+        .estimate_with_profile(&profile)
+        .expect("suite fits the fabric");
+    let (warm_ms, warm) = median_of(|| timed(|| estimator.estimate_with_profile(&profile)));
     warm.expect("suite fits the fabric");
 
     Stages {

@@ -586,8 +586,13 @@ mod tests {
 impl Qodg {
     /// Logical depth: the number of op nodes on the longest unit-delay
     /// path — the circuit's level count under unbounded parallelism.
+    /// Counts along the op stream ([`stream_critical_path`]) in `O(Q)`
+    /// memory, without a node path.
     pub fn depth(&self) -> u64 {
-        self.critical_path(|_| Micros::new(1.0)).op_count()
+        let ops = self.circuit.ops().iter().copied();
+        stream_critical_path(self.num_qubits(), ops, |_| Micros::new(1.0))
+            .expect("a QODG's ops come from a validated FtCircuit")
+            .op_count()
     }
 
     /// Average op-level parallelism: `op_count / depth` (1.0 for a fully

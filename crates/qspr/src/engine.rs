@@ -3,17 +3,27 @@
 //! # The zero-alloc hot path
 //!
 //! One mapping run needs a pile of working buffers — qubit positions,
-//! ready times, the CSR successor graph, the ready heap, the defect
-//! router's route buffers and the channel calendars. [`MapScratch`] owns
-//! all of them and is reusable across runs (any program, any fabric), so
+//! ready times, each wire's op list, the ready heap, the defect router's
+//! route buffers and the channel calendars. [`MapScratch`] owns all of
+//! them and is reusable across runs (any program, any fabric), so
 //! services that map repeatedly — `compare`/`map` endpoints, the bench
 //! suite — stop churning the allocator: after the first call on a
-//! thread, a run allocates only its outputs (placement, channel heatmap,
-//! optional trace). [`Mapper::map`] and [`Mapper::map_with_trace`] keep a
-//! thread-local scratch automatically; [`Mapper::map_with_scratch`]
-//! takes a caller-owned one. Scratch reuse is bit-identical to fresh
-//! buffers (pinned by `reused_scratch_is_bit_identical` below and the
-//! workspace differential tests).
+//! thread, a run allocates only its IIG (unless the caller hands one
+//! over, [`Mapper::map_with_iig`]) and its outputs (placement, channel
+//! heatmap, optional trace). [`Mapper::map`] and
+//! [`Mapper::map_with_trace`] keep a thread-local scratch automatically;
+//! [`Mapper::map_with_scratch`] takes a caller-owned one. Scratch reuse
+//! is bit-identical to fresh buffers (pinned by
+//! `reused_scratch_is_bit_identical` below and the workspace differential
+//! tests).
+//!
+//! # Dependency state
+//!
+//! An op's QODG predecessors are the ops before it on its wires, so the
+//! scheduler keeps no edges: each wire's op indices as `u32`, in program
+//! order, and one head per wire. An op is ready when it heads every wire
+//! it touches; running it moves those heads on. That is 4 bytes per
+//! operand (one for a one-qubit op, two for a CNOT) plus `O(Q)`.
 //!
 //! Transfers on a fabric without dead cells or channels use no route
 //! buffer: each walks dense channel ids by arithmetic
@@ -24,7 +34,7 @@ use std::cell::RefCell;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use leqa_circuit::{FtOp, Iig, NodeId, Qodg, QodgNode};
+use leqa_circuit::{FtCircuit, FtOp, Iig, NodeId, Qodg};
 use leqa_fabric::route::{self, ChannelIds};
 use leqa_fabric::{Channel, FabricDims, FabricMap, Micros, PhysicalParams, Ulb};
 
@@ -154,9 +164,29 @@ impl Mapper {
     /// describes different dimensions than the mapper.
     ///
     /// Uses a thread-local [`MapScratch`], so repeated calls on one
-    /// thread reuse every working buffer.
+    /// thread reuse every working buffer. Placement reads the program's
+    /// IIG, which this call counts; [`map_with_iig`](Self::map_with_iig)
+    /// takes one the caller already holds.
     pub fn map(&self, qodg: &Qodg) -> Result<MappingResult, MapError> {
-        let (result, _) = with_thread_scratch(|scratch| self.map_impl(qodg, false, scratch))?;
+        self.map_with_iig(qodg, &Iig::from_qodg(qodg))
+    }
+
+    /// Like [`map`](Self::map), placing from `iig` instead of counting
+    /// it again: for callers that keep the program's IIG anyway, such as
+    /// a session's profile. `iig` must be `qodg`'s own: equal to
+    /// [`Iig::from_qodg`] of it, as a decoded snapshot of it is. The
+    /// result is then bit-identical to [`map`](Self::map); another IIG
+    /// over as many wires yields another placement, not an error.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`map`](Self::map).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `iig` and `qodg` have different qubit counts.
+    pub fn map_with_iig(&self, qodg: &Qodg, iig: &Iig) -> Result<MappingResult, MapError> {
+        let (result, _) = with_thread_scratch(|scratch| self.map_impl(qodg, iig, false, scratch))?;
         Ok(result)
     }
 
@@ -172,7 +202,7 @@ impl Mapper {
         qodg: &Qodg,
         scratch: &mut MapScratch,
     ) -> Result<MappingResult, MapError> {
-        let (result, _) = self.map_impl(qodg, false, scratch)?;
+        let (result, _) = self.map_impl(qodg, &Iig::from_qodg(qodg), false, scratch)?;
         Ok(result)
     }
 
@@ -183,16 +213,24 @@ impl Mapper {
     ///
     /// Same as [`map`](Self::map).
     pub fn map_with_trace(&self, qodg: &Qodg) -> Result<(MappingResult, Trace), MapError> {
-        let (result, trace) = with_thread_scratch(|scratch| self.map_impl(qodg, true, scratch))?;
+        let iig = Iig::from_qodg(qodg);
+        let (result, trace) =
+            with_thread_scratch(|scratch| self.map_impl(qodg, &iig, true, scratch))?;
         Ok((result, trace.expect("trace requested")))
     }
 
     fn map_impl(
         &self,
         qodg: &Qodg,
+        iig: &Iig,
         want_trace: bool,
         scratch: &mut MapScratch,
     ) -> Result<(MappingResult, Option<Trace>), MapError> {
+        assert_eq!(
+            iig.num_qubits(),
+            qodg.num_qubits(),
+            "the IIG must be the mapped program's own"
+        );
         let dims = self.config.dims;
         let params = &self.config.params;
         if let Some(map) = self.fabric_map.as_deref() {
@@ -208,9 +246,8 @@ impl Mapper {
         // keeps defect-free runs on the legacy code paths, bit-identically.
         let fmap = self.fabric_map.as_deref().filter(|m| !m.is_pristine());
         let defects = fmap.filter(|m| m.has_defects());
-        let iig = Iig::from_qodg(qodg);
         let placement =
-            initial_placement(&iig, dims, self.config.placement, self.config.seed, fmap)?;
+            initial_placement(iig, dims, self.config.placement, self.config.seed, fmap)?;
 
         let t_move = params.t_move();
         let d_cnot = params.gate_delays().cnot();
@@ -222,7 +259,7 @@ impl Mapper {
             residents,
             qubit_ready,
             ulb_free,
-            successors,
+            wires,
             heap,
             route,
             route_alt,
@@ -270,24 +307,25 @@ impl Mapper {
         ulb_free.clear();
         ulb_free.resize(dims.area() as usize, 0.0);
 
-        successors.fill(qodg);
+        let ops = qodg.circuit().ops();
+        wires.fill(qodg.circuit());
         heap.clear();
-        let push_if_ready = |heap: &mut BinaryHeap<ReadyOp>, qubit_ready: &[f64], node: NodeId| {
-            if let QodgNode::Op(op) = qodg.node(node) {
-                // Earliest resource use: the control's departure for a
-                // CNOT, the target's shuttle for a one-qubit op. Operand
-                // ready times are final once every predecessor completed
-                // (ops on a wire form a chain in the QODG).
-                let at = match op {
-                    FtOp::Cnot { control, .. } => qubit_ready[control.index()],
-                    FtOp::OneQubit { target, .. } => qubit_ready[target.index()],
-                };
-                heap.push(ReadyOp { at, node });
-            }
+        let push = |heap: &mut BinaryHeap<ReadyOp>, qubit_ready: &[f64], i: u32| {
+            // Earliest resource use: the control's departure for a CNOT,
+            // the target's shuttle for a one-qubit op. Operand ready times
+            // are final once every earlier op on the op's wires ran.
+            let at = match ops[i as usize] {
+                FtOp::Cnot { control, .. } => qubit_ready[control.index()],
+                FtOp::OneQubit { target, .. } => qubit_ready[target.index()],
+            };
+            heap.push(ReadyOp {
+                at,
+                node: NodeId(i as usize + 1),
+            });
         };
 
-        // Seed: successors of `start`.
-        successors.release(qodg.start(), |s| push_if_ready(heap, qubit_ready, s));
+        // Seed: the ops that head all their wires (`start`'s successors).
+        wires.seed(ops, |i| push(heap, qubit_ready, i));
 
         let mut makespan = 0.0f64;
         let mut stats = MappingStats::default();
@@ -295,9 +333,8 @@ impl Mapper {
         let mut trace = want_trace.then(Trace::new);
 
         while let Some(ReadyOp { node, .. }) = heap.pop() {
-            let QodgNode::Op(op) = qodg.node(node) else {
-                continue;
-            };
+            let i = (node.0 - 1) as u32;
+            let op = ops[i as usize];
             processed += 1;
             match op {
                 FtOp::OneQubit { kind, target } => {
@@ -385,7 +422,7 @@ impl Mapper {
                 }
             }
 
-            successors.release(node, |s| push_if_ready(heap, qubit_ready, s));
+            wires.release(ops, i, |next| push(heap, qubit_ready, next));
         }
         debug_assert_eq!(processed, qodg.op_count(), "all ops must execute");
 
@@ -406,18 +443,19 @@ impl Mapper {
 }
 
 /// Reusable working storage for [`Mapper`] runs (see the module docs):
-/// positions, ready times, the CSR successor graph, the ready heap, the
+/// positions, ready times, each wire's op list, the ready heap, the
 /// route buffers (used only on fabrics with dead cells or channels) and
-/// the channel calendars. One scratch serves any
-/// sequence of programs and fabrics; buffers grow to the high-water mark
-/// and stay.
+/// the channel calendars. The dependency state costs 4 bytes per operand
+/// and `O(Q)` besides; the rest is `O(Q)` or sized by the fabric. One
+/// scratch serves any sequence of programs and fabrics; buffers grow to
+/// the high-water mark and stay.
 #[derive(Debug, Default)]
 pub struct MapScratch {
     position: Vec<Ulb>,
     residents: Vec<u32>,
     qubit_ready: Vec<f64>,
     ulb_free: Vec<f64>,
-    successors: Successors,
+    wires: WireLists,
     heap: BinaryHeap<ReadyOp>,
     route: Vec<Channel>,
     route_alt: Vec<Channel>,
@@ -432,62 +470,93 @@ impl MapScratch {
     }
 }
 
-/// The QODG's successor lists in CSR form, each ascending by node id, and
-/// every node's count of predecessors not yet executed: the event-driven
-/// sweep's dependency state. Filled per run from the op list's edges
-/// ([`Qodg::for_each_edge`]: counts, prefix sums, then a fill pass), in
-/// the ascending order the ready heap's push sequence depends on.
+/// The event-driven sweep's dependency state: each wire's op indices in
+/// program order, as one CSR over the wires, and each wire's head (its
+/// first op not yet run). An op's QODG predecessors are the ops before it
+/// on its wires, so it is ready exactly when it heads every wire it
+/// touches.
 #[derive(Debug, Default)]
-struct Successors {
+struct WireLists {
+    /// Wire `w`'s ops are `ops[offsets[w]..offsets[w + 1]]`.
     offsets: Vec<usize>,
-    cursor: Vec<usize>,
-    edges: Vec<NodeId>,
-    remaining: Vec<u32>,
+    ops: Vec<u32>,
+    /// Wire `w`'s head is `ops[heads[w]]` while `heads[w] < offsets[w + 1]`.
+    heads: Vec<usize>,
 }
 
-impl Successors {
-    fn fill(&mut self, qodg: &Qodg) {
-        let n = qodg.node_count();
-        let Successors {
+impl WireLists {
+    /// Lists `circuit`'s ops per wire (counts, prefix sums, then a fill
+    /// pass in program order) and puts every head at its wire's first op.
+    fn fill(&mut self, circuit: &FtCircuit) {
+        let wires = circuit.num_qubits() as usize;
+        let WireLists {
             offsets,
-            cursor,
-            edges,
-            remaining,
+            ops,
+            heads,
         } = self;
         offsets.clear();
-        offsets.resize(n + 1, 0);
-        remaining.clear();
-        remaining.resize(n, 0);
-        qodg.for_each_edge(|pred, node| {
-            remaining[node.0] += 1;
-            offsets[pred.0 + 1] += 1;
-        });
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
+        offsets.resize(wires + 1, 0);
+        for op in circuit.ops() {
+            for q in op.qubits() {
+                offsets[q.index() + 1] += 1;
+            }
         }
-        cursor.clear();
-        cursor.extend_from_slice(&offsets[..n]);
-        edges.clear();
-        edges.resize(offsets[n], NodeId(0));
-        qodg.for_each_edge(|pred, node| {
-            edges[cursor[pred.0]] = node;
-            cursor[pred.0] += 1;
-        });
+        for w in 0..wires {
+            offsets[w + 1] += offsets[w];
+        }
+        heads.clear();
+        heads.extend_from_slice(&offsets[..wires]);
+        ops.clear();
+        ops.resize(offsets[wires], 0);
+        for (i, op) in circuit.ops().iter().enumerate() {
+            for q in op.qubits() {
+                ops[heads[q.index()]] = i as u32;
+                heads[q.index()] += 1;
+            }
+        }
+        heads.copy_from_slice(&offsets[..wires]);
     }
 
-    /// The successors of `node`, ascending.
-    #[cfg(test)]
-    fn of(&self, node: NodeId) -> &[NodeId] {
-        &self.edges[self.offsets[node.0]..self.offsets[node.0 + 1]]
+    /// The op heading wire `w`, if it has one left.
+    fn head(&self, w: usize) -> Option<u32> {
+        (self.heads[w] < self.offsets[w + 1]).then(|| self.ops[self.heads[w]])
     }
 
-    /// Marks `node` executed, handing each successor it was the last
-    /// pending predecessor of to `ready`, in ascending order.
-    fn release(&mut self, node: NodeId, mut ready: impl FnMut(NodeId)) {
-        for &s in &self.edges[self.offsets[node.0]..self.offsets[node.0 + 1]] {
-            self.remaining[s.0] -= 1;
-            if self.remaining[s.0] == 0 {
-                ready(s);
+    /// Whether op `i` heads every wire it touches.
+    fn is_ready(&self, i: u32, op: FtOp) -> bool {
+        op.qubits().all(|q| self.head(q.index()) == Some(i))
+    }
+
+    /// Hands each op that heads all its wires before anything ran to
+    /// `ready`, once: a CNOT heading both wires goes from its control's.
+    fn seed(&self, ops: &[FtOp], mut ready: impl FnMut(u32)) {
+        for w in 0..self.heads.len() {
+            if let Some(i) = self.head(w) {
+                let op = ops[i as usize];
+                let first = op.qubits().next().map(|q| q.index());
+                if first == Some(w) && self.is_ready(i, op) {
+                    ready(i);
+                }
+            }
+        }
+    }
+
+    /// Marks op `i`, a head of all its wires, run: moves those heads on
+    /// and hands each new head that now heads all its wires to `ready`,
+    /// once — a CNOT after a CNOT on the same pair heads both.
+    fn release(&mut self, ops: &[FtOp], i: u32, mut ready: impl FnMut(u32)) {
+        let op = ops[i as usize];
+        for q in op.qubits() {
+            debug_assert_eq!(self.head(q.index()), Some(i), "op {i} ran out of order");
+            self.heads[q.index()] += 1;
+        }
+        let mut previous = None;
+        for q in op.qubits() {
+            if let Some(next) = self.head(q.index()) {
+                if previous != Some(next) && self.is_ready(next, ops[next as usize]) {
+                    ready(next);
+                }
+                previous = Some(next);
             }
         }
     }
@@ -697,7 +766,8 @@ fn path_ok(map: &FabricMap, from: Ulb, path: &[Channel]) -> bool {
 }
 
 /// Heap entry: an op whose predecessors all completed, ordered by earliest
-/// resource-use time (min-heap).
+/// resource-use time (min-heap). Node ids are unique, so no two entries
+/// tie and the pop sequence does not depend on the push order.
 #[derive(Debug, Clone, Copy)]
 struct ReadyOp {
     at: f64,
@@ -988,49 +1058,124 @@ mod tests {
         assert_eq!(r.stats.channel_traversals, r.stats.total_hops);
     }
 
-    /// The successor lists and pending-predecessor counts the sweep
-    /// derives from per-wire last pointers equal those read off the
-    /// predecessor table.
-    fn assert_successors_match_preds(qodg: &Qodg, label: &str) {
-        let mut successors = Successors::default();
-        successors.fill(qodg);
-        let n = qodg.node_count();
-        let mut expected = vec![Vec::new(); n];
-        for i in 0..n {
-            let preds = qodg.preds(NodeId(i));
-            assert_eq!(
-                successors.remaining[i] as usize,
-                preds.len(),
-                "{label}: node {i}"
-            );
-            for &p in preds {
-                expected[p.0].push(NodeId(i));
-            }
-        }
-        for (i, list) in expected.iter().enumerate() {
-            assert_eq!(
-                successors.of(NodeId(i)),
-                list.as_slice(),
-                "{label}: node {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn successors_match_the_pred_table() {
-        for bench in &leqa_workloads::SUITE {
-            let ft = leqa_circuit::decompose::lower_to_ft(&bench.circuit()).unwrap();
-            assert_successors_match_preds(&Qodg::from(ft), bench.name);
-        }
-        // Seeded random streams over 1 to 64 wires: mixed, CNOT-only,
-        // one-qubit-only and empty.
-        let mut state = 0x5eed_u64;
-        let mut draw = |n: u64| {
+    /// A seeded linear congruential stream: `draw(n)` lies in `0..n`.
+    fn lcg(mut state: u64) -> impl FnMut(u64) -> u64 {
+        move |n| {
             state = state
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1);
             (state >> 33) % n
+        }
+    }
+
+    /// Drives the wire lists over `qodg` and checks every hand-over
+    /// against the predecessor table: seeding hands over exactly the ops
+    /// whose only predecessor is `start`, and running an op hands over
+    /// exactly the ops whose last pending predecessor it was, each once.
+    /// Ops run in program order, or with `shuffle` in a seeded random
+    /// order of the ready ones.
+    fn assert_releases_match_preds(qodg: &Qodg, label: &str, shuffle: Option<u64>) {
+        let ops = qodg.circuit().ops();
+        let n = qodg.node_count();
+        let end = qodg.end().0;
+        // The oracle: successor lists and pending counts read off `preds`.
+        let mut pending: Vec<usize> = (0..n).map(|i| qodg.preds(NodeId(i)).len()).collect();
+        let mut succs = vec![Vec::new(); n];
+        for i in 0..n {
+            for p in qodg.preds(NodeId(i)) {
+                succs[p.0].push(i);
+            }
+        }
+        // The ops that running `node` leaves with every predecessor run,
+        // ascending by op index.
+        let mut frees = |node: usize| -> Vec<u32> {
+            let mut freed = Vec::new();
+            for &s in &succs[node] {
+                pending[s] -= 1;
+                if pending[s] == 0 && s != end {
+                    freed.push(s as u32 - 1);
+                }
+            }
+            freed
         };
+
+        let mut wires = WireLists::default();
+        wires.fill(qodg.circuit());
+        let mut handed = vec![false; ops.len()];
+        let mut ready = Vec::new();
+        let mut got = Vec::new();
+        wires.seed(ops, |i| got.push(i));
+        take(
+            label,
+            None,
+            &mut got,
+            &frees(qodg.start().0),
+            &mut handed,
+            &mut ready,
+        );
+        let mut draw = shuffle.map(lcg);
+        for step in 0..ops.len() {
+            let i = match draw.as_mut() {
+                Some(draw) => {
+                    assert!(!ready.is_empty(), "{label}: no op ready at step {step}");
+                    ready.swap_remove(draw(ready.len() as u64) as usize)
+                }
+                None => {
+                    assert!(
+                        handed[step],
+                        "{label}: op {step} not ready in program order"
+                    );
+                    step as u32
+                }
+            };
+            got.clear();
+            wires.release(ops, i, |j| got.push(j));
+            take(
+                label,
+                Some(i),
+                &mut got,
+                &frees(i as usize + 1),
+                &mut handed,
+                &mut ready,
+            );
+        }
+        assert!(handed.iter().all(|&h| h), "{label}: an op never ran");
+        assert_eq!(pending[end], 0, "{label}: `end` still waits");
+    }
+
+    /// Checks one hand-over (`by` is the op run, `None` for the seed)
+    /// against the oracle's `want` and moves its ops into the ready set.
+    fn take(
+        label: &str,
+        by: Option<u32>,
+        got: &mut [u32],
+        want: &[u32],
+        handed: &mut [bool],
+        ready: &mut Vec<u32>,
+    ) {
+        got.sort_unstable();
+        assert_eq!(got, want, "{label}: ops freed by {by:?}");
+        for &i in got.iter() {
+            assert!(!handed[i as usize], "{label}: op {i} handed over twice");
+            handed[i as usize] = true;
+            ready.push(i);
+        }
+    }
+
+    fn assert_releases_match_preds_in_both_orders(qodg: &Qodg, label: &str, seed: u64) {
+        assert_releases_match_preds(qodg, label, None);
+        assert_releases_match_preds(qodg, label, Some(seed));
+    }
+
+    #[test]
+    fn releases_match_the_pred_table() {
+        for (k, bench) in leqa_workloads::SUITE.iter().enumerate() {
+            let ft = leqa_circuit::decompose::lower_to_ft(&bench.circuit()).unwrap();
+            assert_releases_match_preds_in_both_orders(&Qodg::from(ft), bench.name, k as u64);
+        }
+        // Seeded random streams over 1 to 64 wires: mixed, CNOT-only,
+        // one-qubit-only and empty.
+        let mut draw = lcg(0x5eed);
         for case in 0..200 {
             let qubits = 1 + draw(64) as u32;
             let mut ft = FtCircuit::new(qubits);
@@ -1045,7 +1190,8 @@ mod tests {
                         .unwrap();
                 }
             }
-            assert_successors_match_preds(&Qodg::from(ft), &format!("random case {case}"));
+            let label = format!("random case {case}");
+            assert_releases_match_preds_in_both_orders(&Qodg::from(ft), &label, case as u64);
         }
     }
 }
@@ -1579,6 +1725,7 @@ mod drift_tests {
 
     #[test]
     fn drift_dominates_dependency_bound_too() {
+        use leqa_circuit::QodgNode;
         use leqa_fabric::OneQubitKind;
         let mut ft = FtCircuit::new(6);
         for i in 0..5 {
