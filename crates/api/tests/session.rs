@@ -455,6 +455,7 @@ fn streamed_estimate_is_byte_identical_to_materialized() {
     let streamed = streaming.estimate(&req).unwrap();
     let direct = materialized.estimate(&req).unwrap();
 
+    assert_eq!(streamed.to_json().encode(), direct.to_json().encode());
     assert_eq!(streamed.latency_us, direct.latency_us);
     assert_eq!(streamed.l_cnot_avg_us, direct.l_cnot_avg_us);
     assert_eq!(streamed.l_one_qubit_avg_us, direct.l_one_qubit_avg_us);

@@ -14,15 +14,21 @@
 //! list over, so neither side has a graph build to time. Each stage
 //! reports the median of five passes; every cold profile and cold fabric
 //! half pass starts from a fresh `ProfileData`, since the fabric half
-//! keeps the critical paths it resolves. With `BENCH_JSON=FILE` each
-//! program appends one JSON line to `FILE` with every stage and each
-//! ratio with its numerator and denominator, the cost trajectory recorded
-//! in `BENCH_cost.json`.
+//! keeps the critical-path censuses it resolves.
+//!
+//! The design-loop rows put the cost claim in the form of the paper's use
+//! case: one profile plus one cold sweep over the 41 sides 40 to 80,
+//! against 41 maps (mapped latency barely depends on the side, so 41 maps
+//! cost 41 times one). They report the sweep's full critical-path passes
+//! and its median time. With `BENCH_JSON=FILE` each program appends one
+//! JSON line to `FILE` with every stage and each ratio with its numerator
+//! and denominator, the cost trajectory recorded in `BENCH_cost.json`.
 
 use std::io::Write as _;
 use std::time::Instant;
 
-use leqa::{Estimator, ProfileData, ProgramProfile};
+use leqa::sweep::sweep_profile_squares;
+use leqa::{Estimator, EstimatorOptions, ProfileData, ProgramProfile};
 use leqa_api::json::Json;
 use leqa_circuit::{decompose::lower_to_ft, Qodg};
 use leqa_fabric::{FabricDims, PhysicalParams};
@@ -40,6 +46,10 @@ struct Stages {
     /// The fabric half again, its critical path now resolved in the
     /// profile's path table: what a warm design-loop query pays.
     warm_ms: f64,
+    /// A cold sweep over [`SWEEP_SIDES`] on a fresh profile.
+    sweep_ms: f64,
+    /// The full critical-path passes that sweep runs.
+    sweep_passes: u64,
 }
 
 impl Stages {
@@ -50,6 +60,13 @@ impl Stages {
     /// Table 3's speedup: mapper over cold estimator.
     fn speedup(&self) -> f64 {
         self.mapper_ms / self.estimator_ms()
+    }
+
+    /// The design loop: one map per side over one profile and one cold
+    /// sweep, as (numerator, denominator) in milliseconds.
+    fn design_loop(&self) -> (f64, f64) {
+        let sides = SWEEP_SIDES.count() as f64;
+        (sides * self.mapper_ms, self.profile_ms + self.sweep_ms)
     }
 
     fn to_json(&self, name: &str) -> Json {
@@ -70,6 +87,8 @@ impl Stages {
             ("profile_ms", Json::Num(self.profile_ms)),
             ("fabric_half_ms", Json::Num(self.fabric_half_ms)),
             ("warm_ms", Json::Num(self.warm_ms)),
+            ("sweep_ms", Json::Num(self.sweep_ms)),
+            ("sweep_passes", Json::Num(self.sweep_passes as f64)),
             // Table 3's column: mapper over estimator.
             ("speedup", ratio(self.mapper_ms, self.estimator_ms())),
             // From the circuit: both sides also lower.
@@ -80,12 +99,20 @@ impl Stages {
                     self.lower_ms + self.estimator_ms(),
                 ),
             ),
+            // 41 maps against one profile and one cold 41-side sweep.
+            ("design_loop_speedup", {
+                let (maps, sweep) = self.design_loop();
+                ratio(maps, sweep)
+            }),
         ])
     }
 }
 
 /// Passes per stage; a stage reports the median.
 const PASSES: usize = 5;
+
+/// The design-loop sweep's square sides.
+const SWEEP_SIDES: std::ops::RangeInclusive<u32> = 40..=80;
 
 /// Runs `f` once, returning its wall time in milliseconds and its output.
 fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
@@ -136,6 +163,14 @@ fn measure(bench: &Benchmark, dims: FabricDims, params: &PhysicalParams) -> Stag
         .expect("suite fits the fabric");
     let (warm_ms, warm) = median_of(|| timed(|| estimator.estimate_with_profile(&profile)));
     warm.expect("suite fits the fabric");
+    let (sweep_ms, sweep_passes) = median_of(|| {
+        let fresh = ProfileData::new(&qodg);
+        let profile = ProgramProfile::from_data(&qodg, &fresh);
+        let options = EstimatorOptions::default();
+        let (ms, swept) = timed(|| sweep_profile_squares(&profile, params, options, SWEEP_SIDES));
+        swept.expect("the sides are valid");
+        (ms, fresh.critical_path_passes())
+    });
 
     Stages {
         qubits: u64::from(qodg.num_qubits()),
@@ -145,6 +180,8 @@ fn measure(bench: &Benchmark, dims: FabricDims, params: &PhysicalParams) -> Stag
         profile_ms,
         fabric_half_ms,
         warm_ms,
+        sweep_ms,
+        sweep_passes,
     }
 }
 
@@ -187,6 +224,7 @@ fn main() {
     // which concurrent rows would contend for (see `run_suite`'s docs).
     let mut first_speedup = None;
     let mut last_speedup = 0.0;
+    let mut design_loop = Vec::new();
     for bench in &SUITE {
         let stages = measure(bench, dims, &params);
         let speedup = stages.speedup();
@@ -205,6 +243,7 @@ fn main() {
             bench.paper.speedup,
         );
         emit(&stages.to_json(bench.name).encode());
+        design_loop.push((bench.name, stages));
     }
     println!("{}", "-".repeat(110));
     println!(
@@ -213,4 +252,22 @@ fn main() {
         first_speedup.unwrap_or(0.0),
         last_speedup
     );
+
+    println!("\nDesign loop: sides 40..=80, 41 maps against one profile and one cold sweep");
+    println!(
+        "{:<16} {:>7} {:>10} {:>12} {:>12} {:>8}",
+        "Benchmark", "Passes", "Sweep(ms)", "41 maps(ms)", "LEQA(ms)", "Ratio"
+    );
+    for (name, stages) in &design_loop {
+        let (maps, sweep) = stages.design_loop();
+        println!(
+            "{:<16} {:>7} {:>10.3} {:>12.1} {:>12.3} {:>8.1}",
+            name,
+            stages.sweep_passes,
+            stages.sweep_ms,
+            maps,
+            sweep,
+            maps / sweep
+        );
+    }
 }

@@ -17,9 +17,11 @@
 //! `i + 1` is op `i`, `start` is node 0 and `end` is node `n + 1`. An op's
 //! predecessors are the last earlier ops on its wires, so passes keep
 //! per-wire state instead of edge arrays. One critical-path kernel keeps
-//! each wire's distance and last node, plus a 4-byte argmax per op when
-//! the node path is wanted ([`Qodg::critical_path_reuse`]); with the
-//! argmax off it walks an op stream ([`stream_critical_path`]).
+//! each wire's distance and last node, plus a 4-byte argmax per op on a
+//! QODG, walked back to name the path's nodes
+//! ([`Qodg::critical_path_reuse`]) or only to count its census
+//! ([`Qodg::critical_census`]); with the argmax off it walks an op stream
+//! ([`stream_critical_path`]).
 //! [`Qodg::for_each_edge`] derives the edges the same way.
 //!
 //! [`Qodg::preds`] and [`Qodg::edge_count`] build a compressed sparse row
@@ -249,13 +251,40 @@ impl Qodg {
     }
 
     /// Like [`critical_path`](Self::critical_path), reusing caller-owned
-    /// scratch buffers so repeated passes (one per fabric candidate in a
-    /// sweep) allocate nothing but the returned path. The scratch holds
-    /// 24 bytes per wire and a 4-byte argmax per op.
+    /// scratch buffers so repeated passes allocate nothing but the
+    /// returned path. The scratch holds 24 bytes per wire and a 4-byte
+    /// argmax per op.
     pub fn critical_path_reuse(
         &self,
         delay: impl Fn(&QodgNode) -> Micros,
         scratch: &mut CriticalPathScratch,
+    ) -> CriticalPath {
+        let mut path = vec![self.end()];
+        let mut cp = self.argmax_walk(delay, scratch, |node| path.push(node));
+        path.push(self.start());
+        path.reverse();
+        cp.path = path;
+        cp
+    }
+
+    /// Like [`critical_path_reuse`](Self::critical_path_reuse), naming no
+    /// nodes: the same walk counts the census on its way back and returns
+    /// an empty `path`, so it allocates nothing once `scratch` is sized.
+    pub fn critical_census(
+        &self,
+        delay: impl Fn(&QodgNode) -> Micros,
+        scratch: &mut CriticalPathScratch,
+    ) -> CriticalPath {
+        self.argmax_walk(delay, scratch, |_| {})
+    }
+
+    /// The argmax kernel behind both critical-path passes: `visit` sees
+    /// each op node of the path, from last to first.
+    fn argmax_walk(
+        &self,
+        delay: impl Fn(&QodgNode) -> Micros,
+        scratch: &mut CriticalPathScratch,
+        mut visit: impl FnMut(NodeId),
     ) -> CriticalPath {
         let CriticalPathScratch { wires, argmax } = scratch;
         argmax.clear();
@@ -276,16 +305,13 @@ impl Qodg {
         .expect("a QODG's ops come from a validated FtCircuit");
 
         let mut census = Census::default();
-        let mut path = vec![self.end()];
         while cur != 0 {
             let op = cur as usize - 1;
-            path.push(NodeId(cur as usize));
+            visit(NodeId(cur as usize));
             census = counted(census, &self.circuit.ops()[op]);
             cur = argmax[op];
         }
-        path.push(self.start());
-        path.reverse();
-        path_of(length, census, path)
+        path_of(length, census, Vec::new())
     }
 }
 

@@ -8,7 +8,8 @@
 //! 64 wires (mixed, CNOT-only, one-qubit-only and empty) and delays that
 //! make ties common (all zero, all equal, a few small values), the kernel
 //! must give the oracle's length bits, census and node path with the
-//! argmax on, and its length bits and census with the argmax off.
+//! argmax on, and its length bits and census when it only counts the
+//! census or runs with the argmax off.
 
 use leqa_circuit::{
     stream_critical_path, CriticalPath, CriticalPathScratch, FtCircuit, FtOp, NodeId, OneQubitKind,
@@ -191,6 +192,11 @@ proptest! {
         let with_path = qodg.critical_path_reuse(delay, &mut scratch);
         assert_same_length_and_census(&with_path, &oracle, &label);
         prop_assert_eq!(&with_path.path, &oracle.path, "{}: path", label);
+
+        // Argmax on, census only.
+        let census = qodg.critical_census(delay, &mut scratch);
+        assert_same_length_and_census(&census, &oracle, &label);
+        prop_assert!(census.path.is_empty());
 
         // Argmax off.
         let streamed = stream_critical_path(

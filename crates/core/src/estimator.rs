@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use leqa_circuit::{stream_critical_path, CriticalPath, CriticalPathScratch, FtOp, Qodg, QodgNode};
-use leqa_fabric::{FabricDims, FabricMap, GateDelays, Micros, OneQubitKind, PhysicalParams};
+use leqa_fabric::{FabricDims, FabricMap, Micros, OneQubitKind, PhysicalParams};
 
 pub use crate::coverage::ZoneRounding;
 use crate::coverage::{CoverageHistogram, DEFAULT_MAX_TERMS};
@@ -137,8 +137,8 @@ impl Estimator {
     /// [`ProgramProfile`]. Bit-identical to [`estimate`](Self::estimate) on
     /// the profile's QODG; the `O(ops)` program traversals are skipped, and
     /// so is the critical-path walk when the profile's path table already
-    /// resolves this `L_CNOT^avg` (a one-point resolve through the code
-    /// the sweep engine uses).
+    /// resolves the census at this `L_CNOT^avg` (a one-point resolve
+    /// through the code the sweep engine uses).
     ///
     /// # Errors
     ///
@@ -155,11 +155,11 @@ impl Estimator {
             correction.as_ref(),
         )?;
         let params = correction.as_ref().map_or(&self.params, |c| &c.params);
-        let critical = profile
-            .critical_paths(params, &self.options, &[quantities.l_cnot_avg])
+        let census = profile
+            .critical_censuses(params, &self.options, &[quantities.l_cnot_avg])
             .pop()
-            .expect("one path per value");
-        Ok(assemble_estimate(params, quantities, critical))
+            .expect("one census per value");
+        Ok(assemble_estimate(params, &self.options, quantities, census))
     }
 
     /// Runs Algorithm 1 directly from a gate stream, never materializing
@@ -170,9 +170,9 @@ impl Estimator {
     /// walk's kernel with its per-op argmax off.
     ///
     /// Bit-identical to [`estimate`](Self::estimate) on the materialized
-    /// equivalent of the same stream, except that the returned
-    /// [`CriticalPath::path`] is empty (without the argmax the pass names
-    /// no nodes); every census field and every latency quantity matches.
+    /// equivalent of the same stream, field for field: both carry the
+    /// critical path's census, its length as the census's line, and no
+    /// node path.
     ///
     /// # Errors
     ///
@@ -201,7 +201,12 @@ impl Estimator {
         let delays = OpDelays::new(params, &self.options, quantities.l_cnot_avg);
         let critical = stream_critical_path(num_qubits, source.gates(), |op| delays.of(op))
             .map_err(|e| invalid_stream(e, num_qubits))?;
-        Ok(assemble_estimate(params, quantities, critical))
+        Ok(assemble_estimate(
+            params,
+            &self.options,
+            quantities,
+            Census::of(&critical),
+        ))
     }
 
     /// The second half of [`estimate_stream`](Self::estimate_stream) for
@@ -225,7 +230,12 @@ impl Estimator {
         let delays = OpDelays::new(params, &self.options, quantities.l_cnot_avg);
         let critical = stream_critical_path(num_qubits, ops, |op| delays.of(op))
             .map_err(|e| invalid_stream(e, num_qubits))?;
-        Ok(assemble_estimate(params, quantities, critical))
+        Ok(assemble_estimate(
+            params,
+            &self.options,
+            quantities,
+            Census::of(&critical),
+        ))
     }
 
     /// Folds the attached fabric map (if any, and not pristine) into the
@@ -370,7 +380,8 @@ struct MapCorrection {
 }
 
 /// Line 19: the critical path with (or, per the options, without) the
-/// routing latencies added to the node delays.
+/// routing latencies added to the node delays, as its length and census
+/// (the argmax walk, naming no nodes).
 ///
 /// A free function over `(params, options)` rather than an [`Estimator`]
 /// method: it is fabric-independent by construction, and the path table
@@ -384,7 +395,7 @@ pub(crate) fn routing_aware_critical_path(
     scratch: &mut CriticalPathScratch,
 ) -> CriticalPath {
     let delays = OpDelays::new(params, options, l_cnot_avg);
-    qodg.critical_path_reuse(
+    qodg.critical_census(
         |node| match node {
             QodgNode::Op(op) => delays.of(op),
             _ => Micros::ZERO,
@@ -393,16 +404,33 @@ pub(crate) fn routing_aware_critical_path(
     )
 }
 
+/// The op census of a critical path, `N_CNOT^critical` and `N_g^critical`
+/// per one-qubit kind: all that Eq. 1 reads of the path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Census {
+    cnot_count: u64,
+    one_qubit_counts: [u64; 8],
+}
+
+impl Census {
+    pub(crate) fn of(path: &CriticalPath) -> Census {
+        Census {
+            cnot_count: path.cnot_count,
+            one_qubit_counts: path.one_qubit_counts,
+        }
+    }
+}
+
 /// The per-op delay model of Algorithm 1 line 19 — gate time plus (per the
 /// options) the average routing latency — shared bit-for-bit by the QODG
-/// walk ([`routing_aware_critical_path`]) and the streaming pass
-/// ([`stream_critical_path`]), one kernel in two modes.
+/// walk ([`routing_aware_critical_path`]), the streaming pass
+/// ([`stream_critical_path`]) and the census lines of Eq. 1
+/// ([`line`](Self::line)).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct OpDelays {
-    delays: GateDelays,
-    l_cnot: Micros,
-    l_one: Micros,
-    include_routing: bool,
+    cnot: Micros,
+    /// By [`OneQubitKind::index`].
+    one_qubit: [Micros; 8],
 }
 
 impl OpDelays {
@@ -411,42 +439,68 @@ impl OpDelays {
         options: &EstimatorOptions,
         l_cnot_avg: Micros,
     ) -> Self {
+        OpDelays::with_routing(params, options.update_critical_path, l_cnot_avg)
+    }
+
+    fn with_routing(params: &PhysicalParams, include_routing: bool, l_cnot_avg: Micros) -> Self {
+        let delays = params.gate_delays();
+        let (l_cnot, l_one) = if include_routing {
+            (l_cnot_avg, params.one_qubit_routing_latency())
+        } else {
+            (Micros::ZERO, Micros::ZERO)
+        };
+        let mut one_qubit = [Micros::ZERO; 8];
+        for kind in OneQubitKind::ALL {
+            one_qubit[kind.index()] = delays.one_qubit(kind) + l_one;
+        }
         OpDelays {
-            delays: *params.gate_delays(),
-            l_cnot: l_cnot_avg,
-            l_one: params.one_qubit_routing_latency(),
-            include_routing: options.update_critical_path,
+            cnot: delays.cnot() + l_cnot,
+            one_qubit,
         }
     }
 
     /// The node delay for `op`.
     pub(crate) fn of(&self, op: &FtOp) -> Micros {
-        let routing = match op {
-            FtOp::Cnot { .. } => self.l_cnot,
-            FtOp::OneQubit { .. } => self.l_one,
-        };
-        let gate = match op {
-            FtOp::Cnot { .. } => self.delays.cnot(),
-            FtOp::OneQubit { kind, .. } => self.delays.one_qubit(*kind),
-        };
-        gate + if self.include_routing {
-            routing
-        } else {
-            Micros::ZERO
+        match op {
+            FtOp::Cnot { .. } => self.cnot,
+            FtOp::OneQubit { kind, .. } => self.one_qubit[kind.index()],
         }
+    }
+
+    /// The length of every path with `census`: its op delays summed per
+    /// kind, CNOTs first, in one fixed order. With the routing latencies
+    /// in, this is Eq. 1.
+    pub(crate) fn line(&self, census: &Census) -> Micros {
+        let mut length = self.cnot * census.cnot_count as f64;
+        for kind in OneQubitKind::ALL {
+            length += self.one_qubit[kind.index()] * census.one_qubit_counts[kind.index()] as f64;
+        }
+        length
+    }
+
+    /// The delays' bits, CNOT first: the whole delay model of a pass.
+    pub(crate) fn bits(&self) -> [u64; 9] {
+        let mut bits = [self.cnot.as_f64().to_bits(); 9];
+        for (bit, delay) in bits[1..].iter_mut().zip(self.one_qubit) {
+            *bit = delay.as_f64().to_bits();
+        }
+        bits
     }
 }
 
-/// Line 20: Eq. 1 from the critical-path census. When the critical
-/// path already includes the routing latencies this equals its
-/// length; the explicit form also covers the ablation variant.
+/// Line 20: Eq. 1 from the critical-path census. `latency` prices every
+/// op with its routing latency; `critical.length` is the census's line
+/// under the pass's own delay model, so the two agree bit for bit when
+/// the routing latencies are in the node delays, and the ablation variant
+/// reads the bare-gate length.
 ///
 /// Fabric-independent (see [`routing_aware_critical_path`] on why it is a
 /// free function).
 pub(crate) fn assemble_estimate(
     params: &PhysicalParams,
+    options: &EstimatorOptions,
     quantities: RoutingQuantities,
-    critical: CriticalPath,
+    census: Census,
 ) -> Estimate {
     let RoutingQuantities {
         l_cnot_avg,
@@ -456,24 +510,23 @@ pub(crate) fn assemble_estimate(
         avg_zone_area,
         qubit_count,
     } = quantities;
-    let l_one_qubit_avg = params.one_qubit_routing_latency();
-    let delays = *params.gate_delays();
-
-    let mut latency = (delays.cnot() + l_cnot_avg) * critical.cnot_count as f64;
-    for kind in OneQubitKind::ALL {
-        let n = critical.one_qubit_counts[kind.index()] as f64;
-        latency += (delays.one_qubit(kind) + l_one_qubit_avg) * n;
-    }
+    let latency = OpDelays::with_routing(params, true, l_cnot_avg).line(&census);
+    let length = OpDelays::new(params, options, l_cnot_avg).line(&census);
 
     Estimate {
         latency,
         l_cnot_avg,
-        l_one_qubit_avg,
+        l_one_qubit_avg: params.one_qubit_routing_latency(),
         d_uncong,
         avg_zone_area,
         zone_side,
         esq,
-        critical,
+        critical: CriticalPath {
+            length,
+            cnot_count: census.cnot_count,
+            one_qubit_counts: census.one_qubit_counts,
+            path: Vec::new(),
+        },
         qubit_count,
     }
 }
@@ -511,8 +564,10 @@ pub struct Estimate {
     pub zone_side: u32,
     /// `E[S_q]` for `q = 1..` (Eq. 4), truncated per the options.
     pub esq: Vec<f64>,
-    /// The routing-aware critical path (Algorithm 1 line 19) and its
-    /// op-type census (`N^critical` of Eq. 1).
+    /// The routing-aware critical path (Algorithm 1 line 19) as Eq. 1
+    /// reads it: its op-type census (`N^critical`) and its length, the
+    /// census's line at `L_CNOT^avg`. `path` is empty;
+    /// [`Qodg::critical_path`] names the nodes.
     pub critical: CriticalPath,
     /// `Q`: logical qubits in the program.
     pub qubit_count: u64,

@@ -1,61 +1,57 @@
-//! The path table: routing-aware critical paths (Algorithm 1 line 19)
-//! resolved against one program, kept with its
+//! The path table: the censuses of routing-aware critical paths
+//! (Algorithm 1 line 19) resolved against one program, kept with its
 //! [`ProfileData`](crate::ProfileData) for every later query.
 //!
-//! The critical-path pass is the one `O(|V|+|E|)` walk left in the
-//! fabric-dependent half, and it depends on the fabric only through the
-//! scalar `L_CNOT^avg`. In exact arithmetic the longest-path length is a
-//! convex piecewise-linear function of that scalar (each start→end path
-//! contributes the line `base + n_CNOT · x`), so if full passes at two
-//! values select the same path, that path is optimal on the whole
-//! interval between them; interior values only re-accumulate its length.
+//! Eq. 1 reads only the critical path's op census, and the census fixes
+//! the path's length line `a + n_CNOT · x` in `x = L_CNOT^avg`, the one
+//! scalar through which the critical-path pass depends on the fabric. In
+//! exact arithmetic the longest-path length is the upper envelope of
+//! these lines, convex and piecewise linear in `x`, so if full passes at
+//! two values select the same census, that census is optimal on the whole
+//! interval between them.
 //!
-//! [`PathTable`] keeps what full passes learned, per delay model
-//! ([`DelayKey`]):
+//! [`PathTable`] keeps, per delay model ([`DelayKey`]), the resolved
+//! values as **points** `(x, census)`, ascending, and the distinct
+//! censuses they hold. [`PathTable::resolve`] answers a set of values
+//! (one for an estimate, `N` for a sweep): an exact point is a hit; a
+//! value between two points with one census takes that census, unless a
+//! known rival census comes within the [`Work::reusable`] guard; any
+//! other value takes a full pass, bisecting unresolved runs. A full pass
+//! is the argmax walk, which counts the census on its way back and names
+//! no node. Every answer is the census a full pass at that value selects
+//! (`tests/differential.rs` pins each estimate against a fresh one across
+//! the workload suite, warm tables included), and every answer is
+//! recorded.
 //!
-//! * **templates** — the distinct paths full passes produced, node ids
-//!   stored as `u32`;
-//! * **points** — resolved `L_CNOT^avg` values, ascending, each mapped to
-//!   a template and the path's length there.
+//! A census's length at `x` is its line ([`OpDelays::line`]), computed
+//! where the estimate is assembled, so a point stores no length. Node
+//! paths that share a census (exact ties that rounding breaks) are one
+//! census to the table, never rivals.
 //!
-//! [`PathTable::resolve`] answers a set of values (one for an estimate,
-//! `N` for a sweep): an exact point is a hit; a value between two points
-//! holding the same template re-accumulates it in DP order
-//! ([`Work::accumulate_along`]) under the [`Work::rival_near`] guard; any
-//! other value takes a full pass, bisecting unresolved runs. Every answer
-//! is bit-identical to a full pass at that value (`tests/differential.rs`
-//! pins it across the workload suite, warm tables included), and every
-//! answer is recorded.
-//!
-//! The table is bounded by constants: template ids per program at most
-//! [`IDS_PER_NODE`] times its QODG node count, points at most
-//! [`MAX_POINTS`]. At a bound the query still gets its full pass, and
-//! nothing is recorded.
+//! The table is bounded by a constant, [`MAX_POINTS`] points per program.
+//! At the bound the query still gets its full pass, and nothing is
+//! recorded.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use leqa_circuit::{CriticalPath, CriticalPathScratch, NodeId, Qodg, QodgNode};
-use leqa_fabric::{Micros, OneQubitKind, PhysicalParams};
+use leqa_circuit::{CriticalPathScratch, Qodg};
+use leqa_fabric::{Micros, PhysicalParams};
 
-use crate::estimator::{routing_aware_critical_path, OpDelays};
+use crate::estimator::{routing_aware_critical_path, Census, OpDelays};
 use crate::EstimatorOptions;
 
 /// Resolved points kept per program, over every delay model.
 const MAX_POINTS: usize = 4096;
 
-/// Template node ids kept per program, as a multiple of its QODG node
-/// count: at most 8 bytes per node, against the 12 of the op list the
-/// QODG holds.
-const IDS_PER_NODE: usize = 2;
-
-/// The resolved critical paths of one program. A cache: it starts empty
-/// in a clone, compares equal to any other table, and is never persisted.
+/// The resolved critical-path censuses of one program. A cache: it starts
+/// empty in a clone, compares equal to any other table, and is never
+/// persisted.
 ///
 /// The lock is held for lookups and inserts only, never across a full
 /// pass. Two callers racing on one miss both walk, and both record the
-/// same bits.
+/// same census.
 #[derive(Default)]
 pub(crate) struct PathTable {
     state: Mutex<TableState>,
@@ -67,8 +63,6 @@ struct TableState {
     /// Node count of the QODG the table was filled against (0 until the
     /// first record); a QODG of another size bypasses the table.
     nodes: usize,
-    /// Template node ids held, over every model.
-    ids: usize,
     /// Points held, over every model.
     points: usize,
     models: Vec<Regimes>,
@@ -77,71 +71,26 @@ struct TableState {
 /// What the table knows under one delay model.
 struct Regimes {
     key: DelayKey,
-    /// Append-only, so indices stay valid across callers.
-    templates: Vec<Arc<Template>>,
+    /// The distinct censuses of `points`.
+    censuses: Vec<Census>,
     /// Ascending by `x` (total order), unique.
-    points: Vec<Point>,
-}
-
-struct Point {
-    x: f64,
-    template: u32,
-    length: Micros,
-}
-
-/// A path a full pass produced, with its op census.
-struct Template {
-    path: Box<[u32]>,
-    cnot_count: u64,
-    one_qubit_counts: [u64; 8],
-}
-
-impl Template {
-    /// Node ids fit `u32`: a [`Qodg`] has no larger ones.
-    fn from_pass(cp: &CriticalPath) -> Template {
-        Template {
-            path: cp.path.iter().map(|id| id.0 as u32).collect(),
-            cnot_count: cp.cnot_count,
-            one_qubit_counts: cp.one_qubit_counts,
-        }
-    }
-
-    fn matches(&self, path: &[NodeId]) -> bool {
-        self.path.len() == path.len() && self.path.iter().zip(path).all(|(&a, b)| a as usize == b.0)
-    }
-
-    /// The [`CriticalPath`] at `length`, on `path` when the caller already
-    /// holds this template's nodes, else on a copy of them.
-    fn materialize(&self, length: Micros, path: Option<Vec<NodeId>>) -> CriticalPath {
-        CriticalPath {
-            length,
-            cnot_count: self.cnot_count,
-            one_qubit_counts: self.one_qubit_counts,
-            path: path.unwrap_or_else(|| self.path.iter().map(|&id| NodeId(id as usize)).collect()),
-        }
-    }
+    points: Vec<(f64, Census)>,
 }
 
 /// Everything besides `L_CNOT^avg` that shapes the pass's node delays:
-/// the nine gate delays, `l_one` (2·`T_move`, after any fabric-map
-/// correction) and whether routing enters the delays at all.
+/// the delays at `L_CNOT^avg = 0` (gate times, plus `l_one` = 2·`T_move`
+/// after any fabric-map correction when routing is in) and whether
+/// routing enters the delays at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct DelayKey {
-    bits: [u64; 10],
+    bits: [u64; 9],
     routing: bool,
 }
 
 impl DelayKey {
     fn new(params: &PhysicalParams, options: &EstimatorOptions) -> DelayKey {
-        let delays = params.gate_delays();
-        let mut bits = [0; 10];
-        bits[0] = delays.cnot().as_f64().to_bits();
-        for kind in OneQubitKind::ALL {
-            bits[1 + kind.index()] = delays.one_qubit(kind).as_f64().to_bits();
-        }
-        bits[9] = params.one_qubit_routing_latency().as_f64().to_bits();
         DelayKey {
-            bits,
+            bits: OpDelays::new(params, options, Micros::ZERO).bits(),
             routing: options.update_critical_path,
         }
     }
@@ -153,15 +102,16 @@ impl PathTable {
         self.passes.load(Ordering::Relaxed)
     }
 
-    /// The routing-aware critical path of `qodg` at each `L_CNOT^avg` in
-    /// `xs`, in order — bit-identical to a full pass at each value.
+    /// The census of the routing-aware critical path of `qodg` at each
+    /// `L_CNOT^avg` in `xs`, in order: the census a full pass at that
+    /// value selects.
     pub(crate) fn resolve(
         &self,
         qodg: &Qodg,
         params: &PhysicalParams,
         options: &EstimatorOptions,
         xs: &[Micros],
-    ) -> Vec<CriticalPath> {
+    ) -> Vec<Census> {
         // Ablation mode: node delays ignore routing, so the pass does not
         // depend on L_CNOT^avg and one point serves every value.
         let point_of = |x: Micros| {
@@ -180,13 +130,11 @@ impl PathTable {
                 .into_iter()
                 .map(|x| Entry {
                     x,
-                    resolved: None,
+                    census: None,
                     learned: false,
                 })
                 .collect(),
-            templates: Vec::new(),
-            held: 0,
-            fresh: Vec::new(),
+            censuses: Vec::new(),
             qodg,
             params,
             options,
@@ -197,7 +145,7 @@ impl PathTable {
         self.snapshot(key, nodes, &mut work);
         work.fill();
         self.record(key, nodes, &work);
-        xs.iter().map(|&x| work.materialize(point_of(x))).collect()
+        xs.iter().map(|&x| work.census_at(point_of(x))).collect()
     }
 
     fn lock(&self) -> MutexGuard<'_, TableState> {
@@ -209,7 +157,7 @@ impl PathTable {
 
     /// Seeds `work` under the lock: resolves its exact points, adds the
     /// table points bracketing each other value as anchors, and takes the
-    /// model's templates.
+    /// model's censuses.
     fn snapshot(&self, key: DelayKey, nodes: usize, work: &mut Work<'_>) {
         if work.entries.is_empty() {
             return;
@@ -221,17 +169,16 @@ impl PathTable {
         let Some(model) = state.models.iter().find(|m| m.key == key) else {
             return;
         };
-        work.templates.clone_from(&model.templates);
-        work.held = model.templates.len();
-        let anchor = |p: &Point| Entry {
-            x: p.x,
-            resolved: Some((p.template as usize, p.length)),
+        work.censuses.clone_from(&model.censuses);
+        let anchor = |&(x, census): &(f64, Census)| Entry {
+            x,
+            census: Some(census),
             learned: false,
         };
         let mut anchors = Vec::new();
         for entry in &mut work.entries {
-            match model.points.binary_search_by(|p| p.x.total_cmp(&entry.x)) {
-                Ok(i) => entry.resolved = anchor(&model.points[i]).resolved,
+            match model.points.binary_search_by(|p| p.0.total_cmp(&entry.x)) {
+                Ok(i) => entry.census = Some(model.points[i].1),
                 Err(i) => {
                     anchors.extend(i.checked_sub(1).map(|i| anchor(&model.points[i])));
                     anchors.extend(model.points.get(i).map(anchor));
@@ -244,73 +191,40 @@ impl PathTable {
         work.entries.dedup_by(|a, b| a.x.total_cmp(&b.x).is_eq());
     }
 
-    /// Records what `work` learned, as far as the bounds allow.
+    /// Records what `work` learned, as far as the bound allows.
     fn record(&self, key: DelayKey, nodes: usize, work: &Work<'_>) {
         if !work.entries.iter().any(|e| e.learned) {
             return;
         }
         let mut state = self.lock();
-        if state.points >= MAX_POINTS {
-            return;
-        }
         if state.nodes == 0 {
             state.nodes = nodes;
         } else if state.nodes != nodes {
             return;
         }
-        let TableState {
-            ids,
-            points,
-            models,
-            ..
-        } = &mut *state;
+        let TableState { points, models, .. } = &mut *state;
         let model = match models.iter().position(|m| m.key == key) {
             Some(m) => &mut models[m],
             None => {
                 models.push(Regimes {
                     key,
-                    templates: Vec::new(),
+                    censuses: Vec::new(),
                     points: Vec::new(),
                 });
                 models.last_mut().expect("just pushed")
             }
         };
-
-        // The table index of each working template; the first `held`
-        // already are the table's.
-        let mut slots: Vec<Option<u32>> = Vec::with_capacity(work.templates.len());
-        for (t, template) in work.templates.iter().enumerate() {
-            let later = &model.templates[work.held..];
-            let slot = if t < work.held {
-                Some(t)
-            } else if let Some(k) = later.iter().position(|held| held.path == template.path) {
-                // Another caller recorded the same path since the snapshot.
-                Some(work.held + k)
-            } else if *ids + template.path.len() <= IDS_PER_NODE * nodes {
-                *ids += template.path.len();
-                model.templates.push(Arc::clone(template));
-                Some(model.templates.len() - 1)
-            } else {
-                None
-            };
-            slots.push(slot.map(|s| s as u32));
-        }
         for entry in work.entries.iter().filter(|e| e.learned) {
-            let (t, length) = entry.resolved.expect("learned entries are resolved");
-            let Some(template) = slots[t] else { continue };
             if *points >= MAX_POINTS {
                 break;
             }
-            if let Err(at) = model.points.binary_search_by(|p| p.x.total_cmp(&entry.x)) {
+            let census = entry.census.expect("learned entries are resolved");
+            if let Err(at) = model.points.binary_search_by(|p| p.0.total_cmp(&entry.x)) {
                 *points += 1;
-                model.points.insert(
-                    at,
-                    Point {
-                        x: entry.x,
-                        template,
-                        length,
-                    },
-                );
+                model.points.insert(at, (entry.x, census));
+                if !model.censuses.contains(&census) {
+                    model.censuses.push(census);
+                }
             }
         }
     }
@@ -342,14 +256,9 @@ impl PartialEq for PathTable {
 struct Work<'a> {
     /// Ascending by `x`, unique: the queried values plus table anchors.
     entries: Vec<Entry>,
-    /// The model's templates at snapshot time (`..held`, at their table
-    /// indices), then the paths this call's full passes added.
-    templates: Vec<Arc<Template>>,
-    held: usize,
-    /// The pass's own node path for each template this call added, by
-    /// template index: the first value materialized from it takes the
-    /// `Vec` instead of a copy.
-    fresh: Vec<(usize, Vec<NodeId>)>,
+    /// The known censuses: the model's at snapshot time, then those this
+    /// call's full passes found.
+    censuses: Vec<Census>,
     qodg: &'a Qodg,
     params: &'a PhysicalParams,
     options: &'a EstimatorOptions,
@@ -359,8 +268,7 @@ struct Work<'a> {
 
 struct Entry {
     x: f64,
-    /// `(index into Work::templates, length at x)`.
-    resolved: Option<(usize, Micros)>,
+    census: Option<Census>,
     /// Resolved by this call, so not yet in the table.
     learned: bool,
 }
@@ -373,12 +281,12 @@ impl Work<'_> {
         let n = self.entries.len();
         let mut i = 0;
         while i < n {
-            if self.entries[i].resolved.is_some() {
+            if self.entries[i].census.is_some() {
                 i += 1;
                 continue;
             }
             let mut j = i;
-            while j + 1 < n && self.entries[j + 1].resolved.is_none() {
+            while j + 1 < n && self.entries[j + 1].census.is_none() {
                 j += 1;
             }
             let lo = if i == 0 {
@@ -388,7 +296,7 @@ impl Work<'_> {
                 i - 1
             };
             let hi = if j + 1 == n {
-                if self.entries[j].resolved.is_none() {
+                if self.entries[j].census.is_none() {
                     self.full_pass(j);
                 }
                 j
@@ -398,32 +306,24 @@ impl Work<'_> {
             self.solve(lo, hi);
             i = j + 1;
         }
-        // Free the pass buffers before the paths are materialized, so the
-        // two peaks do not stack.
-        self.scratch = CriticalPathScratch::new();
     }
 
-    /// Runs the full pass at `entries[i]`, registering its path as a
-    /// template (deduplicated against the known ones).
+    /// Runs the full pass at `entries[i]` and learns its census.
     fn full_pass(&mut self, i: usize) {
         let x = Micros::new(self.entries[i].x);
         let cp =
             routing_aware_critical_path(self.params, self.options, self.qodg, x, &mut self.scratch);
         self.passes.fetch_add(1, Ordering::Relaxed);
-        let template = match self.templates.iter().position(|t| t.matches(&cp.path)) {
-            Some(t) => t,
-            None => {
-                self.templates.push(Arc::new(Template::from_pass(&cp)));
-                self.fresh.push((self.templates.len() - 1, cp.path));
-                self.templates.len() - 1
-            }
-        };
-        self.settle(i, template, cp.length);
+        let census = Census::of(&cp);
+        if !self.censuses.contains(&census) {
+            self.censuses.push(census);
+        }
+        self.settle(i, census);
     }
 
-    fn settle(&mut self, i: usize, template: usize, length: Micros) {
+    fn settle(&mut self, i: usize, census: Census) {
         let entry = &mut self.entries[i];
-        entry.resolved = Some((template, length));
+        entry.census = Some(census);
         entry.learned = true;
     }
 
@@ -433,78 +333,51 @@ impl Work<'_> {
         if hi <= lo + 1 {
             return;
         }
-        let (tpl_lo, len_lo) = self.entries[lo].resolved.expect("endpoint resolved");
-        let (tpl_hi, len_hi) = self.entries[hi].resolved.expect("endpoint resolved");
-        let finite = [
-            self.entries[lo].x,
-            self.entries[hi].x,
-            len_lo.as_f64(),
-            len_hi.as_f64(),
-        ]
-        .iter()
-        .all(|v| v.is_finite());
-        if tpl_lo == tpl_hi && finite {
-            // One path rules the whole interval: re-accumulate its length
-            // at each interior value in DP order. Floats bend the lines by
-            // ULPs, so each reuse is guarded: a rival regime within a few
-            // ULPs means the full pass's winner is rounding-determined
-            // there, so run the full pass instead.
-            for mid in lo + 1..hi {
-                let x = Micros::new(self.entries[mid].x);
-                let length = self.accumulate_along(&self.templates[tpl_lo], x);
-                if self.rival_near(tpl_lo, length, x) {
-                    self.full_pass(mid);
-                } else {
-                    self.settle(mid, tpl_lo, length);
+        let ends = (self.entries[lo].census, self.entries[hi].census);
+        let finite = self.entries[lo].x.is_finite() && self.entries[hi].x.is_finite();
+        match ends {
+            (Some(a), Some(b)) if a == b && finite => {
+                // One census rules the whole interval: each interior value
+                // takes it, unless the guard calls for a full pass.
+                for mid in lo + 1..hi {
+                    if self.reusable(&a, self.entries[mid].x) {
+                        self.settle(mid, a);
+                    } else {
+                        self.full_pass(mid);
+                    }
                 }
             }
-        } else {
-            let mid = lo + (hi - lo) / 2;
-            self.full_pass(mid);
-            self.solve(lo, mid);
-            self.solve(mid, hi);
-        }
-    }
-
-    /// Whether any template other than `chosen` reaches (or ULP-grazes)
-    /// `length` at `x`. Cheap in the common case: most programs hold a
-    /// single path regime, and the loop skips `chosen` itself.
-    fn rival_near(&self, chosen: usize, length: Micros, x: Micros) -> bool {
-        const REL_MARGIN: f64 = 1e-12;
-        self.templates.iter().enumerate().any(|(t, template)| {
-            t != chosen
-                && self.accumulate_along(template, x).as_f64()
-                    >= length.as_f64() * (1.0 - REL_MARGIN)
-        })
-    }
-
-    /// Re-accumulates a known path's length at a new `L_CNOT^avg`: the
-    /// pass's node delays added in first-to-last order — exactly the float
-    /// additions the full pass performs along its argmax chain, so the
-    /// length is bit-identical to what the pass would return for this
-    /// path.
-    fn accumulate_along(&self, template: &Template, l_cnot_avg: Micros) -> Micros {
-        let delays = OpDelays::new(self.params, self.options, l_cnot_avg);
-        let mut length = Micros::ZERO;
-        for &id in template.path.iter() {
-            if let QodgNode::Op(op) = self.qodg.node(NodeId(id as usize)) {
-                length += delays.of(&op);
+            _ => {
+                let mid = lo + (hi - lo) / 2;
+                self.full_pass(mid);
+                self.solve(lo, mid);
+                self.solve(mid, hi);
             }
         }
-        length
     }
 
-    /// The owned [`CriticalPath`] at a queried value: at most one path
-    /// copy, the only one a caller pays.
-    fn materialize(&mut self, x: f64) -> CriticalPath {
+    /// Whether `chosen` may stand in for a full pass at `x`: its line is
+    /// finite there and no other known census reaches (or ULP-grazes) it.
+    /// Floats bend the lines by ULPs, so a rival within the margin means
+    /// the pass's winner is rounding-determined there. Cheap: most
+    /// programs hold one or two censuses.
+    fn reusable(&self, chosen: &Census, x: f64) -> bool {
+        const REL_MARGIN: f64 = 1e-12;
+        let delays = OpDelays::new(self.params, self.options, Micros::new(x));
+        let length = delays.line(chosen).as_f64();
+        length.is_finite()
+            && !self.censuses.iter().any(|census| {
+                census != chosen && delays.line(census).as_f64() >= length * (1.0 - REL_MARGIN)
+            })
+    }
+
+    /// The census at a queried value.
+    fn census_at(&self, x: f64) -> Census {
         let i = self
             .entries
             .binary_search_by(|e| e.x.total_cmp(&x))
             .expect("every queried value is an entry");
-        let (template, length) = self.entries[i].resolved.expect("fill resolved every entry");
-        let fresh = self.fresh.iter().position(|&(t, _)| t == template);
-        let path = fresh.map(|k| self.fresh.swap_remove(k).1);
-        self.templates[template].materialize(length, path)
+        self.entries[i].census.expect("fill resolved every entry")
     }
 }
 
@@ -513,15 +386,16 @@ mod tests {
     use super::*;
     use crate::sweep::sweep_profile_squares;
     use crate::{Estimate, Estimator, ProfileData, ProgramProfile};
-    use leqa_circuit::{FtCircuit, QubitId};
-    use leqa_fabric::{FabricDims, FabricMap, RegionOverlay};
+    use leqa_circuit::{FtCircuit, QodgNode, QubitId};
+    use leqa_fabric::{FabricDims, FabricMap, GateDelays, OneQubitKind, RegionOverlay};
+    use std::sync::Arc;
 
     fn q(i: u32) -> QubitId {
         QubitId(i)
     }
 
     /// All-pairs CNOTs: every path is a chain of identical delays, so one
-    /// path is critical at every `L_CNOT^avg`.
+    /// census is critical at every `L_CNOT^avg`.
     fn single_path_qodg() -> Qodg {
         let mut ft = FtCircuit::new(20);
         for i in 0..20u32 {
@@ -536,8 +410,6 @@ mod tests {
     /// each open a tail of T gates (10, 8 and 3 long). The branch through
     /// `k` CNOTs is critical for `L_CNOT^avg` below ~17,350 µs (k = 1),
     /// up to ~50,770 µs (k = 2) and above (k = 3), under Table 1 delays.
-    /// Each path holds over 200 of the 226 nodes, so two fit the id
-    /// budget and the third does not.
     fn three_regime_qodg() -> Qodg {
         let mut ft = FtCircuit::new(4);
         for _ in 0..200 {
@@ -552,9 +424,27 @@ mod tests {
         Qodg::from_ft_circuit(&ft)
     }
 
-    fn full_pass(qodg: &Qodg, options: &EstimatorOptions, x: Micros) -> CriticalPath {
-        let params = PhysicalParams::dac13();
-        routing_aware_critical_path(&params, options, qodg, x, &mut CriticalPathScratch::new())
+    /// Checks a census against the graph walk at `x`: the same census
+    /// exactly, and the census's line within 1e-12 of the walk's length
+    /// (the walk adds the same delays in path order).
+    fn assert_walk_census(
+        qodg: &Qodg,
+        params: &PhysicalParams,
+        options: &EstimatorOptions,
+        x: Micros,
+        census: &Census,
+    ) {
+        let delays = OpDelays::new(params, options, x);
+        let walk = qodg.critical_path(|node| match node {
+            QodgNode::Op(op) => delays.of(op),
+            _ => Micros::ZERO,
+        });
+        assert_eq!(*census, Census::of(&walk), "census at {x:?}");
+        let (line, length) = (delays.line(census).as_f64(), walk.length.as_f64());
+        assert!(
+            (line - length).abs() <= 1e-12 * length.abs(),
+            "line {line} against the walk's {length} at {x:?}"
+        );
     }
 
     fn fresh(qodg: &Qodg, side: u32, options: EstimatorOptions) -> Estimate {
@@ -588,6 +478,8 @@ mod tests {
         assert_eq!(data.critical_path_passes(), 1);
         assert_same(&first, &again);
         assert_same(&again, &fresh(&qodg, 12, opts));
+        assert!(again.critical.path.is_empty());
+        assert_eq!(again.critical.length, again.latency);
     }
 
     #[test]
@@ -614,14 +506,14 @@ mod tests {
     }
 
     #[test]
-    fn value_inside_a_same_template_interval_walks_nothing() {
+    fn value_inside_a_same_census_interval_walks_nothing() {
         let qodg = single_path_qodg();
         let data = ProfileData::new(&qodg);
         let opts = EstimatorOptions::default();
         let small = warm(&qodg, &data, 6, opts);
         let large = warm(&qodg, &data, 60, opts);
         assert_eq!(data.critical_path_passes(), 2);
-        assert_eq!(small.critical.path, large.critical.path);
+        assert_eq!(Census::of(&small.critical), Census::of(&large.critical));
 
         let mid = warm(&qodg, &data, 15, opts);
         let (lo, hi) = (large.l_cnot_avg, small.l_cnot_avg);
@@ -672,26 +564,70 @@ mod tests {
             ..Default::default()
         };
         for side in [2u32, 5, 30] {
-            assert_same(&warm(&qodg, &data, side, opts), &fresh(&qodg, side, opts));
+            let estimate = warm(&qodg, &data, side, opts);
+            assert_same(&estimate, &fresh(&qodg, side, opts));
+            assert!(estimate.critical.length < estimate.latency, "bare gates");
         }
         assert_eq!(data.critical_path_passes(), 1);
     }
 
     #[test]
     fn bisection_finds_a_regime_between_two_others() {
-        // The ends select the first and the third path; the second rules
-        // only inside, where neither end's path may stand in for it.
+        // The ends select the first and the third census; the second rules
+        // only inside, where neither end's census may stand in for it.
         let qodg = three_regime_qodg();
         let table = PathTable::default();
         let params = PhysicalParams::dac13();
         let opts = EstimatorOptions::default();
         let xs: Vec<Micros> = (0..=10).map(|i| Micros::new(10_000.0 * i as f64)).collect();
-        let paths = table.resolve(&qodg, &params, &opts, &xs);
-        for (&x, path) in xs.iter().zip(&paths) {
-            assert_eq!(path, &full_pass(&qodg, &opts, x));
+        let censuses = table.resolve(&qodg, &params, &opts, &xs);
+        for (&x, census) in xs.iter().zip(&censuses) {
+            assert_walk_census(&qodg, &params, &opts, x, census);
         }
-        let (first, last) = (&paths[0].path, &paths[10].path);
-        assert!(paths.iter().any(|p| &p.path != first && &p.path != last));
+        let (first, last) = (censuses[0], censuses[10]);
+        assert!(censuses.iter().any(|c| *c != first && *c != last));
+    }
+
+    #[test]
+    fn a_known_rival_census_within_the_guard_forces_a_full_pass() {
+        // Integer delays: CNOT 1, H 1 + l_one 1. Branch A (one CNOT, three
+        // H) has the line 7 + x, branch B (two CNOTs) 2 + 2x: they cross
+        // exactly at x = 5, where the walk keeps A (its wires come first).
+        let params = PhysicalParams::dac13()
+            .to_builder()
+            .gate_delays(GateDelays::from_fn(|_| Micros::new(1.0), Micros::new(1.0)))
+            .t_move(Micros::new(0.5))
+            .build()
+            .unwrap();
+        let mut ft = FtCircuit::new(4);
+        ft.push_cnot(q(0), q(1)).unwrap();
+        for _ in 0..3 {
+            ft.push_one_qubit(OneQubitKind::H, q(1)).unwrap();
+        }
+        ft.push_cnot(q(2), q(3)).unwrap();
+        ft.push_cnot(q(3), q(2)).unwrap();
+        let qodg = Qodg::from_ft_circuit(&ft);
+        let table = PathTable::default();
+        let opts = EstimatorOptions::default();
+        let resolve = |x: f64| table.resolve(&qodg, &params, &opts, &[Micros::new(x)])[0];
+
+        // A at 0 and at the crossing, B (now a known rival) above it.
+        let xs = [0.0, 5.0, 10.0].map(Micros::new);
+        let censuses = table.resolve(&qodg, &params, &opts, &xs);
+        assert_eq!(table.passes(), 3);
+        assert_eq!(censuses[0], censuses[1]);
+        assert_ne!(censuses[1], censuses[2]);
+
+        // Far from the crossing A stands in; a hair below it B comes within
+        // the guard, so the value takes a full pass.
+        assert_eq!(resolve(2.5), censuses[0]);
+        assert_eq!(table.passes(), 3);
+        let near = 5.0 - 5e-13;
+        assert_eq!(resolve(near), censuses[0]);
+        assert_eq!(table.passes(), 4);
+        for x in [2.5, near] {
+            assert_walk_census(&qodg, &params, &opts, Micros::new(x), &censuses[0]);
+        }
     }
 
     #[test]
@@ -703,12 +639,12 @@ mod tests {
         let xs: Vec<Micros> = (0..MAX_POINTS + 100)
             .map(|i| Micros::new(100.0 + i as f64))
             .collect();
-        let paths = table.resolve(&qodg, &params, &opts, &xs);
-        // One path regime: the two ends walk, the interior re-accumulates.
+        let censuses = table.resolve(&qodg, &params, &opts, &xs);
+        // One census: the two ends walk, the interior takes it.
         assert_eq!(table.passes(), 2);
         assert_eq!(table.lock().points, MAX_POINTS);
-        for (&x, path) in xs.iter().zip(&paths).step_by(61) {
-            assert_eq!(path, &full_pass(&qodg, &opts, x));
+        for (&x, census) in xs.iter().zip(&censuses).step_by(61) {
+            assert_walk_census(&qodg, &params, &opts, x, census);
         }
 
         // The unrecorded top end walks on every query; the table stays full.
@@ -716,40 +652,11 @@ mod tests {
         for round in 1..=2 {
             let again = table.resolve(&qodg, &params, &opts, &[top]);
             assert_eq!(table.passes(), 2 + round);
-            assert_eq!(again[0], full_pass(&qodg, &opts, top));
+            assert_eq!(again[0], censuses[censuses.len() - 1]);
         }
         assert_eq!(table.lock().points, MAX_POINTS);
         // Recorded values still hit.
         table.resolve(&qodg, &params, &opts, &xs[..MAX_POINTS]);
-        assert_eq!(table.passes(), 4);
-    }
-
-    #[test]
-    fn templates_past_the_id_budget_are_not_recorded() {
-        let qodg = three_regime_qodg();
-        let table = PathTable::default();
-        let params = PhysicalParams::dac13();
-        let opts = EstimatorOptions::default();
-        let [low, mid, high] = [0.0, 30_000.0, 100_000.0].map(Micros::new);
-        let resolve = |x: Micros| table.resolve(&qodg, &params, &opts, &[x]).remove(0);
-
-        let (p_low, p_mid) = (resolve(low), resolve(mid));
-        assert_eq!(table.passes(), 2);
-        let ids = table.lock().ids;
-        assert_eq!(ids, p_low.path.len() + p_mid.path.len());
-        assert!(ids <= IDS_PER_NODE * qodg.node_count());
-
-        for round in 1..=2 {
-            let p_high = resolve(high);
-            assert_eq!(table.passes(), 2 + round);
-            assert_eq!(p_high, full_pass(&qodg, &opts, high));
-            assert!(p_high.path != p_low.path && p_high.path != p_mid.path);
-        }
-        assert_ne!(p_low.path, p_mid.path);
-        assert_eq!(table.lock().ids, ids);
-        assert_eq!(table.lock().points, 2);
-        assert_eq!(resolve(low), p_low);
-        assert_eq!(resolve(mid), p_mid);
         assert_eq!(table.passes(), 4);
     }
 }

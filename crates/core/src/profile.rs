@@ -17,9 +17,10 @@
 
 use std::borrow::Cow;
 
-use leqa_circuit::{CriticalPath, Iig, Qodg, QubitId};
+use leqa_circuit::{Iig, Qodg, QubitId};
 use leqa_fabric::{Micros, PhysicalParams};
 
+use crate::estimator::Census;
 use crate::paths::PathTable;
 use crate::{presence, tsp, EstimatorOptions};
 
@@ -31,8 +32,8 @@ use crate::{presence, tsp, EstimatorOptions};
 /// be cached and moved freely; pair it back up with the program it was
 /// computed from via [`ProgramProfile::from_data`].
 ///
-/// It also carries the critical paths resolved against the program, a
-/// bounded cache shared by every caller holding the data. The cache is
+/// It also carries the critical-path censuses resolved against the
+/// program, a bounded cache shared by every caller holding the data. The cache is
 /// left out of equality, starts empty in a clone and is never persisted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileData {
@@ -44,7 +45,7 @@ pub struct ProfileData {
     uncong_numerator: f64,
     /// `Σ_i strength_i` over qubits with interactions (Eq. 12 denominator).
     strength_total: f64,
-    /// Critical paths resolved against this program.
+    /// Critical-path censuses resolved against this program.
     paths: PathTable,
 }
 
@@ -225,14 +226,15 @@ impl<'a> ProgramProfile<'a> {
         self.data.uncongested_delay(qubit_speed)
     }
 
-    /// The routing-aware critical path (Algorithm 1 line 19) at each
-    /// `L_CNOT^avg` in `xs`, in order, through the data's path table.
-    pub(crate) fn critical_paths(
+    /// The census of the routing-aware critical path (Algorithm 1 line 19)
+    /// at each `L_CNOT^avg` in `xs`, in order, through the data's path
+    /// table.
+    pub(crate) fn critical_censuses(
         &self,
         params: &PhysicalParams,
         options: &EstimatorOptions,
         xs: &[Micros],
-    ) -> Vec<CriticalPath> {
+    ) -> Vec<Census> {
         self.data.paths.resolve(self.qodg, params, options, xs)
     }
 }

@@ -450,15 +450,7 @@ mod tests {
         assert_eq!(streamed.zone_side, materialized.zone_side);
         assert_eq!(streamed.esq, materialized.esq);
         assert_eq!(streamed.qubit_count, materialized.qubit_count);
-        assert_eq!(streamed.critical.length, materialized.critical.length);
-        assert_eq!(
-            streamed.critical.cnot_count,
-            materialized.critical.cnot_count
-        );
-        assert_eq!(
-            streamed.critical.one_qubit_counts,
-            materialized.critical.one_qubit_counts
-        );
+        assert_eq!(streamed.critical, materialized.critical);
     }
 
     #[test]

@@ -15,17 +15,17 @@
 //!    the run-length-compressed coverage histogram
 //!    ([`crate::coverage::CoverageHistogram`], `O(terms · s²)` instead of
 //!    `O(terms · A)`).
-//! 3. **Path table** — the routing-aware critical path depends on the
-//!    fabric only through the scalar `L_CNOT^avg`, and the optimal path is
-//!    piecewise-constant in it. The profile's path table
+//! 3. **Path table** — Eq. 1 reads only the critical path's op census,
+//!    which depends on the fabric only through the scalar `L_CNOT^avg`
+//!    and is piecewise-constant in it. The profile's path table
 //!    ([`crate::ProfileData`]) resolves the candidates' `L_CNOT^avg` values
 //!    together: values an earlier query resolved are hits; a value between
-//!    two resolved values that select the *same* path provably shares it
-//!    (the longest-path envelope is convex in `L_CNOT^avg`) and only
-//!    re-accumulates the path's length, in exactly the order the full
-//!    `O(|V|+|E|)` pass would have used; the rest take full passes,
-//!    bisecting each unresolved run. What a sweep learns stays with the
-//!    profile, so a repeat sweep on a warm profile walks nothing.
+//!    two resolved values that select the *same* census provably shares
+//!    it (the longest-path envelope is convex in `L_CNOT^avg`), unless a
+//!    known rival census comes within a 1e-12 guard; the rest take full
+//!    `O(|V|+|E|)` passes, bisecting each unresolved run. What a sweep
+//!    learns stays with the profile, so a repeat sweep on a warm profile
+//!    walks nothing, and no candidate copies a node path.
 //!
 //! Every estimate produced this way is bit-identical to an independent
 //! [`Estimator::estimate`] call on the same candidate (asserted per
@@ -203,7 +203,7 @@ fn run_sweep(
         .flatten()
         .map(|q: &RoutingQuantities| q.l_cnot_avg)
         .collect();
-    let mut critical = profile.critical_paths(params, &options, &xs).into_iter();
+    let mut censuses = profile.critical_censuses(params, &options, &xs).into_iter();
 
     // Phase 3: assemble the estimates (Eq. 1) in candidate order.
     candidates
@@ -211,8 +211,8 @@ fn run_sweep(
         .zip(quantities)
         .map(|(dims, quantities)| {
             let estimate = quantities.map(|q| {
-                let critical = critical.next().expect("one path per fitting candidate");
-                assemble_estimate(params, q, critical)
+                let census = censuses.next().expect("one census per fitting candidate");
+                assemble_estimate(params, &options, q, census)
             });
             SweepPoint { dims, estimate }
         })

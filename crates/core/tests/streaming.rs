@@ -28,9 +28,8 @@ fn estimator() -> Estimator {
     Estimator::new(FabricDims::dac13(), PhysicalParams::dac13())
 }
 
-/// Field-by-field bitwise equality, minus `critical.path` (the streaming
-/// pass cannot name QODG nodes; everything the response layer serializes
-/// is compared).
+/// Field-by-field bitwise equality, `critical` whole: both paths carry the
+/// critical path's census and its line, and neither names QODG nodes.
 fn assert_estimates_identical(streamed: &Estimate, materialized: &Estimate, label: &str) {
     assert_eq!(streamed.latency, materialized.latency, "{label}: latency");
     assert_eq!(
@@ -59,20 +58,8 @@ fn assert_estimates_identical(streamed: &Estimate, materialized: &Estimate, labe
         "{label}: qubit_count"
     );
     assert_eq!(
-        streamed.critical.length, materialized.critical.length,
-        "{label}: critical.length"
-    );
-    assert_eq!(
-        streamed.critical.cnot_count, materialized.critical.cnot_count,
-        "{label}: critical.cnot_count"
-    );
-    assert_eq!(
-        streamed.critical.one_qubit_counts, materialized.critical.one_qubit_counts,
-        "{label}: critical.one_qubit_counts"
-    );
-    assert!(
-        streamed.critical.path.is_empty(),
-        "{label}: streaming path is nameless"
+        streamed.critical, materialized.critical,
+        "{label}: critical"
     );
 }
 
