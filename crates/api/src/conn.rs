@@ -1,15 +1,12 @@
-//! The connection engine under the daemon ([`crate::server`]) and the
-//! shard front-end ([`crate::shard`]): everything either does with a
+//! The daemon's connection engine: everything [`Server`] does with a
 //! client socket.
 //!
-//! A front-end plugs in through [`Handler`], which has two entry points:
-//! an NDJSON line, answered before the next line is read, and a `frame1`
-//! request, answered later through a tagged [`Reply`]. The engine owns
-//! the rest: bind, shutdown and the accept loop ([`Engine`],
+//! It owns bind, shutdown and the accept loop ([`Engine`],
 //! [`accept_loop`]); one line loop for TCP, stdio and in-memory readers;
 //! one `frame1` loop; one frame-reply writer thread; and one chaotic
-//! writer for both framings. Because both front-ends answer unframeable
-//! input here, they answer it with the same bytes. Wire rules:
+//! writer for both framings. Requests go to the server's own entry
+//! points: an NDJSON line is answered before the next line is read, a
+//! `frame1` request later through a tagged [`Reply`]. Wire rules:
 //! `SERVER.md`.
 
 use std::collections::HashSet;
@@ -23,7 +20,7 @@ use std::time::Duration;
 use crate::dto::UpgradeAck;
 use crate::faults::{FaultAction, FaultDecision, FaultInjector, ReadFaultAction};
 use crate::frame::{write_frame, FrameDecoder, FRAME_HEADER, MAX_FRAME_PAYLOAD};
-use crate::server::{read_poll, upgrade_request};
+use crate::server::{upgrade_request, Server};
 use crate::{ErrorKind, LeqaError};
 
 /// The longest NDJSON line accepted, newline excluded: the `frame1`
@@ -31,50 +28,20 @@ use crate::{ErrorKind, LeqaError};
 /// bound.
 const MAX_LINE: usize = MAX_FRAME_PAYLOAD as usize;
 
-/// What a front-end does with requests; the engine does the rest.
-pub(crate) trait Handler: Clone + Send + Sync + 'static {
-    /// Per-connection state: opened with the connection, dropped when
-    /// it closes.
-    type Conn;
+/// How often a blocked TCP read wakes to check the shutdown flag: it
+/// bounds how long an idle connection takes to drain. A failing accept
+/// backs off for the same period.
+const READ_POLL: Duration = Duration::from_millis(100);
 
-    /// Name of the connection threads.
-    const THREAD: &'static str;
-
-    /// The transport state this front-end's connections share.
-    fn engine(&self) -> &Engine;
-
-    /// Opens the state of one new connection.
-    fn open(&self) -> Self::Conn;
-
-    /// Answers one non-blank, trimmed NDJSON line.
-    fn line(&self, conn: &Self::Conn, line: &str) -> String;
-
-    /// Takes one `frame1` request; its answer goes to `reply`, now or
-    /// later, from any thread.
-    fn frame(&self, conn: &Self::Conn, tag: u32, text: String, reply: Reply);
-
-    /// Encodes an error frame (and counts it, where the front-end counts
-    /// errors).
-    fn error_reply(&self, error: LeqaError) -> String;
-
-    /// The refusal for a new connection while `open` connections are
-    /// being served, or `None` to serve it.
-    fn refusal(&self, _open: usize) -> Option<String> {
-        None
-    }
-}
-
-/// Transport state shared by every connection of one front-end: the
-/// shutdown flag and its loopback wake, the read-poll period, the
-/// optional fault injector, and the transport counters.
+/// Transport state shared by every connection of one daemon: the
+/// shutdown flag and its loopback wake, the optional fault injector,
+/// and the transport counters.
 #[derive(Debug, Default)]
 pub(crate) struct Engine {
     shutdown: AtomicBool,
     /// Set by [`bind`](Self::bind); [`shutdown`](Self::shutdown) pokes
     /// it with a loopback connection so a blocked `accept` wakes.
     wake_addr: Mutex<Option<SocketAddr>>,
-    /// Read-poll period, ms (`0` = the default).
-    pub(crate) read_poll_ms: AtomicU64,
     /// Opt-in fault injection, applied on TCP connections only.
     pub(crate) faults: Option<FaultInjector>,
     pub(crate) connections: AtomicU64,
@@ -96,12 +63,8 @@ impl Engine {
         self.shutdown.store(true, Ordering::Release);
         let wake = *self.wake_addr.lock().expect("no poisoning");
         if let Some(addr) = wake {
-            let _ = TcpStream::connect_timeout(&addr, self.read_poll());
+            let _ = TcpStream::connect_timeout(&addr, READ_POLL);
         }
-    }
-
-    pub(crate) fn read_poll(&self) -> Duration {
-        read_poll(self.read_poll_ms.load(Ordering::Acquire))
     }
 
     /// Binds a listener (port `0` lets the OS pick) and records it as
@@ -143,8 +106,8 @@ impl Drop for ConnectionGuard<'_> {
 /// # Errors
 ///
 /// [`ErrorKind::Io`] when a connection thread cannot be spawned.
-pub(crate) fn accept_loop<H: Handler>(handler: &H, listener: TcpListener) -> Result<(), LeqaError> {
-    let engine = handler.engine();
+pub(crate) fn accept_loop(server: &Server, listener: TcpListener) -> Result<(), LeqaError> {
+    let engine = server.engine();
     let mut threads: Vec<JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
         if engine.is_shutting_down() {
@@ -154,20 +117,20 @@ pub(crate) fn accept_loop<H: Handler>(handler: &H, listener: TcpListener) -> Res
             Ok(stream) => stream,
             Err(e) if is_tick(&e) || is_reset(&e) => continue,
             Err(_) => {
-                std::thread::sleep(engine.read_poll());
+                std::thread::sleep(READ_POLL);
                 continue;
             }
         };
         threads.retain(|t| !t.is_finished());
-        if let Some(refusal) = handler.refusal(threads.len()) {
+        if let Some(refusal) = server.refusal(threads.len()) {
             let _ = write_reply(engine, None, &mut stream, None, refusal);
             continue;
         }
-        let handler = handler.clone();
+        let server = server.clone();
         let thread = std::thread::Builder::new()
-            .name(H::THREAD.to_string())
+            .name("leqa-serve-conn".to_string())
             .spawn(move || {
-                let _ = serve_tcp(&handler, stream);
+                let _ = serve_tcp(&server, stream);
             })
             .map_err(LeqaError::from)?;
         threads.push(thread);
@@ -181,32 +144,29 @@ pub(crate) fn accept_loop<H: Handler>(handler: &H, listener: TcpListener) -> Res
 
 /// Serves one stdio or in-memory connection: NDJSON lines only, with no
 /// upgrade and no chaos, until EOF, shutdown or an unframeable line.
-pub(crate) fn serve_stream<H: Handler>(
-    handler: &H,
+pub(crate) fn serve_stream(
+    server: &Server,
     reader: &mut dyn BufRead,
     writer: &mut dyn Write,
 ) -> io::Result<()> {
-    let _guard = handler.engine().open_connection();
-    let conn = handler.open();
-    serve_lines(handler, &conn, reader, writer, false).map(drop)
+    let _guard = server.engine().open_connection();
+    serve_lines(server, reader, writer, false).map(drop)
 }
 
 /// Serves one TCP connection: NDJSON lines, then `frame1` frames after
 /// an upgrade. Reads time out every read-poll period so an idle
 /// connection still sees shutdown.
-fn serve_tcp<H: Handler>(handler: &H, stream: TcpStream) -> io::Result<()> {
-    let engine = handler.engine();
-    let _guard = engine.open_connection();
-    stream.set_read_timeout(Some(engine.read_poll()))?;
+fn serve_tcp(server: &Server, stream: TcpStream) -> io::Result<()> {
+    let _guard = server.engine().open_connection();
+    stream.set_read_timeout(Some(READ_POLL))?;
     // Replies are small and written whole; without NODELAY, Nagle plus
     // delayed ACK adds tens of ms to every round trip.
     stream.set_nodelay(true)?;
-    let conn = handler.open();
     let mut reader = BufReader::new(stream.try_clone()?);
-    if serve_lines(handler, &conn, &mut reader, &mut &stream, true)? {
+    if serve_lines(server, &mut reader, &mut &stream, true)? {
         // Bytes the client sent right after its upgrade line are already
         // in the line reader's buffer.
-        serve_frames(handler, &conn, stream, reader.buffer())?;
+        serve_frames(server, stream, reader.buffer())?;
     }
     Ok(())
 }
@@ -235,14 +195,13 @@ fn not_utf8() -> LeqaError {
 /// Otherwise the loop ends with `Ok(false)` at EOF, at shutdown, or after
 /// refusing a line that cannot be framed (over the cap, or not UTF-8),
 /// which closes the connection.
-fn serve_lines<H: Handler>(
-    handler: &H,
-    conn: &H::Conn,
+fn serve_lines(
+    server: &Server,
     reader: &mut dyn BufRead,
     writer: &mut dyn Write,
     tcp: bool,
 ) -> io::Result<bool> {
-    let engine = handler.engine();
+    let engine = server.engine();
     let faults = if tcp { engine.faults.as_ref() } else { None };
     let mut buf = Vec::new();
     loop {
@@ -268,7 +227,7 @@ fn serve_lines<H: Handler>(
                 ErrorKind::Json,
                 format!("line exceeds the {MAX_FRAME_PAYLOAD}-byte cap"),
             );
-            return refuse(handler, writer, cap);
+            return refuse(server, writer, cap);
         }
         // Read chaos strikes a valid line before it is interpreted at all
         // (an upgrade line can be hit like any other).
@@ -292,7 +251,7 @@ fn serve_lines<H: Handler>(
                 }
                 let torn = text[..cut].trim();
                 if !torn.is_empty() {
-                    write_reply(engine, None, writer, None, handler.line(conn, torn))?;
+                    write_reply(engine, None, writer, None, server.answer_line(torn))?;
                 }
                 return Ok(false);
             }
@@ -301,7 +260,7 @@ fn serve_lines<H: Handler>(
             ReadFaultAction::FlipByte(at) => flip_byte(&mut buf, at),
         }
         let Ok(text) = std::str::from_utf8(&buf) else {
-            return refuse(handler, writer, not_utf8());
+            return refuse(server, writer, not_utf8());
         };
         if tcp {
             if let Some(proto) = upgrade_request(text) {
@@ -313,7 +272,7 @@ fn serve_lines<H: Handler>(
         }
         let text = text.trim();
         if !text.is_empty() {
-            let reply = handler.line(conn, text);
+            let reply = server.answer_line(text);
             if !write_reply(engine, faults, writer, None, reply)? {
                 return Ok(false);
             }
@@ -326,37 +285,28 @@ fn serve_lines<H: Handler>(
 
 /// Answers input that can no longer be framed with one error frame;
 /// the connection then closes.
-fn refuse<H: Handler>(handler: &H, writer: &mut dyn Write, error: LeqaError) -> io::Result<bool> {
-    let reply = handler.error_reply(error);
-    write_reply(handler.engine(), None, writer, None, reply)?;
+fn refuse(server: &Server, writer: &mut dyn Write, error: LeqaError) -> io::Result<bool> {
+    let reply = server.error_reply(error);
+    write_reply(server.engine(), None, writer, None, reply)?;
     Ok(false)
 }
 
-/// One reply on its way to the frame writer (or to a
-/// [`rendezvous`](Reply::rendezvous)).
-pub(crate) struct Outgoing {
+/// One reply on its way to the frame writer.
+struct Outgoing {
     tag: u32,
-    pub(crate) reply: String,
+    reply: String,
     /// Whether the reply answers a request whose tag is in flight
     /// (`false` for refusals of frames that never entered the set).
     completes: bool,
 }
 
-/// The one reply a request is owed (a `frame1` request's, or a
-/// [`rendezvous`](Reply::rendezvous)'s); send it from any thread.
+/// The one reply a `frame1` request is owed; send it from any thread.
 pub(crate) struct Reply {
     tag: u32,
     tx: mpsc::Sender<Outgoing>,
 }
 
 impl Reply {
-    /// A reply that another thread waits for on the receiver, for a
-    /// request that did not come from a frame loop.
-    pub(crate) fn rendezvous(tag: u32) -> (Reply, mpsc::Receiver<Outgoing>) {
-        let (tx, rx) = mpsc::channel();
-        (Reply { tag, tx }, rx)
-    }
-
     pub(crate) fn send(self, reply: String) {
         // Fails only once the writer is gone along with the client.
         let _ = self.tx.send(Outgoing {
@@ -371,20 +321,15 @@ impl Reply {
 type InFlight = Arc<Mutex<HashSet<u32>>>;
 
 /// The `frame1` loop of one upgraded connection. This thread decodes
-/// frames and hands each to the handler without waiting for it; the
+/// frames and hands each to the server without waiting for it; the
 /// writer thread writes replies as they complete, in any order.
 /// `residual` holds bytes already read past the upgrade line.
-fn serve_frames<H: Handler>(
-    handler: &H,
-    conn: &H::Conn,
-    mut stream: TcpStream,
-    residual: &[u8],
-) -> io::Result<()> {
-    let engine = handler.engine();
+fn serve_frames(server: &Server, mut stream: TcpStream, residual: &[u8]) -> io::Result<()> {
+    let engine = server.engine();
     let in_flight = InFlight::default();
     let (tx, rx) = mpsc::channel();
     let writer = spawn_writer(
-        handler.clone(),
+        server.clone(),
         stream.try_clone()?,
         rx,
         Arc::clone(&in_flight),
@@ -396,7 +341,7 @@ fn serve_frames<H: Handler>(
     let result = loop {
         let violation = loop {
             match decoder.next() {
-                Ok(Some((tag, payload))) => dispatch(handler, conn, &tx, &in_flight, tag, payload),
+                Ok(Some((tag, payload))) => dispatch(server, &tx, &in_flight, tag, payload),
                 Ok(None) => break None,
                 Err(fe) => break Some(fe),
             }
@@ -404,7 +349,7 @@ fn serve_frames<H: Handler>(
         if let Some(fe) = violation {
             // An oversized length: answer on the offending tag and close,
             // since the stream position can no longer be trusted.
-            refuse_frame(handler, &tx, fe.tag, fe.error);
+            refuse_frame(server, &tx, fe.tag, fe.error);
             break Ok(());
         }
         if engine.is_shutting_down() {
@@ -413,7 +358,7 @@ fn serve_frames<H: Handler>(
         match stream.read(&mut buf) {
             Ok(0) => {
                 if let Err(fe) = decoder.finish() {
-                    refuse_frame(handler, &tx, fe.tag, fe.error);
+                    refuse_frame(server, &tx, fe.tag, fe.error);
                 }
                 break Ok(());
             }
@@ -433,53 +378,47 @@ fn serve_frames<H: Handler>(
     result
 }
 
-/// Checks one decoded frame and hands it to the handler. A tag enters
+/// Checks one decoded frame and hands it to the server. A tag enters
 /// the in-flight set here and leaves just before its reply is written,
 /// so a client may reuse a tag as soon as it has the reply.
-fn dispatch<H: Handler>(
-    handler: &H,
-    conn: &H::Conn,
+fn dispatch(
+    server: &Server,
     tx: &mpsc::Sender<Outgoing>,
     in_flight: &Mutex<HashSet<u32>>,
     tag: u32,
     payload: Vec<u8>,
 ) {
-    handler.engine().ticks.fetch_add(1, Ordering::Relaxed);
+    server.engine().ticks.fetch_add(1, Ordering::Relaxed);
     if !in_flight.lock().expect("no poisoning").insert(tag) {
         // Its reply could not be told apart from the first request's.
         let message = format!("tag {tag} is already in flight on this connection");
         let error = LeqaError::new(ErrorKind::Json, message);
-        return refuse_frame(handler, tx, Some(tag), error);
+        return refuse_frame(server, tx, Some(tag), error);
     }
     let reply = Reply {
         tag,
         tx: tx.clone(),
     };
     match String::from_utf8(payload) {
-        Ok(text) => handler.frame(conn, tag, text, reply),
-        Err(_) => reply.send(handler.error_reply(not_utf8())),
+        Ok(text) => server.frame(text, reply),
+        Err(_) => reply.send(server.error_reply(not_utf8())),
     }
 }
 
 /// Answers a frame that never entered the in-flight set on its tag (0
 /// when its header never arrived).
-fn refuse_frame<H: Handler>(
-    handler: &H,
-    tx: &mpsc::Sender<Outgoing>,
-    tag: Option<u32>,
-    error: LeqaError,
-) {
+fn refuse_frame(server: &Server, tx: &mpsc::Sender<Outgoing>, tag: Option<u32>, error: LeqaError) {
     let _ = tx.send(Outgoing {
         tag: tag.unwrap_or(0),
-        reply: handler.error_reply(error),
+        reply: server.error_reply(error),
         completes: false,
     });
 }
 
 /// The frame-reply writer: drains whatever replies are ready, writes
 /// each through the chaotic writer, then flushes once.
-fn spawn_writer<H: Handler>(
-    handler: H,
+fn spawn_writer(
+    server: Server,
     stream: TcpStream,
     rx: mpsc::Receiver<Outgoing>,
     in_flight: InFlight,
@@ -487,7 +426,7 @@ fn spawn_writer<H: Handler>(
     std::thread::Builder::new()
         .name("leqa-frame-writer".to_string())
         .spawn(move || {
-            let engine = handler.engine();
+            let engine = server.engine();
             let mut w = BufWriter::new(stream);
             while let Ok(first) = rx.recv() {
                 let ready: Vec<Outgoing> = std::iter::once(first).chain(rx.try_iter()).collect();
@@ -504,7 +443,7 @@ fn spawn_writer<H: Handler>(
                     ) {
                         Ok(true) => {}
                         Ok(false) => {
-                            // Chaos dropped, tore or killed: tear the
+                            // Chaos dropped or tore the reply: tear the
                             // socket down so the reader loop ends too.
                             let _ = w.flush();
                             let _ = w.get_ref().shutdown(Shutdown::Both);
@@ -525,9 +464,8 @@ fn spawn_writer<H: Handler>(
 /// injector, or on a `Deliver` decision, the reply goes out in one
 /// write; a line is flushed at once, a frame when its batch is written.
 /// Otherwise the decision may delay it, flip one payload byte,
-/// swallow it, tear it (half the reply for a line, half the encoded
-/// frame for a frame), or trade it for a shutdown of the whole
-/// front-end. `Ok(false)` means the connection must close.
+/// swallow it, or tear it (half the reply for a line, half the encoded
+/// frame for a frame). `Ok(false)` means the connection must close.
 fn write_reply(
     engine: &Engine,
     faults: Option<&FaultInjector>,
@@ -548,10 +486,6 @@ fn write_reply(
         }
         FaultAction::Truncate => true,
         FaultAction::DropConnection => return Ok(false),
-        FaultAction::KillReplica => {
-            engine.shutdown();
-            return Ok(false);
-        }
     };
     let half_reply = payload.len() / 2;
     let wire = match tag {

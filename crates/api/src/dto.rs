@@ -1503,9 +1503,6 @@ pub struct StatsResponse {
     /// Snapshot-store lookups that missed (no file, stale, or corrupt)
     /// and fell back to a rebuild (additive, see `store_hits`).
     pub store_misses: u64,
-    /// Dead replicas the shard front-end's supervisor restarted
-    /// (additive; always 0 on a plain daemon).
-    pub replicas_restarted: u64,
     /// Session cache counters at snapshot time (see
     /// [`CacheStats`](crate::CacheStats)).
     pub cache: crate::session::CacheStats,
@@ -1546,10 +1543,6 @@ impl StatsResponse {
             ("frames_in_flight", Json::Num(self.frames_in_flight as f64)),
             ("store_hits", Json::Num(self.store_hits as f64)),
             ("store_misses", Json::Num(self.store_misses as f64)),
-            (
-                "replicas_restarted",
-                Json::Num(self.replicas_restarted as f64),
-            ),
             (
                 "cache",
                 Json::obj(vec![
@@ -1595,7 +1588,6 @@ impl StatsResponse {
             frames_in_flight: opt_u64(value, "frames_in_flight", what)?.unwrap_or(0),
             store_hits: opt_u64(value, "store_hits", what)?.unwrap_or(0),
             store_misses: opt_u64(value, "store_misses", what)?.unwrap_or(0),
-            replicas_restarted: opt_u64(value, "replicas_restarted", what)?.unwrap_or(0),
             cache: crate::session::CacheStats {
                 profile_builds: u64_field(cache, "profile_builds", what)?,
                 cache_hits: u64_field(cache, "cache_hits", what)?,
@@ -1604,36 +1596,6 @@ impl StatsResponse {
             },
             uptime_ticks: u64_field(value, "uptime_ticks", what)?,
         })
-    }
-
-    /// Accumulates another snapshot into this one — the shard front-end
-    /// (`leqa shard`) answers `{"cmd":"stats"}` with the sum over its
-    /// replicas. Counters and gauges both add; a summed gauge reads as
-    /// "across the fleet".
-    pub fn merge(&mut self, other: &StatsResponse) {
-        self.connections += other.connections;
-        self.active_connections += other.active_connections;
-        self.inflight += other.inflight;
-        self.estimate += other.estimate;
-        self.sweep += other.sweep;
-        self.zones += other.zones;
-        self.compare += other.compare;
-        self.map += other.map;
-        self.batch += other.batch;
-        self.experiment += other.experiment;
-        self.errors += other.errors;
-        self.overloaded += other.overloaded;
-        self.bytes_in += other.bytes_in;
-        self.bytes_out += other.bytes_out;
-        self.frames_in_flight += other.frames_in_flight;
-        self.store_hits += other.store_hits;
-        self.store_misses += other.store_misses;
-        self.replicas_restarted += other.replicas_restarted;
-        self.cache.profile_builds += other.cache.profile_builds;
-        self.cache.cache_hits += other.cache.cache_hits;
-        self.cache.cache_misses += other.cache.cache_misses;
-        self.cache.loads += other.cache.loads;
-        self.uptime_ticks += other.uptime_ticks;
     }
 }
 
@@ -1922,7 +1884,6 @@ mod tests {
             frames_in_flight: 3,
             store_hits: 4,
             store_misses: 1,
-            replicas_restarted: 2,
             cache: crate::session::CacheStats {
                 profile_builds: 2,
                 cache_hits: 9,
@@ -1940,16 +1901,15 @@ mod tests {
             "no wall-clock on the wire: {text}"
         );
         assert!(text.contains("\"bytes_in\":4096,\"bytes_out\":8192,\"frames_in_flight\":3,"));
-        assert!(text.contains(
-            "\"frames_in_flight\":3,\"store_hits\":4,\"store_misses\":1,\
-             \"replicas_restarted\":2,\"cache\":{"
-        ));
+        assert!(
+            text.contains("\"frames_in_flight\":3,\"store_hits\":4,\"store_misses\":1,\"cache\":{")
+        );
         let back = StatsResponse::from_json(&parse(&text).unwrap()).unwrap();
         assert_eq!(back, stats);
     }
 
     #[test]
-    fn stats_decode_tolerates_pre_frame_snapshots_and_merge_sums() {
+    fn stats_decode_tolerates_older_snapshots() {
         // A PR-5-era daemon omits the byte counters; decode as zero.
         let old = "{\"schema_version\":1,\"op\":\"stats\",\"connections\":1,\
                    \"active_connections\":0,\"inflight\":0,\
@@ -1962,16 +1922,15 @@ mod tests {
         assert_eq!(a.bytes_in, 0);
         assert_eq!(a.frames_in_flight, 0);
 
-        let mut total = a;
-        let mut b = a;
-        b.bytes_in = 100;
-        b.estimate = 5;
-        total.merge(&b);
-        assert_eq!(total.connections, 2);
-        assert_eq!(total.estimate, 7);
-        assert_eq!(total.bytes_in, 100);
-        assert_eq!(total.cache.loads, 4);
-        assert_eq!(total.uptime_ticks, 6);
+        // An older daemon still sends the retired replica-restart
+        // counter; decode ignores it and encode never writes it.
+        let with_retired = old.replace(
+            "\"uptime_ticks\"",
+            "\"replicas_restarted\":0,\"uptime_ticks\"",
+        );
+        let b = StatsResponse::from_json(&parse(&with_retired).unwrap()).unwrap();
+        assert_eq!(b, a);
+        assert!(!b.to_json().encode().contains("replicas_restarted"));
     }
 
     #[test]

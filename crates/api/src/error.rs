@@ -43,12 +43,6 @@ pub enum ErrorKind {
     /// The fabric's defect map disconnects a required qubit transfer:
     /// no defect-free route exists (dead cells/channels percolate).
     Unroutable,
-    /// No replica can currently serve the request — every routable
-    /// replica is dead, or the one holding the request's connection was
-    /// lost mid-flight and the supervisor has not (or cannot) bring a
-    /// replacement up. Retryable: back off and resend; the shard
-    /// supervisor restarts dead in-process replicas.
-    Unavailable,
     /// The request's `timeout_ms` deadline elapsed before a reply could
     /// be produced. The work may or may not have run; resend with a
     /// larger budget if the answer is still wanted.
@@ -61,7 +55,7 @@ impl ErrorKind {
     /// Every kind, in exit-code order — the canonical enumeration the
     /// documentation-sync tests iterate (update this when adding a
     /// kind, or the `error_table` test will fail the build).
-    pub const ALL: [ErrorKind; 12] = [
+    pub const ALL: [ErrorKind; 11] = [
         ErrorKind::Usage,
         ErrorKind::Io,
         ErrorKind::Parse,
@@ -71,7 +65,6 @@ impl ErrorKind {
         ErrorKind::Json,
         ErrorKind::Overloaded,
         ErrorKind::Unroutable,
-        ErrorKind::Unavailable,
         ErrorKind::DeadlineExceeded,
         ErrorKind::Internal,
     ];
@@ -89,7 +82,6 @@ impl ErrorKind {
             ErrorKind::Json => "json",
             ErrorKind::Overloaded => "overloaded",
             ErrorKind::Unroutable => "unroutable",
-            ErrorKind::Unavailable => "unavailable",
             ErrorKind::DeadlineExceeded => "deadline_exceeded",
             ErrorKind::Internal => "internal",
         }
@@ -108,7 +100,6 @@ impl ErrorKind {
             "json" => ErrorKind::Json,
             "overloaded" => ErrorKind::Overloaded,
             "unroutable" => ErrorKind::Unroutable,
-            "unavailable" => ErrorKind::Unavailable,
             "deadline_exceeded" => ErrorKind::DeadlineExceeded,
             "internal" => ErrorKind::Internal,
             _ => return None,
@@ -187,12 +178,12 @@ impl LeqaError {
     /// | `json` | 8 |
     /// | `overloaded` | 9 |
     /// | `unroutable` | 10 |
-    /// | `unavailable` | 11 |
     /// | `deadline_exceeded` | 12 |
     /// | `internal` | 70 |
     ///
     /// (0 is success; 1 is reserved for failures outside the taxonomy,
-    /// e.g. a panic. 70 follows BSD's `EX_SOFTWARE`.)
+    /// e.g. a panic. 11 belonged to a retired kind and stays unassigned.
+    /// 70 follows BSD's `EX_SOFTWARE`.)
     #[must_use]
     pub fn exit_code(&self) -> u8 {
         match self.kind {
@@ -205,7 +196,6 @@ impl LeqaError {
             ErrorKind::Json => 8,
             ErrorKind::Overloaded => 9,
             ErrorKind::Unroutable => 10,
-            ErrorKind::Unavailable => 11,
             ErrorKind::DeadlineExceeded => 12,
             ErrorKind::Internal => 70,
         }
@@ -340,7 +330,7 @@ mod tests {
             .iter()
             .map(|&k| LeqaError::new(k, "x").exit_code())
             .collect();
-        assert_eq!(codes, vec![2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 70]);
+        assert_eq!(codes, vec![2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 70]);
     }
 
     #[test]
@@ -349,6 +339,7 @@ mod tests {
             assert_eq!(ErrorKind::from_name(kind.name()), Some(kind));
         }
         assert_eq!(ErrorKind::from_name("nope"), None);
+        assert_eq!(ErrorKind::from_name("unavailable"), None, "a retired kind");
     }
 
     #[test]

@@ -2,18 +2,19 @@
 //!
 //! A [`FaultPlan`] declares, per reply event, a seeded probability of
 //! transport misbehaviour — extra latency, a dropped connection, a
-//! truncated frame, a flipped payload byte — plus a periodic replica
-//! kill. The plan is *deterministic*: event `n` under seed `s` always
-//! makes the same decision ([`SplitMix64`]-derived, the same generator
-//! family as the seeded defect maps), so a chaos soak that fails
-//! reproduces exactly from its spec string.
+//! truncated frame, a flipped payload byte — and, per request read, of a
+//! swallowed, torn or corrupted request. The plan is *deterministic*:
+//! event `n` under seed `s` always makes the same decision
+//! ([`SplitMix64`]-derived, the same generator family as the seeded
+//! defect maps), so a chaos soak that fails reproduces exactly from its
+//! spec string.
 //!
-//! Injection is strictly opt-in (`leqa serve --chaos SPEC`,
-//! `leqa shard --chaos SPEC`): a server without an injector runs the
-//! exact byte-stable paths every prior PR pinned. With one, faults are
-//! applied at the transport write layer only — the session underneath
-//! still computes correct replies, so a retrying client converges on
-//! answers byte-identical to a direct [`Session`](crate::Session).
+//! Injection is strictly opt-in (`leqa serve --chaos SPEC`): a server
+//! without an injector runs the exact byte-stable paths the golden and
+//! differential suites pin. With one, faults are applied at the
+//! transport layer only — the session underneath still computes correct
+//! replies, so a retrying client converges on answers byte-identical to
+//! a direct [`Session`](crate::Session).
 //!
 //! # Spec grammar
 //!
@@ -27,8 +28,6 @@
 //! truncate=RATE     write a torn prefix of the reply, then close
 //! flip=RATE         corrupt one payload byte (high-bit flip —
 //!                   detectably, as invalid UTF-8), then deliver
-//! kill=N            every Nth reply event kills the whole replica
-//!                   (graceful-shutdown path, as a crash would)
 //! rdrop=RATE        swallow a *request read* and close the connection
 //!                   before the engine ever sees the line
 //! rtruncate=RATE    read only a torn prefix of a request (the rest of
@@ -36,7 +35,7 @@
 //! rflip=RATE        corrupt one inbound request byte (high-bit flip)
 //! ```
 //!
-//! Example: `seed=7,delay=5:0.2,drop=0.05,truncate=0.05,flip=0.05,kill=100`.
+//! Example: `seed=7,delay=5:0.2,drop=0.05,truncate=0.05,flip=0.05`.
 //! The `drop`/`truncate`/`flip` rates partition one uniform draw, so
 //! their sum must stay ≤ 1; the read-side `rdrop`/`rtruncate`/`rflip`
 //! rates partition a second, independent draw with the same ≤ 1 rule.
@@ -68,8 +67,6 @@ pub struct FaultPlan {
     pub truncate_rate: f64,
     /// Probability one payload byte of a reply is flipped.
     pub flip_rate: f64,
-    /// Kill the replica on every Nth reply event (`0` = never).
-    pub kill_every: u64,
     /// Probability a request read is swallowed and the connection closed
     /// before the engine sees the line.
     pub rdrop_rate: f64,
@@ -89,7 +86,6 @@ impl Default for FaultPlan {
             drop_rate: 0.0,
             truncate_rate: 0.0,
             flip_rate: 0.0,
-            kill_every: 0,
             rdrop_rate: 0.0,
             rtruncate_rate: 0.0,
             rflip_rate: 0.0,
@@ -117,7 +113,6 @@ impl FaultPlan {
             })?;
             match key {
                 "seed" => plan.seed = parse_u64(key, value)?,
-                "kill" => plan.kill_every = parse_u64(key, value)?,
                 "delay" => match value.split_once(':') {
                     None => {
                         plan.delay_ms = parse_u64(key, value)?;
@@ -137,7 +132,7 @@ impl FaultPlan {
                 other => {
                     return Err(LeqaError::usage(format!(
                         "unknown chaos key `{other}` \
-                         (seed|delay|drop|truncate|flip|kill|rdrop|rtruncate|rflip)"
+                         (seed|delay|drop|truncate|flip|rdrop|rtruncate|rflip)"
                     )))
                 }
             }
@@ -171,9 +166,6 @@ impl FaultPlan {
         }
         if self.flip_rate > 0.0 {
             parts.push(format!("flip={}", self.flip_rate));
-        }
-        if self.kill_every > 0 {
-            parts.push(format!("kill={}", self.kill_every));
         }
         if self.rdrop_rate > 0.0 {
             parts.push(format!("rdrop={}", self.rdrop_rate));
@@ -231,9 +223,6 @@ pub enum FaultAction {
     /// result is invalid UTF-8, so the corruption is always detectable
     /// — the client must notice and retry.
     FlipByte(usize),
-    /// Kill the whole replica (graceful-shutdown path) without writing
-    /// the reply.
-    KillReplica,
 }
 
 /// What the injector decided for one *request read* event — corruption
@@ -328,12 +317,6 @@ impl FaultInjector {
     #[must_use]
     pub fn decision_for(&self, n: u64) -> FaultDecision {
         let plan = &self.plan;
-        if plan.kill_every > 0 && n.is_multiple_of(plan.kill_every) {
-            return FaultDecision {
-                delay: None,
-                action: FaultAction::KillReplica,
-            };
-        }
         let mut rng = SplitMix64::new(SplitMix64::mix(plan.seed, n));
         let delay = (plan.delay_ms > 0 && rng.next_f64() < plan.delay_rate)
             .then(|| Duration::from_millis(plan.delay_ms));
@@ -389,15 +372,13 @@ mod tests {
 
     #[test]
     fn spec_round_trips_through_parse() {
-        let plan = FaultPlan::parse("seed=7,delay=5:0.25,drop=0.1,truncate=0.1,flip=0.1,kill=100")
-            .unwrap();
+        let plan = FaultPlan::parse("seed=7,delay=5:0.25,drop=0.1,truncate=0.1,flip=0.1").unwrap();
         assert_eq!(plan.seed, 7);
         assert_eq!(plan.delay_ms, 5);
         assert_eq!(plan.delay_rate, 0.25);
         assert_eq!(plan.drop_rate, 0.1);
         assert_eq!(plan.truncate_rate, 0.1);
         assert_eq!(plan.flip_rate, 0.1);
-        assert_eq!(plan.kill_every, 100);
         assert_eq!(FaultPlan::parse(&plan.spec()).unwrap(), plan);
     }
 
@@ -439,18 +420,10 @@ mod tests {
     }
 
     #[test]
-    fn kill_fires_exactly_on_schedule() {
-        let plan = FaultPlan::parse("kill=5").unwrap();
-        let injector = FaultInjector::new(plan);
-        for n in 1..=20u64 {
-            let decision = injector.next_decision();
-            if n % 5 == 0 {
-                assert_eq!(decision.action, FaultAction::KillReplica, "event {n}");
-            } else {
-                assert_eq!(decision.action, FaultAction::Deliver, "event {n}");
-            }
-        }
-        assert_eq!(injector.events(), 20);
+    fn kill_is_an_unknown_chaos_key() {
+        let err = FaultPlan::parse("kill=5").unwrap_err();
+        assert_eq!(err.kind(), crate::ErrorKind::Usage);
+        assert!(err.to_string().contains("`kill`"), "{err}");
     }
 
     #[test]

@@ -31,11 +31,12 @@
 //!   [`ExperimentRunner`]) executes it through the profile cache and the
 //!   sweep engine, emitting one byte-stable NDJSON row per cell plus a
 //!   summary record.
-//! * [`server`] — the persistent service daemon behind `leqa serve`:
-//!   newline-delimited JSON over stdio or TCP, every connection sharing
-//!   one resident [`Session`] (warm cache, persistent worker pool),
-//!   with admission control, a `stats` control endpoint and graceful
-//!   shutdown. Wire reference in `SERVER.md`.
+//! * [`server`] — the persistent service daemon behind `leqa serve`,
+//!   the crate's one network front-end: newline-delimited JSON over
+//!   stdio or TCP (and `frame1` after an upgrade), every connection
+//!   sharing one resident [`Session`] (warm cache, persistent worker
+//!   pool), with admission control, a `stats` control endpoint and
+//!   graceful shutdown. Wire reference in `SERVER.md`.
 //!
 //! The full wire schema, the error/exit-code table, and a migration
 //! guide from the old free functions live in `API.md` at the workspace
@@ -81,7 +82,6 @@ pub mod json;
 pub mod render;
 pub mod server;
 mod session;
-pub mod shard;
 pub mod store;
 
 pub use experiment::{
@@ -105,5 +105,4 @@ pub use server::{BoundServer, Frame, Server, ServerConfig};
 pub use session::{
     CacheStats, ProgramHandle, Session, SessionBuilder, StoreStats, DEFAULT_STREAMING_THRESHOLD,
 };
-pub use shard::{BoundShard, Shard};
 pub use store::{ProfileStore, SnapshotError};

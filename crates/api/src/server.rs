@@ -10,10 +10,10 @@
 //! [`Pool::global`](leqa::pool::Pool::global) exactly as in-process.
 //!
 //! Sockets, both framings, the reply writer and chaos belong to the
-//! connection engine this daemon shares with [`crate::shard`] (the
-//! private `conn` module). This module is the daemon's side of it:
-//! session execution, admission, deadlines, panic isolation
-//! ([`Server::process_line`] and the `frame1` dispatch) and the counters.
+//! private `conn` module, the daemon's connection engine. This module is
+//! the request side: session execution, admission, deadlines, panic
+//! isolation ([`Server::process_line`] and the `frame1` dispatch) and
+//! the counters.
 //!
 //! # Wire protocol (reference: `SERVER.md`)
 //!
@@ -71,7 +71,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::conn::{self, Engine, Handler, Reply};
+use crate::conn::{self, Engine, Reply};
 use crate::dto::{
     BatchRequest, ControlFrame, ErrorFrame, FrameProto, Request, ShutdownAck, StatsResponse,
 };
@@ -79,15 +79,6 @@ use crate::experiment::ScenarioSpec;
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::json::{self, Json};
 use crate::{ErrorKind, LeqaError, Session};
-
-/// Default read-poll period, milliseconds: how often a TCP connection
-/// thread wakes from a blocked read to check the shutdown flag — bounds
-/// drain latency for idle connections. The shard front-end derives its
-/// health-probe pacing from the same knob
-/// ([`ServerConfig::read_poll_ms`]), so one setting tunes both how fast
-/// a daemon drains and how fast a fleet notices a dead replica (see the
-/// operations section of `SERVER.md`).
-pub const DEFAULT_READ_POLL_MS: u64 = 100;
 
 /// Service limits for a [`Server`]. `0` means unlimited (the default):
 /// start permissive, then tune `max_inflight` to roughly 2× your core
@@ -108,7 +99,6 @@ pub const DEFAULT_READ_POLL_MS: u64 = 100;
 pub struct ServerConfig {
     max_connections: u64,
     max_inflight: u64,
-    read_poll_ms: u64,
 }
 
 impl ServerConfig {
@@ -144,28 +134,6 @@ impl ServerConfig {
     pub fn max_inflight_cap(&self) -> u64 {
         self.max_inflight
     }
-
-    /// Sets the read-poll period in milliseconds (`0` = the default,
-    /// [`DEFAULT_READ_POLL_MS`]): how often blocked TCP reads wake to
-    /// check the shutdown flag, and the base period for the shard
-    /// front-end's replica health probes. Smaller values drain and
-    /// detect faster at the cost of more idle wakeups.
-    pub fn read_poll_ms(mut self, ms: u64) -> Self {
-        self.read_poll_ms = ms;
-        self
-    }
-
-    /// The effective read-poll period ([`DEFAULT_READ_POLL_MS`] when
-    /// unset).
-    #[must_use]
-    pub fn read_poll(&self) -> Duration {
-        read_poll(self.read_poll_ms)
-    }
-}
-
-/// A read-poll period in milliseconds, `0` meaning the default.
-pub(crate) fn read_poll(ms: u64) -> Duration {
-    Duration::from_millis(if ms == 0 { DEFAULT_READ_POLL_MS } else { ms })
 }
 
 /// The daemon's request counters; the transport counters live in its
@@ -189,8 +157,8 @@ struct Inner {
     session: Session,
     config: ServerConfig,
     stats: Stats,
-    /// Shutdown flag, read poll, transport counters and the opt-in
-    /// fault injector (`leqa serve --chaos`, applied on TCP only).
+    /// Shutdown flag, transport counters and the opt-in fault injector
+    /// (`leqa serve --chaos`, applied on TCP only).
     engine: Engine,
 }
 
@@ -313,11 +281,11 @@ impl Server {
 
     /// Wraps a session with explicit limits **and** a deterministic
     /// fault-injection plan (`leqa serve --chaos SPEC`): replies on the
-    /// TCP transports are delayed, dropped, torn, corrupted or traded
-    /// for a whole-replica kill exactly as the seeded plan dictates (see
-    /// [`crate::faults`]). The engine underneath still computes correct
-    /// replies — chaos lives purely at the write layer — so a retrying
-    /// client must converge on byte-identical answers.
+    /// TCP transports are delayed, dropped, torn or corrupted exactly as
+    /// the seeded plan dictates (see [`crate::faults`]). The engine
+    /// underneath still computes correct replies — chaos lives purely
+    /// at the transport layer — so a retrying client must converge on
+    /// byte-identical answers.
     #[must_use]
     pub fn with_chaos(session: Session, config: ServerConfig, plan: FaultPlan) -> Server {
         Server::build(session, config, Some(FaultInjector::new(plan)))
@@ -325,7 +293,6 @@ impl Server {
 
     fn build(session: Session, config: ServerConfig, faults: Option<FaultInjector>) -> Server {
         let mut engine = Engine::default();
-        *engine.read_poll_ms.get_mut() = config.read_poll_ms;
         engine.faults = faults;
         Server {
             inner: Arc::new(Inner {
@@ -335,13 +302,6 @@ impl Server {
                 engine,
             }),
         }
-    }
-
-    /// The fault injector, when this server was built with
-    /// [`with_chaos`](Self::with_chaos).
-    #[must_use]
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.inner.engine.faults.as_ref()
     }
 
     /// The shared session (e.g. to pre-warm the program cache before
@@ -396,7 +356,6 @@ impl Server {
             frames_in_flight: s.frames_in_flight.load(Ordering::Relaxed),
             store_hits: store.store_hits,
             store_misses: store.store_misses,
-            replicas_restarted: 0,
             cache: self.inner.session.cache_stats(),
             uptime_ticks: e.ticks.load(Ordering::Relaxed),
         }
@@ -415,8 +374,9 @@ impl Server {
         (!line.is_empty()).then(|| self.answer_line(line))
     }
 
-    /// Answers one non-blank line on the calling thread.
-    fn answer_line(&self, line: &str) -> String {
+    /// Answers one non-blank, trimmed line on the calling thread: the
+    /// NDJSON entry point of the connection engine.
+    pub(crate) fn answer_line(&self, line: &str) -> String {
         let arrived = Instant::now();
         self.inner.engine.ticks.fetch_add(1, Ordering::Relaxed);
         match self.step(line, false) {
@@ -659,26 +619,18 @@ impl Server {
     }
 }
 
-/// The daemon's side of the connection engine: NDJSON lines execute on
-/// the connection thread; `frame1` work is admitted on the connection
-/// thread (so an `overloaded` refusal keeps its tag), then runs on the
-/// worker pool and completes out of order.
-impl Handler for Server {
-    type Conn = ();
-
-    const THREAD: &'static str = "leqa-serve-conn";
-
-    fn engine(&self) -> &Engine {
+/// The entry points the connection engine calls.
+impl Server {
+    /// The transport state every connection of this daemon shares.
+    pub(crate) fn engine(&self) -> &Engine {
         &self.inner.engine
     }
 
-    fn open(&self) {}
-
-    fn line(&self, (): &(), line: &str) -> String {
-        self.answer_line(line)
-    }
-
-    fn frame(&self, (): &(), _tag: u32, text: String, reply: Reply) {
+    /// Takes one `frame1` request. It is admitted on the connection
+    /// thread, so an `overloaded` refusal keeps its tag; admitted work
+    /// runs on the worker pool and answers through `reply`, out of
+    /// order.
+    pub(crate) fn frame(&self, text: String, reply: Reply) {
         let arrived = Instant::now();
         let (work, permit, timeout_ms) = match self.step(text.trim(), true) {
             Step::Answer(answer) => return reply.send(answer),
@@ -695,12 +647,15 @@ impl Handler for Server {
         });
     }
 
-    fn error_reply(&self, e: LeqaError) -> String {
+    /// Encodes an error frame and counts it in `errors`.
+    pub(crate) fn error_reply(&self, e: LeqaError) -> String {
         self.inner.stats.errors.fetch_add(1, Ordering::Relaxed);
         ErrorFrame::new(e).to_json().encode()
     }
 
-    fn refusal(&self, open: usize) -> Option<String> {
+    /// The `overloaded` refusal for a new connection while `open`
+    /// connections are served, or `None` under the connection cap.
+    pub(crate) fn refusal(&self, open: usize) -> Option<String> {
         let cap = self.inner.config.max_connections;
         (cap > 0 && open as u64 >= cap).then(|| {
             self.overloaded_reply(LeqaError::new(

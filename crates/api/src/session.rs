@@ -240,7 +240,7 @@ pub(crate) fn fan_out<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync)
     }
 }
 
-/// Shard count of the program cache. 16 keeps the footprint trivial
+/// Number of shards in the program cache. 16 keeps the footprint trivial
 /// while making same-shard contention between distinct hot programs
 /// unlikely at service concurrency levels.
 const SHARD_COUNT: usize = 16;

@@ -2,10 +2,9 @@
 //!
 //! A [`ProfileStore`] persists the expensive program-dependent half of
 //! Algorithm 1 (the IIG plus Eq. 7/Eq. 12 precomputation) across process
-//! restarts: a daemon started with `leqa serve --cache-dir DIR` — or a
-//! shard replica re-spawned by the supervisor — comes up *warm*, serving
-//! its first request for a previously-seen program without re-running
-//! the profile passes.
+//! restarts: a daemon started with `leqa serve --cache-dir DIR` comes up
+//! *warm*, serving its first request for a previously-seen program
+//! without re-running the profile passes.
 //!
 //! # Codec
 //!
@@ -454,7 +453,7 @@ mod tests {
 
         /// The codec round-trips arbitrary profiles, and re-encoding the
         /// decoded profile is byte-identical — the snapshot form is
-        /// canonical, so warm-started replicas serve the same bytes the
+        /// canonical, so a warm-started daemon serves the same bytes the
         /// original process would have.
         #[test]
         fn codec_round_trips_arbitrary_profiles(

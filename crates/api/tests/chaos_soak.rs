@@ -1,18 +1,16 @@
-//! Chaos soak: a retrying client drives hundreds of requests through a
-//! three-replica shard whose replicas misbehave under a deterministic
-//! fault plan (delays, dropped connections, torn frames, flipped bytes,
-//! periodic replica kills — and, on the read side, requests that are
-//! swallowed, torn or corrupted before the engine sees them). The
-//! supervisor restarts killed replicas
-//! warm from a shared profile snapshot store. The client — modelled on
-//! `leqa-client`'s retry loop: transient-kind retries, deadline-bounded
-//! reads, seeded-jitter exponential backoff — must converge on every
-//! request with a reply **byte-identical** to a direct [`Session`],
-//! with zero client-visible failures.
+//! Chaos soak: a retrying client drives hundreds of requests through one
+//! daemon whose transport misbehaves under a deterministic fault plan
+//! (delays, dropped connections, torn frames, flipped bytes — and, on
+//! the read side, requests that are swallowed, torn or corrupted before
+//! the engine sees them). The client — modelled on `leqa-client`'s retry
+//! loop: transient-kind retries, deadline-bounded reads, seeded-jitter
+//! exponential backoff — must converge on every request with a reply
+//! **byte-identical** to a direct [`Session`], with zero client-visible
+//! failures.
 //!
 //! `zones` and `sweep` are used because their replies carry no
-//! cache-dependent fields, so byte-identity is strict however the work
-//! lands across cold, warm and restarted replicas.
+//! cache-dependent fields, so byte-identity is strict however often a
+//! retried request runs again on a warm cache.
 
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -20,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use leqa_api::{
     json, ErrorFrame, ErrorKind, FaultPlan, ProgramSpec, Request, Server, ServerConfig, Session,
-    Shard, SweepRequest, ZonesRequest,
+    SweepRequest, ZonesRequest,
 };
 use leqa_fabric::SplitMix64;
 
@@ -112,8 +110,7 @@ impl RetryClient {
             }
             match conn.read(&mut byte) {
                 Ok(0) => {
-                    // EOF: dropped connection, torn line, or a replica
-                    // kill mid-reply.
+                    // EOF: a dropped connection or a torn line.
                     return Attempt::Retry("connection lost");
                 }
                 Ok(_) => {
@@ -142,9 +139,9 @@ impl RetryClient {
         };
         if let Ok(frame) = ErrorFrame::from_json(&doc) {
             let kind = frame.error.kind();
-            if matches!(kind, ErrorKind::Unavailable | ErrorKind::Overloaded) {
+            if kind == ErrorKind::Overloaded {
                 // The line was fully framed, so the connection is
-                // reusable; the fleet just needs a moment.
+                // reusable; the daemon just needs a moment.
                 self.conn = Some(conn);
                 return Attempt::Retry("retryable error frame");
             }
@@ -171,44 +168,14 @@ impl RetryClient {
 
 #[test]
 fn chaos_soak_converges_byte_identically() {
-    let dir = std::env::temp_dir().join(format!("leqa-chaos-soak-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let config = ServerConfig::new().read_poll_ms(10);
-    let store_dir = dir.clone();
-    let chaotic_server = move |seed: u64| -> Server {
-        let plan = FaultPlan::parse(&format!(
-            "seed={seed},delay=1:0.05,drop=0.03,truncate=0.03,flip=0.03,kill=150,\
-             rdrop=0.03,rtruncate=0.03,rflip=0.03"
-        ))
-        .expect("valid plan");
-        let session = Session::builder()
-            .cache_dir(&store_dir)
-            .build()
-            .expect("chaotic session");
-        Server::with_chaos(session, config, plan)
-    };
-
-    let shard = Shard::new();
-    shard.set_read_poll_ms(10);
-    for seed in 1..=3u64 {
-        shard
-            .spawn_replica(chaotic_server(seed))
-            .expect("replica spawns");
-    }
-    // Restarted replicas are chaotic too (fresh seeds), warm from the
-    // shared snapshot store; the budget comfortably covers the planned
-    // kill schedule but is still bounded.
-    let restarts = std::sync::atomic::AtomicU64::new(100);
-    shard.supervise(
-        move || {
-            let seed = restarts.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            Ok(chaotic_server(seed))
-        },
-        64,
-    );
-
-    let bound = shard.bind("127.0.0.1:0").expect("bind");
+    let plan = FaultPlan::parse(
+        "seed=1,delay=1:0.05,drop=0.03,truncate=0.03,flip=0.03,\
+         rdrop=0.03,rtruncate=0.03,rflip=0.03",
+    )
+    .expect("valid plan");
+    let session = Session::builder().build().expect("chaotic session");
+    let server = Server::with_chaos(session, ServerConfig::new(), plan);
+    let bound = server.bind("127.0.0.1:0").expect("bind");
     let addr = bound.local_addr();
     let handle = std::thread::spawn(move || bound.run());
 
@@ -241,7 +208,6 @@ fn chaos_soak_converges_byte_identically() {
         "the fault plan should have forced at least one retry across {REQUESTS} requests"
     );
 
-    shard.shutdown();
+    server.shutdown();
     handle.join().expect("no panic").expect("clean exit");
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,14 +6,16 @@
 //! saturated inflight cap yields `overloaded` error frames followed by
 //! successful requests once the load drains.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use leqa_api::{
-    json, BatchRequest, CompareRequest, ControlFrame, ErrorFrame, ErrorKind, EstimateRequest,
-    LeqaError, MapRequest, ProgramSpec, Request, Server, ServerConfig, Session, StatsResponse,
-    SweepRequest, ZonesRequest,
+    json, write_frame, BatchRequest, CompareRequest, ControlFrame, ErrorFrame, ErrorKind,
+    EstimateRequest, FrameDecoder, FrameProto, LeqaError, MapRequest, ProgramSpec, Request, Server,
+    ServerConfig, Session, StatsResponse, SweepRequest, UpgradeAck, ZonesRequest,
+    MAX_FRAME_PAYLOAD,
 };
 
 /// Binds a fresh server on a loopback port and runs its accept loop on
@@ -255,4 +257,200 @@ fn connection_cap_refuses_with_one_overloaded_frame() {
 fn shutdown_via_open_client(client: &mut Client) {
     let ack = client.roundtrip(&ControlFrame::Shutdown.to_json().encode());
     assert!(ack.contains("\"op\":\"shutdown\""), "ack: {ack}");
+}
+
+fn estimate_line(name: &str) -> String {
+    Request::Estimate(EstimateRequest::new(ProgramSpec::bench(name)))
+        .to_json()
+        .encode()
+}
+
+/// A script for one fresh daemon: cold, warm and another estimate, a
+/// sweep, two malformed requests and an expired deadline.
+fn script() -> Vec<Vec<u8>> {
+    let sweep = Request::Sweep(SweepRequest::new(ProgramSpec::bench("qft_8"), [10, 20]));
+    [
+        estimate_line("qft_8"),
+        estimate_line("qft_8"),
+        estimate_line("qft_16"),
+        sweep.to_json().encode(),
+        "{oops".to_string(),
+        r#"{"schema_version":1,"op":"frobnicate"}"#.to_string(),
+        r#"{"schema_version":1,"op":"estimate","program":{"bench":"qft_8"},"timeout_ms":0}"#
+            .to_string(),
+    ]
+    .into_iter()
+    .map(String::into_bytes)
+    .collect()
+}
+
+const NOT_UTF8: &[u8] = &[0xff, 0xfe, b'{', b'}'];
+
+/// Sends the script as NDJSON lines, then a non-UTF-8 line; returns
+/// every reply line and whether the connection then closed.
+fn ndjson_replies(addr: SocketAddr) -> (Vec<String>, bool) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut replies = Vec::new();
+    for line in script().into_iter().chain([NOT_UTF8.to_vec()]) {
+        writer.write_all(&line).expect("send");
+        writer.write_all(b"\n").expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        replies.push(reply);
+    }
+    let mut rest = Vec::new();
+    let closed = reader
+        .read_to_end(&mut rest)
+        .map(|n| n == 0)
+        .unwrap_or(false);
+    (replies, closed)
+}
+
+/// Sends the script as serial `frame1` requests tagged from 10, then a
+/// non-UTF-8 payload; returns every `(tag, reply)`.
+fn frame_replies(addr: SocketAddr) -> Vec<(u32, String)> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let upgrade = ControlFrame::Upgrade(FrameProto::Frame1).to_json().encode();
+    stream
+        .write_all(format!("{upgrade}\n").as_bytes())
+        .expect("upgrade");
+    let mut ack = Vec::new();
+    let mut byte = [0u8; 1];
+    while stream.read(&mut byte).expect("ack") == 1 && byte[0] != b'\n' {
+        ack.push(byte[0]);
+    }
+    let ack = json::parse(std::str::from_utf8(&ack).expect("utf8 ack")).expect("ack json");
+    UpgradeAck::from_json(&ack).expect("upgrade ack");
+
+    let mut decoder = FrameDecoder::new();
+    let mut replies = Vec::new();
+    for (tag, payload) in (10u32..).zip(script().into_iter().chain([NOT_UTF8.to_vec()])) {
+        write_frame(&mut stream, tag, &payload).expect("send");
+        let mut buf = [0u8; 4096];
+        let (tag, reply) = loop {
+            if let Some(frame) = decoder.next().expect("well-formed") {
+                break frame;
+            }
+            let n = stream.read(&mut buf).expect("reply");
+            assert!(n > 0, "closed before replying");
+            decoder.push(&buf[..n]);
+        };
+        replies.push((tag, String::from_utf8(reply).expect("utf8 reply")));
+    }
+    replies
+}
+
+fn kind_of(reply: &str) -> ErrorKind {
+    let frame = ErrorFrame::from_json(&json::parse(reply.trim_end()).expect("json"));
+    frame.expect("error frame").error.kind()
+}
+
+/// The script's replies, error frames included, over NDJSON and over
+/// `frame1`: a non-UTF-8 line is refused and closes the connection, and
+/// a fresh daemon answers both framings with the same payload bytes.
+#[test]
+fn the_daemon_answers_the_script_on_both_framings() {
+    let (server, addr, handle) = start(ServerConfig::new());
+    let (lines, closed) = ndjson_replies(addr);
+    assert!(closed, "a non-UTF-8 line closes");
+    assert_eq!(lines.len(), 8);
+    assert!(
+        lines[0].contains("\"profile_cached\":false"),
+        "{}",
+        lines[0]
+    );
+    assert!(lines[1].contains("\"profile_cached\":true"), "{}", lines[1]);
+    assert_eq!(kind_of(&lines[4]), ErrorKind::Json);
+    assert_eq!(kind_of(&lines[6]), ErrorKind::DeadlineExceeded);
+    assert!(
+        lines[7].contains("frame is not valid UTF-8"),
+        "{}",
+        lines[7]
+    );
+    server.shutdown();
+    handle.join().expect("no panic").expect("clean exit");
+
+    let (server, addr, handle) = start(ServerConfig::new());
+    let frames = frame_replies(addr);
+    assert_eq!(frames.len(), 8);
+    assert!(frames
+        .iter()
+        .zip(10u32..)
+        .all(|((tag, _), want)| *tag == want));
+    for ((_, payload), line) in frames.iter().zip(&lines) {
+        assert_eq!(payload, line.trim_end(), "frame1 and NDJSON differ");
+    }
+    server.shutdown();
+    handle.join().expect("no panic").expect("clean exit");
+}
+
+/// A read that times out in the middle of a character must not lose the
+/// bytes already read: the line is answered whole, exactly as
+/// `Server::process_line` answers it.
+#[test]
+fn a_line_that_pauses_inside_a_character_is_served_whole() {
+    let line = Request::Estimate(EstimateRequest::new(ProgramSpec::source(
+        "# café\n.qubits 2\ncnot 0 1\nh 0\n",
+    )))
+    .to_json()
+    .encode();
+    let bytes = format!("{line}\n").into_bytes();
+    let e_acute = line.find('é').expect("the comment has an é");
+    let want = Server::new(Session::builder().build().expect("session"))
+        .process_line(&line)
+        .expect("a reply");
+    let (server, addr, handle) = start(ServerConfig::new());
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    // Stop after the first of the é's two bytes, past two 100 ms polls.
+    stream.write_all(&bytes[..=e_acute]).expect("first part");
+    std::thread::sleep(Duration::from_millis(250));
+    stream.write_all(&bytes[e_acute + 1..]).expect("rest");
+    let mut reply = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut reply)
+        .expect("reply");
+    assert_eq!(reply.trim_end(), want);
+    drop(stream);
+    server.shutdown();
+    handle.join().expect("no panic").expect("clean exit");
+}
+
+/// A line with no newline in sight is cut off at the frame payload cap:
+/// one `json` error frame naming the cap, then EOF, and the daemon keeps
+/// serving other connections.
+#[test]
+fn a_line_over_the_frame_cap_is_refused_and_closed() {
+    let (server, addr, handle) = start(ServerConfig::new());
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+    let flood = vec![b'x'; MAX_FRAME_PAYLOAD as usize + 1];
+    stream.write_all(&flood).expect("flood");
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("a reply before EOF");
+    assert_eq!(kind_of(&reply), ErrorKind::Json, "{reply}");
+    assert!(reply.contains(&MAX_FRAME_PAYLOAD.to_string()), "{reply}");
+    let mut rest = Vec::new();
+    assert_eq!(reader.read_to_end(&mut rest).expect("EOF"), 0);
+
+    let mut next = Client::connect(addr);
+    let reply = next.roundtrip(&estimate_line("qft_8"));
+    assert!(reply.starts_with("{\"schema_version\":1,\"op\":\"estimate\""));
+    drop(next);
+    server.shutdown();
+    handle.join().expect("no panic").expect("clean exit");
 }

@@ -63,22 +63,13 @@ pub struct Options {
     /// In-flight work-frame cap for `serve` (`--max-inflight N`,
     /// 0 = unlimited).
     pub max_inflight: u64,
-    /// In-process daemon replicas for `shard` (`--replicas N`).
-    pub replicas: usize,
-    /// Already-running daemons for `shard` to route to
-    /// (`--attach ADDR1,ADDR2`).
-    pub attach: Vec<String>,
-    /// Profile snapshot store directory for `serve`/`shard`
+    /// Profile snapshot store directory for `serve`
     /// (`--cache-dir DIR`): restarts come up warm (see SERVER.md).
     pub cache_dir: Option<String>,
-    /// Deterministic fault-injection plan for `serve`/`shard` replicas
-    /// (`--chaos SPEC`, e.g. `seed=7,drop=0.05,kill=200`; grammar in
+    /// Deterministic fault-injection plan for `serve`
+    /// (`--chaos SPEC`, e.g. `seed=7,drop=0.05`; grammar in
     /// SERVER.md). Testing aid — faults are injected on the wire.
     pub chaos: Option<String>,
-    /// Server read-poll interval in ms for `serve`/`shard`
-    /// (`--read-poll-ms N`, 0 = default 100ms); also paces the shard's
-    /// replica health probes.
-    pub read_poll_ms: u64,
     /// Fabric mask file for `fabric` (`--mask FILE`, JSON; see
     /// `WORKLOADS.md`).
     pub mask: Option<String>,
@@ -114,11 +105,8 @@ impl Default for Options {
             listen: None,
             max_connections: 0,
             max_inflight: 0,
-            replicas: 0,
-            attach: Vec::new(),
             cache_dir: None,
             chaos: None,
-            read_poll_ms: 0,
             mask: None,
             density: None,
             seed: 0,
@@ -152,8 +140,6 @@ pub enum Command {
     Experiment(Options),
     /// `leqa serve`.
     Serve(Options),
-    /// `leqa shard`.
-    Shard(Options),
     /// `leqa fabric`.
     Fabric(Options),
 }
@@ -294,19 +280,6 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                     .parse()
                     .map_err(|_| LeqaError::usage("--max-inflight needs a non-negative integer"))?;
             }
-            "--replicas" => {
-                opts.replicas = value(&rest, &mut i, "--replicas")?
-                    .parse()
-                    .map_err(|_| LeqaError::usage("--replicas needs a non-negative integer"))?;
-            }
-            "--attach" => {
-                let list = value(&rest, &mut i, "--attach")?;
-                opts.attach = list
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect();
-            }
             "--cache-dir" => {
                 opts.cache_dir = Some(value(&rest, &mut i, "--cache-dir")?.clone());
             }
@@ -316,11 +289,6 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                 // the first fault would fire.
                 leqa_api::FaultPlan::parse(spec)?;
                 opts.chaos = Some(spec.clone());
-            }
-            "--read-poll-ms" => {
-                opts.read_poll_ms = value(&rest, &mut i, "--read-poll-ms")?
-                    .parse()
-                    .map_err(|_| LeqaError::usage("--read-poll-ms needs a non-negative integer"))?;
             }
             "--mask" => {
                 opts.mask = Some(value(&rest, &mut i, "--mask")?.clone());
@@ -434,17 +402,6 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
             }
             Ok(Command::Serve(opts))
         }
-        "shard" => {
-            if opts.listen.is_none() {
-                return Err(LeqaError::usage("`leqa shard` needs --listen ADDR"));
-            }
-            if opts.replicas == 0 && opts.attach.is_empty() {
-                return Err(LeqaError::usage(
-                    "`leqa shard` needs replicas: --replicas N and/or --attach ADDR1,ADDR2",
-                ));
-            }
-            Ok(Command::Shard(opts))
-        }
         "fabric" => {
             if opts.mask.is_some() && opts.density.is_some() {
                 return Err(LeqaError::usage(
@@ -549,15 +506,7 @@ mod tests {
             vec!["dot", "c.qc", "--format", "json"],
             vec!["zones", "c.qc", "--format", "json"],
             vec!["experiment", "--spec", "s.json", "--format", "json"],
-            vec![
-                "shard",
-                "--listen",
-                "127.0.0.1:0",
-                "--replicas",
-                "1",
-                "--format",
-                "json",
-            ],
+            vec!["serve", "--listen", "127.0.0.1:0", "--format", "json"],
             vec!["fabric", "--density", "0.1", "--format", "json"],
         ] {
             let cmd = parse(&argv(&args)).unwrap();
@@ -572,7 +521,6 @@ mod tests {
                 | Command::Zones(o)
                 | Command::Experiment(o)
                 | Command::Serve(o)
-                | Command::Shard(o)
                 | Command::Fabric(o) => o,
                 Command::Help => panic!("wrong command"),
             };
@@ -628,27 +576,21 @@ mod tests {
     }
 
     #[test]
-    fn shard_requires_listen_and_replicas_or_attach() {
-        let err = parse(&argv(&["shard", "--replicas", "2"])).unwrap_err();
-        assert!(err.to_string().contains("--listen"), "{err}");
+    fn removed_shard_and_read_poll_flags_are_unknown() {
+        for (flag, value) in [
+            ("--replicas", "2"),
+            ("--attach", "127.0.0.1:7001"),
+            ("--read-poll-ms", "25"),
+        ] {
+            let err = parse(&argv(&["serve", "--listen", "127.0.0.1:0", flag, value])).unwrap_err();
+            assert_eq!(err.kind(), leqa_api::ErrorKind::Usage);
+            assert!(
+                err.to_string().contains(&format!("unknown flag `{flag}`")),
+                "{err}"
+            );
+        }
         let err = parse(&argv(&["shard", "--listen", "127.0.0.1:0"])).unwrap_err();
-        assert!(err.to_string().contains("--replicas"), "{err}");
-
-        let cmd = parse(&argv(&[
-            "shard",
-            "--listen",
-            "127.0.0.1:0",
-            "--replicas",
-            "2",
-            "--attach",
-            "127.0.0.1:7001, 127.0.0.1:7002",
-        ]))
-        .unwrap();
-        let Command::Shard(opts) = cmd else {
-            panic!("wrong command");
-        };
-        assert_eq!(opts.replicas, 2);
-        assert_eq!(opts.attach, vec!["127.0.0.1:7001", "127.0.0.1:7002"]);
+        assert!(err.to_string().contains("unknown command `shard`"), "{err}");
     }
 
     #[test]
@@ -660,21 +602,19 @@ mod tests {
             "--cache-dir",
             "/tmp/leqa-cache",
             "--chaos",
-            "seed=7,drop=0.05,kill=200",
-            "--read-poll-ms",
-            "25",
+            "seed=7,drop=0.05",
         ]))
         .unwrap();
         let Command::Serve(opts) = cmd else {
             panic!("wrong command");
         };
         assert_eq!(opts.cache_dir.as_deref(), Some("/tmp/leqa-cache"));
-        assert_eq!(opts.chaos.as_deref(), Some("seed=7,drop=0.05,kill=200"));
-        assert_eq!(opts.read_poll_ms, 25);
+        assert_eq!(opts.chaos.as_deref(), Some("seed=7,drop=0.05"));
 
-        let err = parse(&argv(&["serve", "--stdio", "--chaos", "drop=2.0"])).unwrap_err();
-        assert_eq!(err.kind(), leqa_api::ErrorKind::Usage);
-        assert!(parse(&argv(&["serve", "--stdio", "--read-poll-ms", "soon"])).is_err());
+        for spec in ["drop=2.0", "kill=200"] {
+            let err = parse(&argv(&["serve", "--stdio", "--chaos", spec])).unwrap_err();
+            assert_eq!(err.kind(), leqa_api::ErrorKind::Usage, "{spec}");
+        }
     }
 
     #[test]

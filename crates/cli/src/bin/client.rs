@@ -1,6 +1,5 @@
-//! `leqa-client` — a minimal TCP client for the `leqa serve` daemon and
-//! the `leqa shard` front-end, used by the CI smoke step and handy for
-//! manual poking.
+//! `leqa-client` — a minimal TCP client for the `leqa serve` daemon,
+//! used by the CI smoke steps and handy for manual poking.
 //!
 //! ```text
 //! leqa-client [FLAGS] ADDR [LINE ...]    # send each LINE, print each reply
@@ -15,11 +14,11 @@
 //! `--pipeline` implies `--frame`; replies may complete out of order on
 //! the wire but are always printed in input order.
 //!
-//! Retries cover `overloaded` and `unavailable` error frames and — in
-//! NDJSON mode, where the client can reconnect and resend the one line
-//! it is waiting on — transient transport failures too: connection
-//! resets, refused connects (a replica mid-restart), and expired
-//! `--deadline-ms` reply deadlines. Backoff is `2^attempt` milliseconds
+//! Retries cover `overloaded` error frames and — in NDJSON mode, where
+//! the client can reconnect and resend the one line it is waiting on —
+//! transient transport failures too: connection resets, refused
+//! connects (a daemon mid-restart), and expired `--deadline-ms` reply
+//! deadlines. Backoff is `2^attempt` milliseconds
 //! plus deterministic seeded jitter (SplitMix64 over the line index and
 //! attempt — no wall-clock state, so retried traffic is replayable).
 //! In frame mode a broken connection is fatal (the pipeline's in-flight
@@ -27,8 +26,8 @@
 //!
 //! Exits 0 when every line got a success reply; exit code 3 (`io`) when
 //! the connection fails beyond the retry budget; otherwise the worst
-//! error-frame exit code seen after retries (e.g. 11 only when a request
-//! stayed `unavailable` through every retry) — so shell pipelines can
+//! error-frame exit code seen after retries (e.g. 9 only when a request
+//! stayed `overloaded` through every retry) — so shell pipelines can
 //! branch on the taxonomy without parsing JSON.
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -128,15 +127,11 @@ fn input_lines(lines: &[String]) -> std::io::Result<Vec<String>> {
 }
 
 /// The error-frame exit code a reply carries, if it is an error frame;
-/// also flags whether the kind is retryable (`overloaded`, or
-/// `unavailable` — a fleet mid-restart).
+/// also flags whether the kind is retryable (`overloaded`).
 fn reply_error(reply: &str) -> Option<(u8, bool)> {
     let doc = json::parse(reply.trim_end()).ok()?;
     let frame = ErrorFrame::from_json(&doc).ok()?;
-    let retryable = matches!(
-        frame.error.kind(),
-        ErrorKind::Overloaded | ErrorKind::Unavailable
-    );
+    let retryable = frame.error.kind() == ErrorKind::Overloaded;
     Some((frame.error.exit_code(), retryable))
 }
 
@@ -153,7 +148,7 @@ fn backoff(idx: usize, attempt: u32) -> Duration {
 }
 
 /// Whether an I/O failure is worth a reconnect-and-retry: resets and
-/// refusals (a replica mid-restart), torn lines, corrupt (non-UTF-8)
+/// refusals (a daemon mid-restart), torn lines, corrupt (non-UTF-8)
 /// replies, and expired reply deadlines.
 fn transient(e: &std::io::Error) -> bool {
     matches!(

@@ -14,7 +14,6 @@ pub mod fabric;
 pub mod gen;
 pub mod map;
 pub mod serve;
-pub mod shard;
 pub mod suite;
 pub mod sweep;
 pub mod zones;

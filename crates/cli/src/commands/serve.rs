@@ -12,31 +12,15 @@ use leqa_api::{FaultPlan, Server, ServerConfig};
 use super::session;
 use crate::{CliError, Options};
 
-/// Builds one daemon server from the shared serve/shard flags:
-/// connection caps, read-poll interval, warm store (via [`session`])
-/// and the optional `--chaos` fault plan.
-pub(crate) fn build_server(opts: &Options) -> Result<Server, CliError> {
-    build_replica(opts, 0)
-}
-
-/// Like [`build_server`] with the `--chaos` decision seed offset by
-/// `replica`. A fleet that handed every replica the *same* plan would
-/// fail in lockstep — identical seeds kill all replicas at the same
-/// write count, leaving "no live replicas" windows no retry can beat —
-/// so each replica (and each supervised restart) replays its own
-/// deterministic fault sequence instead.
-pub(crate) fn build_replica(opts: &Options, replica: u64) -> Result<Server, CliError> {
+/// Builds the daemon the serve flags describe: connection caps, warm
+/// store (via [`session`]) and the optional `--chaos` fault plan.
+fn build_server(opts: &Options) -> Result<Server, CliError> {
     let config = ServerConfig::new()
         .max_connections(opts.max_connections)
-        .max_inflight(opts.max_inflight)
-        .read_poll_ms(opts.read_poll_ms);
+        .max_inflight(opts.max_inflight);
     let session = session(opts)?;
     Ok(match &opts.chaos {
-        Some(spec) => {
-            let mut plan = FaultPlan::parse(spec)?;
-            plan.seed = plan.seed.wrapping_add(replica);
-            Server::with_chaos(session, config, plan)
-        }
+        Some(spec) => Server::with_chaos(session, config, FaultPlan::parse(spec)?),
         None => Server::with_config(session, config),
     })
 }

@@ -49,7 +49,6 @@ USAGE:
   leqa zones    (<circuit.qc> | --bench NAME) [--trace N]
   leqa experiment --spec FILE.json [--dry-run]
   leqa serve    (--stdio | --listen ADDR) [--max-connections N] [--max-inflight N]
-  leqa shard    --listen ADDR (--replicas N | --attach ADDR1,ADDR2) [serve caps]
   leqa fabric   [--fabric AxB] [--mask FILE.json | --density D [--seed N]]
   leqa help
 
@@ -85,12 +84,6 @@ upgrade to the `frame1` binary protocol (length-prefixed tagged frames,
 pipelined out-of-order completion) with `{\"cmd\":\"upgrade\",
 \"proto\":\"frame1\"}`. `leqa-client ADDR [LINE...]` is a minimal TCP
 client for smoke tests (`--pipeline DEPTH` drives the frame protocol).
-
-`shard` serves the same wire protocols from one listener backed by N
-daemon replicas (spawned in-process with `--replicas N`, and/or
-already-running daemons via `--attach`). Work routes by a content hash
-of the program for cache affinity; `stats` merges across replicas;
-replicas that drop out are failed over automatically.
 
 `estimate --bench shor_N` at cryptographic scale streams: above
 `--streaming-threshold` ops (default 1,000,000) the profile and critical
@@ -129,7 +122,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         Command::Zones(opts) => commands::zones::run(&opts, out),
         Command::Experiment(opts) => commands::experiment::run(&opts, out),
         Command::Serve(opts) => commands::serve::run(&opts, out),
-        Command::Shard(opts) => commands::shard::run(&opts, out),
         Command::Fabric(opts) => commands::fabric::run(&opts, out),
     }
 }

@@ -1,7 +1,7 @@
-//! Process-level tests of `leqa serve` and `leqa shard`: the stdio
-//! transport driven as a real child process, the TCP transport driven
-//! through the bundled `leqa-client` (line and pipelined frame modes,
-//! overload retries), and the serve-specific exit codes.
+//! Process-level tests of `leqa serve`: the stdio transport driven as a
+//! real child process, the TCP transport driven through the bundled
+//! `leqa-client` (line and pipelined frame modes, overload retries), and
+//! the serve-specific exit codes.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
@@ -255,12 +255,12 @@ fn client_retries_overloaded_refusals_until_the_load_drains() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// End-to-end tentpole smoke: a 2-replica `leqa shard` front-end serving
-/// the pipelined frame-mode client, replies printed in input order and
-/// unique-program replies byte-identical to a direct session.
+/// End-to-end smoke of the pipelined frame-mode client against
+/// `leqa serve`: replies printed in input order and unique-program
+/// replies byte-identical to a direct session.
 #[test]
-fn shard_serves_the_pipelined_client_end_to_end() {
-    let (child, addr) = spawn_listener("shard", &["--replicas", "2"]);
+fn daemon_serves_the_pipelined_client_end_to_end() {
+    let (child, addr) = spawn_tcp_daemon();
 
     let lines = [
         estimate_line("qft_8"),
@@ -307,14 +307,14 @@ fn shard_serves_the_pipelined_client_end_to_end() {
     );
     assert_eq!(replies[4], bytes("qft_24"));
 
-    // Merged stats across replicas account for all five estimates.
+    // The stats account for all five estimates.
     let mut probe = RawClient::connect(&addr);
     let stats = daemon_stats(&mut probe);
     assert_eq!(stats.estimate, 5);
 
     let ack = probe.roundtrip(&ControlFrame::Shutdown.to_json().encode());
     assert!(ack.contains("\"op\":\"shutdown\""), "{ack}");
-    let out = child.wait_with_output().expect("shard exits");
+    let out = child.wait_with_output().expect("daemon exits");
     assert!(
         out.status.success(),
         "stderr: {}",
@@ -411,35 +411,6 @@ fn client_rides_out_chaotic_connection_drops_and_gives_up_without_retries() {
     let _ = drop_all.wait();
 }
 
-/// Retry satellite, `unavailable` path: a shard whose only replica is a
-/// dead attached address answers every request with the retryable
-/// `unavailable` kind; after the retry budget is spent the client exits
-/// with its stable code 11 (the give-up path).
-#[test]
-fn client_gives_up_on_a_dead_fleet_with_the_unavailable_exit_code() {
-    // Port 9 (discard) on loopback is a dead replica: nothing listens.
-    let (mut child, addr) = spawn_listener("shard", &["--attach", "127.0.0.1:9"]);
-
-    let out = Command::new(env!("CARGO_BIN_EXE_leqa-client"))
-        .args([
-            "--retries",
-            "2",
-            "--deadline-ms",
-            "2000",
-            addr.as_str(),
-            &estimate_line("qft_8"),
-        ])
-        .output()
-        .expect("client runs");
-    assert_eq!(out.status.code(), Some(11), "unavailable after retries");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"kind\":\"unavailable\""), "{stdout}");
-
-    // The fleet is dead, so a shutdown broadcast cannot ack; reap it.
-    child.kill().expect("kill shard");
-    let _ = child.wait();
-}
-
 /// Warm-restart acceptance: a daemon restarted with the same
 /// `--cache-dir` serves previously-seen programs from the snapshot
 /// store (`store_hits > 0`, `profile_builds == 0`), and a deliberately
@@ -498,11 +469,11 @@ fn daemon_restarts_warm_from_the_cache_dir_and_survives_corruption() {
 }
 
 #[test]
-fn shard_without_replicas_is_a_usage_error() {
+fn shard_is_an_unknown_command() {
     let out = Command::new(env!("CARGO_BIN_EXE_leqa"))
         .args(["shard", "--listen", "127.0.0.1:0"])
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--replicas"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command `shard`"));
 }
