@@ -1,56 +1,24 @@
 //! The request/response DTOs of the service surface.
 //!
-//! Plain structs with hand-rolled JSON codecs (see [`crate::json`]); every
-//! envelope carries [`SCHEMA_VERSION`] so clients can detect incompatible
-//! servers, and every `from_json` rejects versions it does not speak.
-//! Requests are built through `new` + `with_*` builder methods because the
-//! structs are `#[non_exhaustive]` — fields can be added without breaking
-//! callers.
+//! Plain structs whose JSON codecs come from one field table each (see
+//! [`crate::wire`]); every envelope carries [`SCHEMA_VERSION`] so clients
+//! can detect incompatible servers, and every `from_json` rejects
+//! versions it does not speak. Requests are built through `new` +
+//! `with_*` builder methods because the structs are `#[non_exhaustive]`
+//! — fields can be added without breaking callers.
 
 use qspr::{MovementModel, PlacementStrategy, RouterStrategy};
 
 use crate::error::{ErrorKind, LeqaError};
 use crate::json::{Json, MAX_EXACT_INT};
+use crate::session::CacheStats;
+use crate::wire::{
+    check_schema_version, field, field_or, nested, object_field, object_pairs, open_object, pair,
+    wire_names, wire_object, At, Wire,
+};
 
 /// Version of the wire schema spoken by this build (see `API.md`).
 pub const SCHEMA_VERSION: u64 = 1;
-
-/// Checks an envelope's `schema_version` field.
-pub(crate) fn check_schema_version(value: &Json) -> Result<(), LeqaError> {
-    match value.get("schema_version").and_then(Json::as_u64) {
-        Some(SCHEMA_VERSION) => Ok(()),
-        Some(other) => Err(LeqaError::new(
-            ErrorKind::Json,
-            format!("unsupported schema_version {other} (this build speaks {SCHEMA_VERSION})"),
-        )),
-        None => Err(LeqaError::new(
-            ErrorKind::Json,
-            "missing numeric `schema_version` field",
-        )),
-    }
-}
-
-pub(crate) fn field<'a>(value: &'a Json, key: &str, what: &str) -> Result<&'a Json, LeqaError> {
-    value
-        .get(key)
-        .ok_or_else(|| LeqaError::new(ErrorKind::Json, format!("{what}: missing field `{key}`")))
-}
-
-pub(crate) fn str_field(value: &Json, key: &str, what: &str) -> Result<String, LeqaError> {
-    field(value, key, what)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| LeqaError::new(ErrorKind::Json, format!("{what}: `{key}` must be a string")))
-}
-
-pub(crate) fn u64_field(value: &Json, key: &str, what: &str) -> Result<u64, LeqaError> {
-    field(value, key, what)?.as_u64().ok_or_else(|| {
-        LeqaError::new(
-            ErrorKind::Json,
-            format!("{what}: `{key}` must be a non-negative integer"),
-        )
-    })
-}
 
 /// Rejects a seed the wire cannot carry exactly: above 2^53 a spec would
 /// decode as a different study, or not at all.
@@ -64,56 +32,11 @@ pub(crate) fn check_wire_seed(seed: u64, what: &str) -> Result<(), LeqaError> {
     Ok(())
 }
 
-pub(crate) fn f64_field(value: &Json, key: &str, what: &str) -> Result<f64, LeqaError> {
-    field(value, key, what)?
-        .as_f64()
-        .ok_or_else(|| LeqaError::new(ErrorKind::Json, format!("{what}: `{key}` must be a number")))
-}
-
-/// Optional number: absent or `null` is `None`; any other non-number is a
-/// typed error, exactly like the required-field accessors.
-pub(crate) fn opt_f64(value: &Json, key: &str, what: &str) -> Result<Option<f64>, LeqaError> {
-    match value.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v.as_f64().map(Some).ok_or_else(|| {
-            LeqaError::new(
-                ErrorKind::Json,
-                format!("{what}: `{key}` must be a number or null"),
-            )
-        }),
-    }
-}
-
-/// Optional unsigned integer: absent or `null` is `None`; any other
-/// non-integer is a typed error, like the required-field accessors.
-pub(crate) fn opt_u64(value: &Json, key: &str, what: &str) -> Result<Option<u64>, LeqaError> {
-    match value.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v.as_u64().map(Some).ok_or_else(|| {
-            LeqaError::new(
-                ErrorKind::Json,
-                format!("{what}: `{key}` must be a non-negative integer or null"),
-            )
-        }),
-    }
-}
-
-/// Like [`opt_u64`], additionally requiring the value to fit in `u32`.
-pub(crate) fn opt_u32(value: &Json, key: &str, what: &str) -> Result<Option<u32>, LeqaError> {
-    opt_u64(value, key, what)?
-        .map(|n| {
-            u32::try_from(n).map_err(|_| {
-                LeqaError::new(
-                    ErrorKind::Json,
-                    format!("{what}: `{key}` out of range for u32"),
-                )
-            })
-        })
-        .transpose()
-}
-
-pub(crate) fn json_opt_num(v: Option<f64>) -> Json {
-    v.map(Json::Num).unwrap_or(Json::Null)
+wire_names! {
+    PlacementStrategy => PlacementStrategy::NAMES,
+    RouterStrategy => RouterStrategy::NAMES,
+    MovementModel => MovementModel::NAMES,
+    FrameProto => FrameProto::NAMES,
 }
 
 // ── Program specification ────────────────────────────────────────────────
@@ -166,25 +89,29 @@ impl ProgramSpec {
     /// Serializes the spec (one single-key object, keyed by source kind).
     #[must_use]
     pub fn to_json(&self) -> Json {
-        match self {
-            ProgramSpec::Bench { name } => Json::obj(vec![("bench", Json::str(name))]),
-            ProgramSpec::Path { path } => Json::obj(vec![("path", Json::str(path))]),
-            ProgramSpec::Source { text } => Json::obj(vec![("source", Json::str(text))]),
-        }
+        let (key, value) = match self {
+            ProgramSpec::Bench { name } => ("bench", name),
+            ProgramSpec::Path { path } => ("path", path),
+            ProgramSpec::Source { text } => ("source", text),
+        };
+        Json::Obj(vec![pair(key, value)])
     }
 
-    /// Decodes a spec serialized by [`to_json`](Self::to_json).
+    /// Decodes a spec serialized by [`to_json`](Self::to_json): the first
+    /// of `bench`, `path` and `source` present.
     ///
     /// # Errors
     ///
-    /// [`ErrorKind::Json`] when none of the known source keys is present.
+    /// [`ErrorKind::Json`] when none of the source keys is present, or
+    /// one holds a non-string.
     pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        if let Some(name) = value.get("bench").and_then(Json::as_str) {
-            Ok(ProgramSpec::bench(name))
-        } else if let Some(path) = value.get("path").and_then(Json::as_str) {
-            Ok(ProgramSpec::path(path))
-        } else if let Some(text) = value.get("source").and_then(Json::as_str) {
-            Ok(ProgramSpec::source(text))
+        let what = "program spec";
+        if let Some(name) = field(value, what, "bench")? {
+            Ok(ProgramSpec::Bench { name })
+        } else if let Some(path) = field(value, what, "path")? {
+            Ok(ProgramSpec::Path { path })
+        } else if let Some(text) = field(value, what, "source")? {
+            Ok(ProgramSpec::Source { text })
         } else {
             Err(LeqaError::new(
                 ErrorKind::Json,
@@ -193,6 +120,8 @@ impl ProgramSpec {
         }
     }
 }
+
+wire_object!(@nested ProgramSpec);
 
 /// A fabric size on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,41 +138,9 @@ impl FabricSpec {
     pub fn new(width: u32, height: u32) -> Self {
         FabricSpec { width, height }
     }
-
-    /// Serializes the spec.
-    #[must_use]
-    pub fn to_json(self) -> Json {
-        Json::obj(vec![
-            ("width", Json::num(self.width)),
-            ("height", Json::num(self.height)),
-        ])
-    }
-
-    /// Decodes a spec.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorKind::Json`] on missing/ill-typed fields.
-    pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        let width = u64_field(value, "width", "fabric")?;
-        let height = u64_field(value, "height", "fabric")?;
-        let to_u32 = |n: u64, what: &str| {
-            u32::try_from(n)
-                .map_err(|_| LeqaError::new(ErrorKind::Json, format!("fabric {what} out of range")))
-        };
-        Ok(FabricSpec {
-            width: to_u32(width, "width")?,
-            height: to_u32(height, "height")?,
-        })
-    }
-
-    fn opt_from_json(value: &Json, key: &str) -> Result<Option<Self>, LeqaError> {
-        match value.get(key) {
-            None | Some(Json::Null) => Ok(None),
-            Some(v) => FabricSpec::from_json(v).map(Some),
-        }
-    }
 }
+
+wire_object!(pub FabricSpec, "fabric", { width, height });
 
 // ── Requests ─────────────────────────────────────────────────────────────
 
@@ -273,34 +170,9 @@ impl EstimateRequest {
         self.fabric = Some(FabricSpec::new(width, height));
         self
     }
-
-    /// Serializes the request envelope.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::num(SCHEMA_VERSION as u32)),
-            ("op", Json::str("estimate")),
-            ("program", self.program.to_json()),
-            (
-                "fabric",
-                self.fabric.map(FabricSpec::to_json).unwrap_or(Json::Null),
-            ),
-        ])
-    }
-
-    /// Decodes a request envelope.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorKind::Json`] on schema-version mismatch or shape errors.
-    pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        check_schema_version(value)?;
-        Ok(EstimateRequest {
-            program: ProgramSpec::from_json(field(value, "program", "estimate request")?)?,
-            fabric: FabricSpec::opt_from_json(value, "fabric")?,
-        })
-    }
 }
+
+wire_object!(pub EstimateRequest, "estimate request", op = "estimate", { program, fabric });
 
 /// Request: estimate one program across candidate square fabrics.
 #[derive(Debug, Clone, PartialEq)]
@@ -321,46 +193,9 @@ impl SweepRequest {
             sizes: sizes.into_iter().collect(),
         }
     }
-
-    /// Serializes the request envelope.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::num(SCHEMA_VERSION as u32)),
-            ("op", Json::str("sweep")),
-            ("program", self.program.to_json()),
-            (
-                "sizes",
-                Json::Arr(self.sizes.iter().map(|&s| Json::num(s)).collect()),
-            ),
-        ])
-    }
-
-    /// Decodes a request envelope.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorKind::Json`] on schema-version mismatch or shape errors.
-    pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        check_schema_version(value)?;
-        let sizes = field(value, "sizes", "sweep request")?
-            .as_arr()
-            .ok_or_else(|| LeqaError::new(ErrorKind::Json, "sweep `sizes` must be an array"))?
-            .iter()
-            .map(|s| {
-                s.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| {
-                        LeqaError::new(ErrorKind::Json, "sweep sizes must be u32 integers")
-                    })
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(SweepRequest {
-            program: ProgramSpec::from_json(field(value, "program", "sweep request")?)?,
-            sizes,
-        })
-    }
 }
+
+wire_object!(pub SweepRequest, "sweep request", op = "sweep", { program, sizes });
 
 /// Request: the per-qubit presence-zone report.
 #[derive(Debug, Clone, PartialEq)]
@@ -388,45 +223,9 @@ impl ZonesRequest {
         self.limit = Some(limit);
         self
     }
-
-    /// Serializes the request envelope.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::num(SCHEMA_VERSION as u32)),
-            ("op", Json::str("zones")),
-            ("program", self.program.to_json()),
-            (
-                "limit",
-                self.limit
-                    .map(|l| Json::Num(l as f64))
-                    .unwrap_or(Json::Null),
-            ),
-        ])
-    }
-
-    /// Decodes a request envelope.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorKind::Json`] on schema-version mismatch or shape errors.
-    pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        check_schema_version(value)?;
-        let limit = match value.get("limit") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(v.as_u64().ok_or_else(|| {
-                LeqaError::new(
-                    ErrorKind::Json,
-                    "zones `limit` must be a non-negative integer",
-                )
-            })?),
-        };
-        Ok(ZonesRequest {
-            program: ProgramSpec::from_json(field(value, "program", "zones request")?)?,
-            limit,
-        })
-    }
 }
+
+wire_object!(pub ZonesRequest, "zones request", op = "zones", { program, limit });
 
 /// Request: the Table 2 experiment — detailed QSPR mapping next to the
 /// LEQA estimate, with the relative error.
@@ -455,36 +254,16 @@ impl CompareRequest {
         self.fabric = Some(FabricSpec::new(width, height));
         self
     }
-
-    /// Serializes the request envelope.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::num(SCHEMA_VERSION as u32)),
-            ("op", Json::str("compare")),
-            ("program", self.program.to_json()),
-            (
-                "fabric",
-                self.fabric.map(FabricSpec::to_json).unwrap_or(Json::Null),
-            ),
-        ])
-    }
-
-    /// Decodes a request envelope.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorKind::Json`] on schema-version mismatch or shape errors.
-    pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        check_schema_version(value)?;
-        Ok(CompareRequest {
-            program: ProgramSpec::from_json(field(value, "program", "compare request")?)?,
-            fabric: FabricSpec::opt_from_json(value, "fabric")?,
-        })
-    }
 }
 
+wire_object!(pub CompareRequest, "compare request", op = "compare", { program, fabric });
+
 /// Request: run the detailed QSPR mapper (the baseline tool).
+///
+/// The strategy keys are optional and default like [`new`](Self::new).
+/// Decoding rejects a `scheduler` other than `greedy` or a non-null
+/// `passes` as [`ErrorKind::Invalid`]: those engines were removed (see
+/// `API.md`).
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct MapRequest {
@@ -500,55 +279,6 @@ pub struct MapRequest {
     pub router: RouterStrategy,
     /// Movement model (wire names: `home|drift`).
     pub movement: MovementModel,
-}
-
-pub(crate) fn placement_name(p: PlacementStrategy) -> &'static str {
-    match p {
-        PlacementStrategy::IigCluster => "cluster",
-        PlacementStrategy::RowMajor => "rowmajor",
-        PlacementStrategy::Random => "random",
-    }
-}
-
-pub(crate) fn placement_from_name(name: &str) -> Option<PlacementStrategy> {
-    Some(match name {
-        "cluster" => PlacementStrategy::IigCluster,
-        "rowmajor" => PlacementStrategy::RowMajor,
-        "random" => PlacementStrategy::Random,
-        _ => return None,
-    })
-}
-
-pub(crate) fn router_name(r: RouterStrategy) -> &'static str {
-    match r {
-        RouterStrategy::Xy => "xy",
-        RouterStrategy::Yx => "yx",
-        RouterStrategy::Adaptive => "adaptive",
-    }
-}
-
-pub(crate) fn router_from_name(name: &str) -> Option<RouterStrategy> {
-    Some(match name {
-        "xy" => RouterStrategy::Xy,
-        "yx" => RouterStrategy::Yx,
-        "adaptive" => RouterStrategy::Adaptive,
-        _ => return None,
-    })
-}
-
-pub(crate) fn movement_name(m: MovementModel) -> &'static str {
-    match m {
-        MovementModel::HomeBased => "home",
-        MovementModel::Drift => "drift",
-    }
-}
-
-pub(crate) fn movement_from_name(name: &str) -> Option<MovementModel> {
-    Some(match name {
-        "home" => MovementModel::HomeBased,
-        "drift" => MovementModel::Drift,
-        _ => return None,
-    })
 }
 
 /// Rejects the mapper options of engines that were removed from QSPR.
@@ -635,68 +365,16 @@ impl MapRequest {
         self.movement = movement;
         self
     }
-
-    /// Serializes the request envelope.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::num(SCHEMA_VERSION as u32)),
-            ("op", Json::str("map")),
-            ("program", self.program.to_json()),
-            (
-                "fabric",
-                self.fabric.map(FabricSpec::to_json).unwrap_or(Json::Null),
-            ),
-            ("trace_limit", Json::Num(self.trace_limit as f64)),
-            ("placement", Json::str(placement_name(self.placement))),
-            ("router", Json::str(router_name(self.router))),
-            ("movement", Json::str(movement_name(self.movement))),
-        ])
-    }
-
-    /// Decodes a request envelope. Strategy fields are optional and
-    /// default like [`new`](Self::new).
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorKind::Json`] on schema-version mismatch or shape errors;
-    /// [`ErrorKind::Invalid`] for a `scheduler` other than `greedy` or a
-    /// non-null `passes` (engines that were removed; see `API.md`).
-    pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        check_schema_version(value)?;
-        reject_removed_mapper_options(value)?;
-        let trace_limit = match value.get("trace_limit") {
-            None | Some(Json::Null) => 0,
-            Some(v) => v.as_u64().ok_or_else(|| {
-                LeqaError::new(
-                    ErrorKind::Json,
-                    "map `trace_limit` must be a non-negative integer",
-                )
-            })?,
-        };
-        fn strategy<T>(
-            value: &Json,
-            key: &str,
-            parse: impl Fn(&str) -> Option<T>,
-            default: T,
-        ) -> Result<T, LeqaError> {
-            match value.get(key).and_then(Json::as_str) {
-                None => Ok(default),
-                Some(name) => parse(name).ok_or_else(|| {
-                    LeqaError::new(ErrorKind::Json, format!("unknown {key} `{name}`"))
-                }),
-            }
-        }
-        Ok(MapRequest {
-            program: ProgramSpec::from_json(field(value, "program", "map request")?)?,
-            fabric: FabricSpec::opt_from_json(value, "fabric")?,
-            trace_limit,
-            placement: strategy(value, "placement", placement_from_name, Default::default())?,
-            router: strategy(value, "router", router_from_name, Default::default())?,
-            movement: strategy(value, "movement", movement_from_name, Default::default())?,
-        })
-    }
 }
+
+wire_object!(pub MapRequest, "map request", op = "map", {
+    program,
+    fabric,
+    trace_limit = 0,
+    placement = PlacementStrategy::default(),
+    router = RouterStrategy::default(),
+    movement = MovementModel::default(),
+}, check = reject_removed_mapper_options);
 
 /// Any request, tagged by its `op` field on the wire.
 #[derive(Debug, Clone, PartialEq)]
@@ -746,7 +424,7 @@ impl Request {
     /// [`ErrorKind::Json`] for unknown ops or shape errors.
     pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
         check_schema_version(value)?;
-        match str_field(value, "op", "request")?.as_str() {
+        match field::<String>(value, "request", "op")?.as_str() {
             "estimate" => EstimateRequest::from_json(value).map(Request::Estimate),
             "sweep" => SweepRequest::from_json(value).map(Request::Sweep),
             "zones" => ZonesRequest::from_json(value).map(Request::Zones),
@@ -759,6 +437,8 @@ impl Request {
         }
     }
 }
+
+wire_object!(@nested Request);
 
 // ── Responses ────────────────────────────────────────────────────────────
 
@@ -774,23 +454,7 @@ pub struct ProgramSummary {
     pub ops: u64,
 }
 
-impl ProgramSummary {
-    pub(crate) fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("label", Json::str(&self.label)),
-            ("qubits", Json::Num(self.qubits as f64)),
-            ("ops", Json::Num(self.ops as f64)),
-        ])
-    }
-
-    pub(crate) fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        Ok(ProgramSummary {
-            label: str_field(value, "label", "program summary")?,
-            qubits: u64_field(value, "qubits", "program summary")?,
-            ops: u64_field(value, "ops", "program summary")?,
-        })
-    }
-}
+wire_object!(ProgramSummary, "program summary", { label, qubits, ops });
 
 /// Response to an [`EstimateRequest`]: Eq. 1 plus every intermediate the
 /// paper names.
@@ -823,72 +487,20 @@ pub struct EstimateResponse {
     pub profile_cached: bool,
 }
 
-impl EstimateResponse {
-    /// Serializes the response envelope.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::num(SCHEMA_VERSION as u32)),
-            ("op", Json::str("estimate")),
-            ("program", self.program.to_json()),
-            ("fabric", self.fabric.to_json()),
-            ("latency_us", Json::Num(self.latency_us)),
-            ("l_cnot_avg_us", Json::Num(self.l_cnot_avg_us)),
-            ("l_one_qubit_avg_us", Json::Num(self.l_one_qubit_avg_us)),
-            ("d_uncong_us", Json::Num(self.d_uncong_us)),
-            ("avg_zone_area", Json::Num(self.avg_zone_area)),
-            ("zone_side", Json::num(self.zone_side)),
-            (
-                "esq",
-                Json::Arr(self.esq.iter().map(|&e| Json::Num(e)).collect()),
-            ),
-            ("critical_cnots", Json::Num(self.critical_cnots as f64)),
-            (
-                "critical_one_qubit",
-                Json::Num(self.critical_one_qubit as f64),
-            ),
-            ("profile_cached", Json::Bool(self.profile_cached)),
-        ])
-    }
-
-    /// Decodes a response envelope.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorKind::Json`] on schema-version mismatch or shape errors.
-    pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        check_schema_version(value)?;
-        let what = "estimate response";
-        Ok(EstimateResponse {
-            program: ProgramSummary::from_json(field(value, "program", what)?)?,
-            fabric: FabricSpec::from_json(field(value, "fabric", what)?)?,
-            latency_us: f64_field(value, "latency_us", what)?,
-            l_cnot_avg_us: f64_field(value, "l_cnot_avg_us", what)?,
-            l_one_qubit_avg_us: f64_field(value, "l_one_qubit_avg_us", what)?,
-            d_uncong_us: f64_field(value, "d_uncong_us", what)?,
-            avg_zone_area: f64_field(value, "avg_zone_area", what)?,
-            zone_side: u64_field(value, "zone_side", what)?
-                .try_into()
-                .map_err(|_| LeqaError::new(ErrorKind::Json, "zone_side out of range"))?,
-            esq: field(value, "esq", what)?
-                .as_arr()
-                .ok_or_else(|| LeqaError::new(ErrorKind::Json, "esq must be an array"))?
-                .iter()
-                .map(|e| {
-                    e.as_f64()
-                        .ok_or_else(|| LeqaError::new(ErrorKind::Json, "esq terms must be numbers"))
-                })
-                .collect::<Result<_, _>>()?,
-            critical_cnots: u64_field(value, "critical_cnots", what)?,
-            critical_one_qubit: u64_field(value, "critical_one_qubit", what)?,
-            profile_cached: field(value, "profile_cached", what)?
-                .as_bool()
-                .ok_or_else(|| {
-                    LeqaError::new(ErrorKind::Json, "profile_cached must be a boolean")
-                })?,
-        })
-    }
-}
+wire_object!(pub EstimateResponse, "estimate response", op = "estimate", {
+    program,
+    fabric,
+    latency_us,
+    l_cnot_avg_us,
+    l_one_qubit_avg_us,
+    d_uncong_us,
+    avg_zone_area,
+    zone_side,
+    esq,
+    critical_cnots,
+    critical_one_qubit,
+    profile_cached,
+});
 
 /// One candidate of a sweep response.
 #[derive(Debug, Clone, PartialEq)]
@@ -902,25 +514,7 @@ pub struct SweepPointDto {
     pub latency_us: Option<f64>,
 }
 
-impl SweepPointDto {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("side", Json::num(self.side)),
-            ("l_cnot_avg_us", json_opt_num(self.l_cnot_avg_us)),
-            ("latency_us", json_opt_num(self.latency_us)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        Ok(SweepPointDto {
-            side: u64_field(value, "side", "sweep point")?
-                .try_into()
-                .map_err(|_| LeqaError::new(ErrorKind::Json, "sweep side out of range"))?,
-            l_cnot_avg_us: opt_f64(value, "l_cnot_avg_us", "sweep point")?,
-            latency_us: opt_f64(value, "latency_us", "sweep point")?,
-        })
-    }
-}
+wire_object!(SweepPointDto, "sweep point", { side, l_cnot_avg_us, latency_us });
 
 /// Response to a [`SweepRequest`].
 #[derive(Debug, Clone, PartialEq)]
@@ -934,50 +528,7 @@ pub struct SweepResponse {
     pub optimal_side: Option<u32>,
 }
 
-impl SweepResponse {
-    /// Serializes the response envelope.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::num(SCHEMA_VERSION as u32)),
-            ("op", Json::str("sweep")),
-            ("program", self.program.to_json()),
-            (
-                "points",
-                Json::Arr(self.points.iter().map(SweepPointDto::to_json).collect()),
-            ),
-            (
-                "optimal_side",
-                self.optimal_side.map(Json::num).unwrap_or(Json::Null),
-            ),
-        ])
-    }
-
-    /// Decodes a response envelope.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorKind::Json`] on schema-version mismatch or shape errors.
-    pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        check_schema_version(value)?;
-        let what = "sweep response";
-        Ok(SweepResponse {
-            program: ProgramSummary::from_json(field(value, "program", what)?)?,
-            points: field(value, "points", what)?
-                .as_arr()
-                .ok_or_else(|| LeqaError::new(ErrorKind::Json, "points must be an array"))?
-                .iter()
-                .map(SweepPointDto::from_json)
-                .collect::<Result<_, _>>()?,
-            optimal_side: match value.get("optimal_side") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(v.as_u64().and_then(|n| u32::try_from(n).ok()).ok_or_else(
-                    || LeqaError::new(ErrorKind::Json, "optimal_side must be a u32"),
-                )?),
-            },
-        })
-    }
-}
+wire_object!(pub SweepResponse, "sweep response", op = "sweep", { program, points, optimal_side });
 
 /// One row of a zones response (§3.1–3.2 per-qubit quantities).
 #[derive(Debug, Clone, PartialEq)]
@@ -997,32 +548,14 @@ pub struct ZoneRowDto {
     pub uncongested_delay_us: f64,
 }
 
-impl ZoneRowDto {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("qubit", Json::num(self.qubit)),
-            ("degree", Json::Num(self.degree as f64)),
-            ("strength", Json::Num(self.strength as f64)),
-            ("zone_area", Json::Num(self.zone_area)),
-            ("expected_path", Json::Num(self.expected_path)),
-            ("uncongested_delay_us", Json::Num(self.uncongested_delay_us)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        let what = "zone row";
-        Ok(ZoneRowDto {
-            qubit: u64_field(value, "qubit", what)?
-                .try_into()
-                .map_err(|_| LeqaError::new(ErrorKind::Json, "qubit index out of range"))?,
-            degree: u64_field(value, "degree", what)?,
-            strength: u64_field(value, "strength", what)?,
-            zone_area: f64_field(value, "zone_area", what)?,
-            expected_path: f64_field(value, "expected_path", what)?,
-            uncongested_delay_us: f64_field(value, "uncongested_delay_us", what)?,
-        })
-    }
-}
+wire_object!(ZoneRowDto, "zone row", {
+    qubit,
+    degree,
+    strength,
+    zone_area,
+    expected_path,
+    uncongested_delay_us,
+});
 
 /// Response to a [`ZonesRequest`].
 #[derive(Debug, Clone, PartialEq)]
@@ -1038,44 +571,12 @@ pub struct ZonesResponse {
     pub total_rows: u64,
 }
 
-impl ZonesResponse {
-    /// Serializes the response envelope.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::num(SCHEMA_VERSION as u32)),
-            ("op", Json::str("zones")),
-            ("program", self.program.to_json()),
-            ("fabric", self.fabric.to_json()),
-            (
-                "rows",
-                Json::Arr(self.rows.iter().map(ZoneRowDto::to_json).collect()),
-            ),
-            ("total_rows", Json::Num(self.total_rows as f64)),
-        ])
-    }
-
-    /// Decodes a response envelope.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorKind::Json`] on schema-version mismatch or shape errors.
-    pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        check_schema_version(value)?;
-        let what = "zones response";
-        Ok(ZonesResponse {
-            program: ProgramSummary::from_json(field(value, "program", what)?)?,
-            fabric: FabricSpec::from_json(field(value, "fabric", what)?)?,
-            rows: field(value, "rows", what)?
-                .as_arr()
-                .ok_or_else(|| LeqaError::new(ErrorKind::Json, "rows must be an array"))?
-                .iter()
-                .map(ZoneRowDto::from_json)
-                .collect::<Result<_, _>>()?,
-            total_rows: u64_field(value, "total_rows", what)?,
-        })
-    }
-}
+wire_object!(pub ZonesResponse, "zones response", op = "zones", {
+    program,
+    fabric,
+    rows,
+    total_rows,
+});
 
 /// Response to a [`CompareRequest`].
 #[derive(Debug, Clone, PartialEq)]
@@ -1093,38 +594,13 @@ pub struct CompareResponse {
     pub error_pct: Option<f64>,
 }
 
-impl CompareResponse {
-    /// Serializes the response envelope.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::num(SCHEMA_VERSION as u32)),
-            ("op", Json::str("compare")),
-            ("program", self.program.to_json()),
-            ("fabric", self.fabric.to_json()),
-            ("actual_us", Json::Num(self.actual_us)),
-            ("estimated_us", Json::Num(self.estimated_us)),
-            ("error_pct", json_opt_num(self.error_pct)),
-        ])
-    }
-
-    /// Decodes a response envelope.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorKind::Json`] on schema-version mismatch or shape errors.
-    pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        check_schema_version(value)?;
-        let what = "compare response";
-        Ok(CompareResponse {
-            program: ProgramSummary::from_json(field(value, "program", what)?)?,
-            fabric: FabricSpec::from_json(field(value, "fabric", what)?)?,
-            actual_us: f64_field(value, "actual_us", what)?,
-            estimated_us: f64_field(value, "estimated_us", what)?,
-            error_pct: opt_f64(value, "error_pct", what)?,
-        })
-    }
-}
+wire_object!(pub CompareResponse, "compare response", op = "compare", {
+    program,
+    fabric,
+    actual_us,
+    estimated_us,
+    error_pct,
+});
 
 /// Response to a [`MapRequest`].
 #[derive(Debug, Clone, PartialEq)]
@@ -1148,54 +624,16 @@ pub struct MapResponse {
     pub trace: Option<String>,
 }
 
-impl MapResponse {
-    /// Serializes the response envelope.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::num(SCHEMA_VERSION as u32)),
-            ("op", Json::str("map")),
-            ("program", self.program.to_json()),
-            ("fabric", self.fabric.to_json()),
-            ("latency_us", Json::Num(self.latency_us)),
-            ("cnot_ops", Json::Num(self.cnot_ops as f64)),
-            ("avg_cnot_distance", Json::Num(self.avg_cnot_distance)),
-            ("congestion_wait_us", Json::Num(self.congestion_wait_us)),
-            ("max_channel_load", Json::Num(self.max_channel_load as f64)),
-            (
-                "trace",
-                self.trace.as_deref().map(Json::str).unwrap_or(Json::Null),
-            ),
-        ])
-    }
-
-    /// Decodes a response envelope.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorKind::Json`] on schema-version mismatch or shape errors.
-    pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        check_schema_version(value)?;
-        let what = "map response";
-        Ok(MapResponse {
-            program: ProgramSummary::from_json(field(value, "program", what)?)?,
-            fabric: FabricSpec::from_json(field(value, "fabric", what)?)?,
-            latency_us: f64_field(value, "latency_us", what)?,
-            cnot_ops: u64_field(value, "cnot_ops", what)?,
-            avg_cnot_distance: f64_field(value, "avg_cnot_distance", what)?,
-            congestion_wait_us: f64_field(value, "congestion_wait_us", what)?,
-            max_channel_load: u64_field(value, "max_channel_load", what)?,
-            trace: match value.get("trace") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(
-                    v.as_str()
-                        .ok_or_else(|| LeqaError::new(ErrorKind::Json, "trace must be a string"))?
-                        .to_string(),
-                ),
-            },
-        })
-    }
-}
+wire_object!(pub MapResponse, "map response", op = "map", {
+    program,
+    fabric,
+    latency_us,
+    cnot_ops,
+    avg_cnot_distance,
+    congestion_wait_us,
+    max_channel_load,
+    trace,
+});
 
 /// Any response, tagged by its `op` field on the wire.
 #[derive(Debug, Clone, PartialEq)]
@@ -1233,7 +671,7 @@ impl Response {
     /// [`ErrorKind::Json`] for unknown ops or shape errors.
     pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
         check_schema_version(value)?;
-        match str_field(value, "op", "response")?.as_str() {
+        match field::<String>(value, "response", "op")?.as_str() {
             "estimate" => EstimateResponse::from_json(value).map(Response::Estimate),
             "sweep" => SweepResponse::from_json(value).map(Response::Sweep),
             "zones" => ZonesResponse::from_json(value).map(Response::Zones),
@@ -1247,8 +685,29 @@ impl Response {
     }
 }
 
+/// A batch slot: `{"ok": response}` or `{"err": error}`.
+impl Wire for Result<Response, LeqaError> {
+    fn to_wire(&self) -> Json {
+        Json::Obj(vec![match self {
+            Ok(resp) => ("ok".to_string(), resp.to_json()),
+            Err(e) => pair("err", e),
+        }])
+    }
+
+    fn from_wire(value: &Json, at: At<'_>) -> Result<Self, LeqaError> {
+        if let Some(ok) = value.get("ok") {
+            nested(ok, at, Response::from_json).map(Ok)
+        } else if let Some(err) = value.get("err") {
+            LeqaError::from_wire(err, at).map(Err)
+        } else {
+            Err(at.err("must be `{\"ok\": …}` or `{\"err\": …}`"))
+        }
+    }
+}
+
 /// Response to a batch: one slot per request, order preserved, failures
-/// carried inline so one bad request cannot sink its batch-mates.
+/// carried inline so one bad request cannot sink its batch-mates. Each
+/// slot is `{"ok": …}` or `{"err": …}`.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct BatchResponse {
@@ -1256,56 +715,7 @@ pub struct BatchResponse {
     pub results: Vec<Result<Response, LeqaError>>,
 }
 
-impl BatchResponse {
-    /// Serializes the batch envelope: each slot is `{"ok": …}` or
-    /// `{"err": …}`.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::num(SCHEMA_VERSION as u32)),
-            ("op", Json::str("batch")),
-            (
-                "results",
-                Json::Arr(
-                    self.results
-                        .iter()
-                        .map(|slot| match slot {
-                            Ok(resp) => Json::obj(vec![("ok", resp.to_json())]),
-                            Err(e) => Json::obj(vec![("err", e.to_json())]),
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Decodes a batch envelope.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorKind::Json`] on schema-version mismatch or shape errors.
-    pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        check_schema_version(value)?;
-        let results = field(value, "results", "batch response")?
-            .as_arr()
-            .ok_or_else(|| LeqaError::new(ErrorKind::Json, "batch results must be an array"))?
-            .iter()
-            .map(|slot| {
-                if let Some(ok) = slot.get("ok") {
-                    Response::from_json(ok).map(Ok)
-                } else if let Some(err) = slot.get("err") {
-                    LeqaError::from_json(err).map(Err)
-                } else {
-                    Err(LeqaError::new(
-                        ErrorKind::Json,
-                        "batch slots must be `{\"ok\": …}` or `{\"err\": …}`",
-                    ))
-                }
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(BatchResponse { results })
-    }
-}
+wire_object!(pub BatchResponse, "batch response", op = "batch", { results });
 
 // ── Server frames ────────────────────────────────────────────────────────
 //
@@ -1334,39 +744,9 @@ impl BatchRequest {
             requests: requests.into_iter().collect(),
         }
     }
-
-    /// Serializes the request envelope.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::num(SCHEMA_VERSION as u32)),
-            ("op", Json::str("batch")),
-            (
-                "requests",
-                Json::Arr(self.requests.iter().map(Request::to_json).collect()),
-            ),
-        ])
-    }
-
-    /// Decodes a request envelope.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorKind::Json`] on schema-version mismatch or shape errors.
-    pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        check_schema_version(value)?;
-        Ok(BatchRequest {
-            requests: field(value, "requests", "batch request")?
-                .as_arr()
-                .ok_or_else(|| {
-                    LeqaError::new(ErrorKind::Json, "batch `requests` must be an array")
-                })?
-                .iter()
-                .map(Request::from_json)
-                .collect::<Result<_, _>>()?,
-        })
-    }
 }
+
+wire_object!(pub BatchRequest, "batch request", op = "batch", { requests });
 
 /// An operator control line (`{"cmd":"…"}`): steers the daemon instead
 /// of running an estimator endpoint. Control frames carry no
@@ -1398,12 +778,12 @@ pub enum FrameProto {
 }
 
 impl FrameProto {
+    const NAMES: [(&'static str, FrameProto); 1] = [(crate::frame::FRAME1, FrameProto::Frame1)];
+
     /// The wire name of the protocol.
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            FrameProto::Frame1 => crate::frame::FRAME1,
-        }
+        crate::wire::name_of(&Self::NAMES, self)
     }
 }
 
@@ -1421,11 +801,11 @@ impl ControlFrame {
     /// Serializes the control line.
     #[must_use]
     pub fn to_json(self) -> Json {
-        let mut entries = vec![("cmd", Json::str(self.name()))];
+        let mut pairs = vec![("cmd".to_string(), Json::str(self.name()))];
         if let ControlFrame::Upgrade(proto) = self {
-            entries.push(("proto", Json::str(proto.name())));
+            pairs.push(pair("proto", &proto));
         }
-        Json::obj(entries)
+        Json::Obj(pairs)
     }
 
     /// Decodes a control line (any object with a `cmd` key).
@@ -1435,16 +815,10 @@ impl ControlFrame {
     /// [`ErrorKind::Json`] when `cmd` is missing or names no known
     /// command, or when an `upgrade` names no known protocol.
     pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        match str_field(value, "cmd", "control frame")?.as_str() {
+        match field::<String>(value, "control frame", "cmd")?.as_str() {
             "stats" => Ok(ControlFrame::Stats),
             "shutdown" => Ok(ControlFrame::Shutdown),
-            "upgrade" => match str_field(value, "proto", "upgrade frame")?.as_str() {
-                crate::frame::FRAME1 => Ok(ControlFrame::Upgrade(FrameProto::Frame1)),
-                other => Err(LeqaError::new(
-                    ErrorKind::Json,
-                    format!("unknown upgrade protocol `{other}` (frame1)"),
-                )),
-            },
+            "upgrade" => field(value, "upgrade frame", "proto").map(ControlFrame::Upgrade),
             other => Err(LeqaError::new(
                 ErrorKind::Json,
                 format!("unknown control command `{other}` (stats|shutdown|upgrade)"),
@@ -1505,102 +879,94 @@ pub struct StatsResponse {
     pub store_misses: u64,
     /// Session cache counters at snapshot time (see
     /// [`CacheStats`](crate::CacheStats)).
-    pub cache: crate::session::CacheStats,
+    pub cache: CacheStats,
     /// Protocol lines processed since startup — the daemon's monotone
     /// clock (no wall time on the wire).
     pub uptime_ticks: u64,
 }
 
 impl StatsResponse {
-    /// Serializes the stats envelope.
+    /// Serializes the stats envelope: the per-op counters sit in a
+    /// nested `requests` object.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::num(SCHEMA_VERSION as u32)),
-            ("op", Json::str("stats")),
-            ("connections", Json::Num(self.connections as f64)),
-            (
-                "active_connections",
-                Json::Num(self.active_connections as f64),
-            ),
-            ("inflight", Json::Num(self.inflight as f64)),
-            (
-                "requests",
-                Json::obj(vec![
-                    ("estimate", Json::Num(self.estimate as f64)),
-                    ("sweep", Json::Num(self.sweep as f64)),
-                    ("zones", Json::Num(self.zones as f64)),
-                    ("compare", Json::Num(self.compare as f64)),
-                    ("map", Json::Num(self.map as f64)),
-                    ("batch", Json::Num(self.batch as f64)),
-                    ("experiment", Json::Num(self.experiment as f64)),
-                ]),
-            ),
-            ("errors", Json::Num(self.errors as f64)),
-            ("overloaded", Json::Num(self.overloaded as f64)),
-            ("bytes_in", Json::Num(self.bytes_in as f64)),
-            ("bytes_out", Json::Num(self.bytes_out as f64)),
-            ("frames_in_flight", Json::Num(self.frames_in_flight as f64)),
-            ("store_hits", Json::Num(self.store_hits as f64)),
-            ("store_misses", Json::Num(self.store_misses as f64)),
-            (
-                "cache",
-                Json::obj(vec![
-                    (
-                        "profile_builds",
-                        Json::Num(self.cache.profile_builds as f64),
-                    ),
-                    ("cache_hits", Json::Num(self.cache.cache_hits as f64)),
-                    ("cache_misses", Json::Num(self.cache.cache_misses as f64)),
-                    ("loads", Json::Num(self.cache.loads as f64)),
-                ]),
-            ),
-            ("uptime_ticks", Json::Num(self.uptime_ticks as f64)),
-        ])
+        let requests = Json::Obj(vec![
+            pair("estimate", &self.estimate),
+            pair("sweep", &self.sweep),
+            pair("zones", &self.zones),
+            pair("compare", &self.compare),
+            pair("map", &self.map),
+            pair("batch", &self.batch),
+            pair("experiment", &self.experiment),
+        ]);
+        let mut pairs = object_pairs(Some("stats"), 13);
+        pairs.extend([
+            pair("connections", &self.connections),
+            pair("active_connections", &self.active_connections),
+            pair("inflight", &self.inflight),
+            ("requests".to_string(), requests),
+            pair("errors", &self.errors),
+            pair("overloaded", &self.overloaded),
+            pair("bytes_in", &self.bytes_in),
+            pair("bytes_out", &self.bytes_out),
+            pair("frames_in_flight", &self.frames_in_flight),
+            pair("store_hits", &self.store_hits),
+            pair("store_misses", &self.store_misses),
+            pair("cache", &self.cache),
+            pair("uptime_ticks", &self.uptime_ticks),
+        ]);
+        Json::Obj(pairs)
     }
 
-    /// Decodes a stats envelope.
+    /// Decodes a stats envelope. The byte and store counters are additive
+    /// in schema v1: older daemons omit them and they decode as 0.
     ///
     /// # Errors
     ///
     /// [`ErrorKind::Json`] on schema-version mismatch or shape errors.
     pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        check_schema_version(value)?;
         let what = "stats response";
-        let requests = field(value, "requests", what)?;
-        let cache = field(value, "cache", what)?;
+        open_object(value, what, Some("stats"))?;
+        let requests = object_field(value, what, "requests")?;
+        let count = |key| field(requests, "stats requests", key);
         Ok(StatsResponse {
-            connections: u64_field(value, "connections", what)?,
-            active_connections: u64_field(value, "active_connections", what)?,
-            inflight: u64_field(value, "inflight", what)?,
-            estimate: u64_field(requests, "estimate", what)?,
-            sweep: u64_field(requests, "sweep", what)?,
-            zones: u64_field(requests, "zones", what)?,
-            compare: u64_field(requests, "compare", what)?,
-            map: u64_field(requests, "map", what)?,
-            batch: u64_field(requests, "batch", what)?,
-            experiment: u64_field(requests, "experiment", what)?,
-            errors: u64_field(value, "errors", what)?,
-            overloaded: u64_field(value, "overloaded", what)?,
-            // Additive in schema v1: pre-frame daemons omit these.
-            bytes_in: opt_u64(value, "bytes_in", what)?.unwrap_or(0),
-            bytes_out: opt_u64(value, "bytes_out", what)?.unwrap_or(0),
-            frames_in_flight: opt_u64(value, "frames_in_flight", what)?.unwrap_or(0),
-            store_hits: opt_u64(value, "store_hits", what)?.unwrap_or(0),
-            store_misses: opt_u64(value, "store_misses", what)?.unwrap_or(0),
-            cache: crate::session::CacheStats {
-                profile_builds: u64_field(cache, "profile_builds", what)?,
-                cache_hits: u64_field(cache, "cache_hits", what)?,
-                cache_misses: u64_field(cache, "cache_misses", what)?,
-                loads: u64_field(cache, "loads", what)?,
-            },
-            uptime_ticks: u64_field(value, "uptime_ticks", what)?,
+            connections: field(value, what, "connections")?,
+            active_connections: field(value, what, "active_connections")?,
+            inflight: field(value, what, "inflight")?,
+            estimate: count("estimate")?,
+            sweep: count("sweep")?,
+            zones: count("zones")?,
+            compare: count("compare")?,
+            map: count("map")?,
+            batch: count("batch")?,
+            experiment: count("experiment")?,
+            errors: field(value, what, "errors")?,
+            overloaded: field(value, what, "overloaded")?,
+            bytes_in: field_or(value, what, "bytes_in", || 0)?,
+            bytes_out: field_or(value, what, "bytes_out", || 0)?,
+            frames_in_flight: field_or(value, what, "frames_in_flight", || 0)?,
+            store_hits: field_or(value, what, "store_hits", || 0)?,
+            store_misses: field_or(value, what, "store_misses", || 0)?,
+            cache: field(value, what, "cache")?,
+            uptime_ticks: field(value, what, "uptime_ticks")?,
         })
+    }
+}
+
+/// Checks that an acknowledgement carries the `op` it acknowledges.
+fn check_ack_op(value: &Json, op: &str) -> Result<(), LeqaError> {
+    match value.get("op").and_then(Json::as_str) {
+        Some(found) if found == op => Ok(()),
+        _ => Err(LeqaError::new(
+            ErrorKind::Json,
+            format!("{op} ack must carry op `{op}`"),
+        )),
     }
 }
 
 /// Reply to `{"cmd":"upgrade","proto":…}`: the last NDJSON line on this
 /// connection — every byte after it speaks the acknowledged framing.
+/// Decoding also checks that `op` is `upgrade`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct UpgradeAck {
@@ -1608,42 +974,9 @@ pub struct UpgradeAck {
     pub proto: FrameProto,
 }
 
-impl UpgradeAck {
-    /// Serializes the acknowledgement envelope.
-    #[must_use]
-    pub fn to_json(self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::num(SCHEMA_VERSION as u32)),
-            ("op", Json::str("upgrade")),
-            ("proto", Json::str(self.proto.name())),
-        ])
-    }
-
-    /// Decodes an acknowledgement envelope.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorKind::Json`] on schema-version mismatch, a wrong `op`, or
-    /// an unknown protocol name.
-    pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        check_schema_version(value)?;
-        match field(value, "op", "upgrade ack")?.as_str() {
-            Some("upgrade") => match str_field(value, "proto", "upgrade ack")?.as_str() {
-                crate::frame::FRAME1 => Ok(UpgradeAck {
-                    proto: FrameProto::Frame1,
-                }),
-                other => Err(LeqaError::new(
-                    ErrorKind::Json,
-                    format!("unknown upgrade protocol `{other}` in ack"),
-                )),
-            },
-            _ => Err(LeqaError::new(
-                ErrorKind::Json,
-                "upgrade ack must carry op `upgrade`",
-            )),
-        }
-    }
-}
+wire_object!(pub UpgradeAck, "upgrade ack", op = "upgrade", { proto }, check = |value| {
+    check_ack_op(value, "upgrade")
+});
 
 /// Reply to `{"cmd":"shutdown"}`: the daemon stopped accepting work and
 /// is draining in-flight requests.
@@ -1652,30 +985,23 @@ impl UpgradeAck {
 pub struct ShutdownAck;
 
 impl ShutdownAck {
-    /// Serializes the acknowledgement envelope.
+    /// Serializes the acknowledgement envelope (`draining` is always
+    /// `true`).
     #[must_use]
     pub fn to_json(self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::num(SCHEMA_VERSION as u32)),
-            ("op", Json::str("shutdown")),
-            ("draining", Json::Bool(true)),
-        ])
+        let mut pairs = object_pairs(Some("shutdown"), 1);
+        pairs.push(pair("draining", &true));
+        Json::Obj(pairs)
     }
 
     /// Decodes an acknowledgement envelope.
     ///
     /// # Errors
     ///
-    /// [`ErrorKind::Json`] on schema-version mismatch or shape errors.
+    /// [`ErrorKind::Json`] on schema-version mismatch or a wrong `op`.
     pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
         check_schema_version(value)?;
-        match field(value, "op", "shutdown ack")?.as_str() {
-            Some("shutdown") => Ok(ShutdownAck),
-            _ => Err(LeqaError::new(
-                ErrorKind::Json,
-                "shutdown ack must carry op `shutdown`",
-            )),
-        }
+        check_ack_op(value, "shutdown").map(|()| ShutdownAck)
     }
 }
 
@@ -1696,29 +1022,9 @@ impl ErrorFrame {
     pub fn new(error: LeqaError) -> Self {
         ErrorFrame { error }
     }
-
-    /// Serializes the error envelope.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::num(SCHEMA_VERSION as u32)),
-            ("op", Json::str("error")),
-            ("error", self.error.to_json()),
-        ])
-    }
-
-    /// Decodes an error envelope.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorKind::Json`] on schema-version mismatch or shape errors.
-    pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        check_schema_version(value)?;
-        Ok(ErrorFrame {
-            error: LeqaError::from_json(field(value, "error", "error frame")?)?,
-        })
-    }
 }
+
+wire_object!(pub ErrorFrame, "error frame", op = "error", { error });
 
 #[cfg(test)]
 mod tests {

@@ -10,7 +10,8 @@
 
 use std::fmt;
 
-use crate::json::{Json, JsonError};
+use crate::json::JsonError;
+use crate::wire::{wire_names, wire_object};
 
 /// The stable failure categories of the API.
 ///
@@ -69,43 +70,35 @@ impl ErrorKind {
         ErrorKind::Internal,
     ];
 
+    /// Every kind with its stable wire name (lowercase, used in JSON).
+    const NAMES: [(&'static str, ErrorKind); 11] = [
+        ("usage", ErrorKind::Usage),
+        ("io", ErrorKind::Io),
+        ("parse", ErrorKind::Parse),
+        ("invalid", ErrorKind::Invalid),
+        ("estimate", ErrorKind::Estimate),
+        ("map", ErrorKind::Map),
+        ("json", ErrorKind::Json),
+        ("overloaded", ErrorKind::Overloaded),
+        ("unroutable", ErrorKind::Unroutable),
+        ("deadline_exceeded", ErrorKind::DeadlineExceeded),
+        ("internal", ErrorKind::Internal),
+    ];
+
     /// The stable wire name of the kind (lowercase, used in JSON).
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            ErrorKind::Usage => "usage",
-            ErrorKind::Io => "io",
-            ErrorKind::Parse => "parse",
-            ErrorKind::Invalid => "invalid",
-            ErrorKind::Estimate => "estimate",
-            ErrorKind::Map => "map",
-            ErrorKind::Json => "json",
-            ErrorKind::Overloaded => "overloaded",
-            ErrorKind::Unroutable => "unroutable",
-            ErrorKind::DeadlineExceeded => "deadline_exceeded",
-            ErrorKind::Internal => "internal",
-        }
+        crate::wire::name_of(&Self::NAMES, self)
     }
 
     /// Parses a wire name back to a kind.
     #[must_use]
     pub fn from_name(name: &str) -> Option<ErrorKind> {
-        Some(match name {
-            "usage" => ErrorKind::Usage,
-            "io" => ErrorKind::Io,
-            "parse" => ErrorKind::Parse,
-            "invalid" => ErrorKind::Invalid,
-            "estimate" => ErrorKind::Estimate,
-            "map" => ErrorKind::Map,
-            "json" => ErrorKind::Json,
-            "overloaded" => ErrorKind::Overloaded,
-            "unroutable" => ErrorKind::Unroutable,
-            "deadline_exceeded" => ErrorKind::DeadlineExceeded,
-            "internal" => ErrorKind::Internal,
-            _ => return None,
-        })
+        crate::wire::from_name(&Self::NAMES, name)
     }
 }
+
+wire_names! { ErrorKind => ErrorKind::NAMES }
 
 /// One error, anywhere in the LEQA stack.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,57 +193,9 @@ impl LeqaError {
             ErrorKind::Internal => 70,
         }
     }
-
-    /// Serializes the error (kind + message + context) to JSON.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("kind", Json::str(self.kind.name())),
-            ("message", Json::str(&self.message)),
-            (
-                "context",
-                Json::Arr(self.context.iter().map(Json::str).collect()),
-            ),
-        ])
-    }
-
-    /// Decodes an error serialized by [`to_json`](Self::to_json).
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ErrorKind::Json`] error when the document does not
-    /// have the error shape.
-    pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        let kind = value
-            .get("kind")
-            .and_then(Json::as_str)
-            .and_then(ErrorKind::from_name)
-            .ok_or_else(|| LeqaError::new(ErrorKind::Json, "error object needs a known `kind`"))?;
-        let message = value
-            .get("message")
-            .and_then(Json::as_str)
-            .ok_or_else(|| LeqaError::new(ErrorKind::Json, "error object needs a `message`"))?
-            .to_string();
-        let context = match value.get("context") {
-            None => Vec::new(),
-            Some(ctx) => ctx
-                .as_arr()
-                .ok_or_else(|| LeqaError::new(ErrorKind::Json, "error `context` must be an array"))?
-                .iter()
-                .map(|frame| {
-                    frame.as_str().map(str::to_string).ok_or_else(|| {
-                        LeqaError::new(ErrorKind::Json, "error context frames must be strings")
-                    })
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        Ok(LeqaError {
-            kind,
-            message,
-            context,
-        })
-    }
 }
+
+wire_object!(pub LeqaError, "error object", { kind, message, context = Vec::new() });
 
 impl fmt::Display for LeqaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -44,14 +44,14 @@ use leqa::{Estimator, ProgramProfile};
 use leqa_fabric::{FabricDims, FabricMap, Micros, PhysicalParams, SplitMix64};
 use qspr::{Mapper, MapperConfig, MovementModel, PlacementStrategy, RouterStrategy};
 
-use crate::dto::{
-    check_schema_version, check_wire_seed, field, json_opt_num, movement_from_name, movement_name,
-    opt_f64, opt_u32, opt_u64, reject_removed_mapper_options, router_from_name, router_name,
-    str_field, u64_field, ProgramSpec, SCHEMA_VERSION,
-};
+use crate::dto::{check_wire_seed, reject_removed_mapper_options, ProgramSpec};
 use crate::error::{ErrorKind, LeqaError};
 use crate::json::Json;
 use crate::session::{fan_out, CacheStats, ProgramHandle, Session};
+use crate::wire::{
+    array_field, check_schema_version, field, name_of, object_pairs, pair, wire_names, wire_object,
+    At, Wire,
+};
 
 /// Hard cap on materialized fabric sides per experiment, enforced by an
 /// O(#entries) arithmetic pre-check so even a spec without a
@@ -109,25 +109,18 @@ pub enum ExperimentMode {
 }
 
 impl ExperimentMode {
-    /// The stable wire name (`estimate` / `map` / `compare`).
+    const NAMES: [(&'static str, ExperimentMode); 4] = [
+        ("estimate", ExperimentMode::Estimate),
+        ("map", ExperimentMode::Map),
+        ("compare", ExperimentMode::Compare),
+        ("montecarlo", ExperimentMode::MonteCarlo),
+    ];
+
+    /// The stable wire name (`estimate` / `map` / `compare` /
+    /// `montecarlo`).
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            ExperimentMode::Estimate => "estimate",
-            ExperimentMode::Map => "map",
-            ExperimentMode::Compare => "compare",
-            ExperimentMode::MonteCarlo => "montecarlo",
-        }
-    }
-
-    fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "estimate" => ExperimentMode::Estimate,
-            "map" => ExperimentMode::Map,
-            "compare" => ExperimentMode::Compare,
-            "montecarlo" => ExperimentMode::MonteCarlo,
-            _ => return None,
-        })
+        name_of(&Self::NAMES, self)
     }
 }
 
@@ -161,39 +154,9 @@ impl MonteCarloSpec {
             seed,
         }
     }
-
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            (
-                "densities",
-                Json::Arr(self.densities.iter().map(|&d| Json::Num(d)).collect()),
-            ),
-            ("trials", Json::num(self.trials)),
-            ("seed", Json::Num(self.seed as f64)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        let what = "montecarlo section";
-        let densities = field(value, "densities", what)?
-            .as_arr()
-            .ok_or_else(|| LeqaError::new(ErrorKind::Json, "`densities` must be an array"))?
-            .iter()
-            .map(|d| {
-                d.as_f64().ok_or_else(|| {
-                    LeqaError::new(ErrorKind::Json, "montecarlo densities must be numbers")
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(MonteCarloSpec {
-            densities,
-            trials: u64_field(value, "trials", what)?
-                .try_into()
-                .map_err(|_| LeqaError::new(ErrorKind::Json, "montecarlo `trials` too large"))?,
-            seed: u64_field(value, "seed", what)?,
-        })
-    }
 }
+
+wire_object!(MonteCarloSpec, "montecarlo section", { densities, trials, seed });
 
 /// Which fields each NDJSON cell row carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -208,22 +171,21 @@ pub enum ResultSelect {
 }
 
 impl ResultSelect {
+    const NAMES: [(&'static str, ResultSelect); 2] = [
+        ("full", ResultSelect::Full),
+        ("latency", ResultSelect::Latency),
+    ];
+
     /// The stable wire name (`full` / `latency`).
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            ResultSelect::Full => "full",
-            ResultSelect::Latency => "latency",
-        }
+        name_of(&Self::NAMES, self)
     }
+}
 
-    fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "full" => ResultSelect::Full,
-            "latency" => ResultSelect::Latency,
-            _ => return None,
-        })
-    }
+wire_names! {
+    ExperimentMode => ExperimentMode::NAMES,
+    ResultSelect => ResultSelect::NAMES,
 }
 
 /// One entry of the fabric axis: a single square side or an inclusive
@@ -244,45 +206,28 @@ pub enum FabricEntry {
     },
 }
 
-impl FabricEntry {
-    fn to_json(self) -> Json {
+/// A side as its number, a range as `{"min","max","step"}`.
+impl Wire for FabricEntry {
+    fn to_wire(&self) -> Json {
         match self {
-            FabricEntry::Side(s) => Json::num(s),
-            FabricEntry::Range { min, max, step } => Json::obj(vec![
-                ("min", Json::num(min)),
-                ("max", Json::num(max)),
-                ("step", Json::num(step)),
-            ]),
+            FabricEntry::Side(side) => side.to_wire(),
+            FabricEntry::Range { min, max, step } => {
+                Json::Obj(vec![pair("min", min), pair("max", max), pair("step", step)])
+            }
         }
     }
 
-    fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        if let Some(side) = value.as_u64() {
-            let side = u32::try_from(side)
-                .map_err(|_| LeqaError::new(ErrorKind::Json, "fabric side out of range for u32"))?;
-            return Ok(FabricEntry::Side(side));
+    fn from_wire(value: &Json, at: At<'_>) -> Result<Self, LeqaError> {
+        let what = "fabric range";
+        match value {
+            Json::Num(_) => u32::from_wire(value, at).map(FabricEntry::Side),
+            Json::Obj(_) => Ok(FabricEntry::Range {
+                min: field(value, what, "min")?,
+                max: field(value, what, "max")?,
+                step: field(value, what, "step")?,
+            }),
+            _ => Err(at.err("must be a side number or a {\"min\",\"max\",\"step\"} range")),
         }
-        if value.get("min").is_some() {
-            let to_u32 = |key: &str| -> Result<u32, LeqaError> {
-                u64_field(value, key, "fabric range")?
-                    .try_into()
-                    .map_err(|_| {
-                        LeqaError::new(
-                            ErrorKind::Json,
-                            format!("fabric range `{key}` out of range"),
-                        )
-                    })
-            };
-            return Ok(FabricEntry::Range {
-                min: to_u32("min")?,
-                max: to_u32("max")?,
-                step: to_u32("step")?,
-            });
-        }
-        Err(LeqaError::new(
-            ErrorKind::Json,
-            "fabric entries must be a side number or a {\"min\",\"max\",\"step\"} range",
-        ))
     }
 }
 
@@ -357,29 +302,14 @@ impl ParamVariant {
             .map_err(LeqaError::from)
             .map_err(|e| e.context(format!("experiment params variant `{}`", self.name)))
     }
-
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::str(&self.name)),
-            ("t_move_us", json_opt_num(self.t_move_us)),
-            ("qubit_speed", json_opt_num(self.qubit_speed)),
-            (
-                "channel_capacity",
-                self.channel_capacity.map(Json::num).unwrap_or(Json::Null),
-            ),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        let what = "params variant";
-        Ok(ParamVariant {
-            name: str_field(value, "name", what)?,
-            t_move_us: opt_f64(value, "t_move_us", what)?,
-            qubit_speed: opt_f64(value, "qubit_speed", what)?,
-            channel_capacity: opt_u32(value, "channel_capacity", what)?,
-        })
-    }
 }
+
+wire_object!(ParamVariant, "params variant", {
+    name,
+    t_move_us,
+    qubit_speed,
+    channel_capacity,
+});
 
 /// Per-axis filters applied during grid expansion.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -402,57 +332,19 @@ impl AxisFilter {
     pub fn is_empty(&self) -> bool {
         self == &AxisFilter::default()
     }
-
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            (
-                "workloads",
-                self.workloads
-                    .as_deref()
-                    .map(Json::str)
-                    .unwrap_or(Json::Null),
-            ),
-            (
-                "min_side",
-                self.min_side.map(Json::num).unwrap_or(Json::Null),
-            ),
-            (
-                "max_side",
-                self.max_side.map(Json::num).unwrap_or(Json::Null),
-            ),
-            (
-                "max_cells",
-                self.max_cells
-                    .map(|n| Json::Num(n as f64))
-                    .unwrap_or(Json::Null),
-            ),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        let what = "filter";
-        let workloads = match value.get("workloads") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or_else(|| {
-                        LeqaError::new(ErrorKind::Json, "filter `workloads` must be a string")
-                    })?
-                    .to_string(),
-            ),
-        };
-        Ok(AxisFilter {
-            workloads,
-            min_side: opt_u32(value, "min_side", what)?,
-            max_side: opt_u32(value, "max_side", what)?,
-            max_cells: opt_u64(value, "max_cells", what)?,
-        })
-    }
 }
+
+wire_object!(AxisFilter, "filter", { workloads, min_side, max_side, max_cells });
 
 /// A declarative design-space experiment: the cartesian grid over the
 /// axes, filters and result selector (see the module docs for semantics
 /// and `API.md` for the wire schema).
+///
+/// On the wire, `params`, `routers`, `movements`, `mode`, `select` and
+/// `filter` are optional and default like [`new`](Self::new). Decoding
+/// checks shape only (axis content is validated by [`plan`](Self::plan))
+/// and rejects a `schedulers` axis or `passes` spec naming a removed
+/// mapper engine as [`ErrorKind::Invalid`].
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct ScenarioSpec {
@@ -553,165 +445,6 @@ impl ScenarioSpec {
         self.montecarlo = Some(montecarlo);
         self.mode = ExperimentMode::MonteCarlo;
         self
-    }
-
-    /// Serializes the spec envelope.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::num(SCHEMA_VERSION as u32)),
-            ("op", Json::str("experiment")),
-            (
-                "workloads",
-                Json::Arr(self.workloads.iter().map(Json::str).collect()),
-            ),
-            (
-                "fabrics",
-                Json::Arr(self.fabrics.iter().map(|f| f.to_json()).collect()),
-            ),
-            (
-                "params",
-                Json::Arr(self.params.iter().map(ParamVariant::to_json).collect()),
-            ),
-            (
-                "routers",
-                Json::Arr(
-                    self.routers
-                        .iter()
-                        .map(|&r| Json::str(router_name(r)))
-                        .collect(),
-                ),
-            ),
-            (
-                "movements",
-                Json::Arr(
-                    self.movements
-                        .iter()
-                        .map(|&m| Json::str(movement_name(m)))
-                        .collect(),
-                ),
-            ),
-            ("mode", Json::str(self.mode.name())),
-            ("select", Json::str(self.select.name())),
-            ("filter", self.filter.to_json()),
-            (
-                "montecarlo",
-                self.montecarlo
-                    .as_ref()
-                    .map(MonteCarloSpec::to_json)
-                    .unwrap_or(Json::Null),
-            ),
-        ])
-    }
-
-    /// Decodes a spec envelope. `params`, `routers`, `movements`,
-    /// `mode`, `select` and `filter` are optional and default like
-    /// [`new`](Self::new).
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorKind::Json`] on schema-version mismatch or shape errors
-    /// (axis *content* is validated later, by
-    /// [`plan`](Self::plan)); [`ErrorKind::Invalid`] for a `schedulers`
-    /// axis or `passes` spec naming a removed mapper engine.
-    pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        check_schema_version(value)?;
-        reject_removed_mapper_options(value)?;
-        let what = "experiment spec";
-        let workloads = field(value, "workloads", what)?
-            .as_arr()
-            .ok_or_else(|| LeqaError::new(ErrorKind::Json, "`workloads` must be an array"))?
-            .iter()
-            .map(|w| {
-                w.as_str().map(str::to_string).ok_or_else(|| {
-                    LeqaError::new(ErrorKind::Json, "workload names must be strings")
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        let fabrics = field(value, "fabrics", what)?
-            .as_arr()
-            .ok_or_else(|| LeqaError::new(ErrorKind::Json, "`fabrics` must be an array"))?
-            .iter()
-            .map(FabricEntry::from_json)
-            .collect::<Result<_, _>>()?;
-        let params = match value.get("params") {
-            None | Some(Json::Null) => vec![ParamVariant::base("default")],
-            Some(v) => v
-                .as_arr()
-                .ok_or_else(|| LeqaError::new(ErrorKind::Json, "`params` must be an array"))?
-                .iter()
-                .map(ParamVariant::from_json)
-                .collect::<Result<_, _>>()?,
-        };
-        fn named_axis<T>(
-            value: &Json,
-            key: &str,
-            parse: impl Fn(&str) -> Option<T>,
-            default: T,
-        ) -> Result<Vec<T>, LeqaError> {
-            match value.get(key) {
-                None | Some(Json::Null) => Ok(vec![default]),
-                Some(v) => v
-                    .as_arr()
-                    .ok_or_else(|| {
-                        LeqaError::new(ErrorKind::Json, format!("`{key}` must be an array"))
-                    })?
-                    .iter()
-                    .map(|item| {
-                        item.as_str().and_then(&parse).ok_or_else(|| {
-                            LeqaError::new(ErrorKind::Json, format!("unknown name in `{key}` axis"))
-                        })
-                    })
-                    .collect(),
-            }
-        }
-        let routers = named_axis(value, "routers", router_from_name, RouterStrategy::Xy)?;
-        let movements = named_axis(
-            value,
-            "movements",
-            movement_from_name,
-            MovementModel::HomeBased,
-        )?;
-        let mode = match value.get("mode") {
-            None | Some(Json::Null) => ExperimentMode::Estimate,
-            Some(v) => v
-                .as_str()
-                .and_then(ExperimentMode::from_name)
-                .ok_or_else(|| {
-                    LeqaError::new(
-                        ErrorKind::Json,
-                        "`mode` must be `estimate`, `map`, `compare` or `montecarlo`",
-                    )
-                })?,
-        };
-        let select = match value.get("select") {
-            None | Some(Json::Null) => ResultSelect::Full,
-            Some(v) => v
-                .as_str()
-                .and_then(ResultSelect::from_name)
-                .ok_or_else(|| {
-                    LeqaError::new(ErrorKind::Json, "`select` must be `full` or `latency`")
-                })?,
-        };
-        let filter = match value.get("filter") {
-            None | Some(Json::Null) => AxisFilter::default(),
-            Some(v) => AxisFilter::from_json(v)?,
-        };
-        let montecarlo = match value.get("montecarlo") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(MonteCarloSpec::from_json(v)?),
-        };
-        Ok(ScenarioSpec {
-            workloads,
-            fabrics,
-            params,
-            routers,
-            movements,
-            mode,
-            select,
-            filter,
-            montecarlo,
-        })
     }
 
     /// Expands and validates the grid without running anything — the
@@ -928,6 +661,18 @@ impl ScenarioSpec {
     }
 }
 
+wire_object!(pub ScenarioSpec, "experiment spec", op = "experiment", {
+    workloads,
+    fabrics,
+    params = vec![ParamVariant::base("default")],
+    routers = vec![RouterStrategy::Xy],
+    movements = vec![MovementModel::HomeBased],
+    mode = ExperimentMode::Estimate,
+    select = ResultSelect::Full,
+    filter = AxisFilter::default(),
+    montecarlo,
+}, check = reject_removed_mapper_options);
+
 // ── The expanded plan ────────────────────────────────────────────────────
 
 /// A validated, fully expanded grid (axes deduplicated and filtered).
@@ -960,33 +705,30 @@ pub struct ExperimentPlan {
 }
 
 impl ExperimentPlan {
-    /// The `experiment_plan` record printed by `--dry-run`.
+    /// The `experiment_plan` record printed by `--dry-run`: the axis
+    /// lengths, not their contents.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::num(SCHEMA_VERSION as u32)),
-            ("op", Json::str("experiment_plan")),
-            ("cells", Json::Num(self.cells as f64)),
-            ("workloads", Json::num(self.workloads.len() as u32)),
-            ("params", Json::num(self.params.len() as u32)),
-            ("routers", Json::num(self.routers.len() as u32)),
-            ("movements", Json::num(self.movements.len() as u32)),
-            ("sides", Json::num(self.sides.len() as u32)),
-            ("mode", Json::str(self.mode.name())),
-            ("select", Json::str(self.select.name())),
-            (
-                "montecarlo",
-                self.montecarlo
-                    .as_ref()
-                    .map(|mc| {
-                        Json::obj(vec![
-                            ("densities", Json::num(mc.densities.len() as u32)),
-                            ("trials", Json::num(mc.trials)),
-                        ])
-                    })
-                    .unwrap_or(Json::Null),
-            ),
-        ])
+        let len = |n: usize| n as u64;
+        let montecarlo = self.montecarlo.as_ref().map_or(Json::Null, |mc| {
+            Json::Obj(vec![
+                pair("densities", &len(mc.densities.len())),
+                pair("trials", &mc.trials),
+            ])
+        });
+        let mut pairs = object_pairs(Some("experiment_plan"), 9);
+        pairs.extend([
+            pair("cells", &self.cells),
+            pair("workloads", &len(self.workloads.len())),
+            pair("params", &len(self.params.len())),
+            pair("routers", &len(self.routers.len())),
+            pair("movements", &len(self.movements.len())),
+            pair("sides", &len(self.sides.len())),
+            pair("mode", &self.mode),
+            pair("select", &self.select),
+            ("montecarlo".to_string(), montecarlo),
+        ]);
+        Json::Obj(pairs)
     }
 }
 
@@ -1083,7 +825,11 @@ impl CellMetrics {
         }
     }
 
-    fn push_fields(&self, select: ResultSelect, pairs: &mut Vec<(&'static str, Json)>) {
+    /// Appends the row keys of these metrics: every field under
+    /// [`ResultSelect::Full`], the headline latency (and Monte Carlo
+    /// trial coordinates) under [`ResultSelect::Latency`].
+    fn push_fields(&self, select: ResultSelect, pairs: &mut Vec<(String, Json)>) {
+        let full = select == ResultSelect::Full;
         match self {
             CellMetrics::Estimate {
                 latency_us,
@@ -1093,18 +839,15 @@ impl CellMetrics {
                 zone_side,
                 critical_cnots,
             } => {
-                pairs.push(("latency_us", json_opt_num(*latency_us)));
-                if select == ResultSelect::Full {
-                    pairs.push(("l_cnot_avg_us", json_opt_num(*l_cnot_avg_us)));
-                    pairs.push(("d_uncong_us", json_opt_num(*d_uncong_us)));
-                    pairs.push(("avg_zone_area", json_opt_num(*avg_zone_area)));
-                    pairs.push(("zone_side", zone_side.map(Json::num).unwrap_or(Json::Null)));
-                    pairs.push((
-                        "critical_cnots",
-                        critical_cnots
-                            .map(|n| Json::Num(n as f64))
-                            .unwrap_or(Json::Null),
-                    ));
+                pairs.push(pair("latency_us", latency_us));
+                if full {
+                    pairs.extend([
+                        pair("l_cnot_avg_us", l_cnot_avg_us),
+                        pair("d_uncong_us", d_uncong_us),
+                        pair("avg_zone_area", avg_zone_area),
+                        pair("zone_side", zone_side),
+                        pair("critical_cnots", critical_cnots),
+                    ]);
                 }
             }
             CellMetrics::Map {
@@ -1114,20 +857,14 @@ impl CellMetrics {
                 congestion_wait_us,
                 max_channel_load,
             } => {
-                pairs.push(("latency_us", json_opt_num(*latency_us)));
-                if select == ResultSelect::Full {
-                    pairs.push((
-                        "cnot_ops",
-                        cnot_ops.map(|n| Json::Num(n as f64)).unwrap_or(Json::Null),
-                    ));
-                    pairs.push(("avg_cnot_distance", json_opt_num(*avg_cnot_distance)));
-                    pairs.push(("congestion_wait_us", json_opt_num(*congestion_wait_us)));
-                    pairs.push((
-                        "max_channel_load",
-                        max_channel_load
-                            .map(|n| Json::Num(n as f64))
-                            .unwrap_or(Json::Null),
-                    ));
+                pairs.push(pair("latency_us", latency_us));
+                if full {
+                    pairs.extend([
+                        pair("cnot_ops", cnot_ops),
+                        pair("avg_cnot_distance", avg_cnot_distance),
+                        pair("congestion_wait_us", congestion_wait_us),
+                        pair("max_channel_load", max_channel_load),
+                    ]);
                 }
             }
             CellMetrics::Compare {
@@ -1135,10 +872,10 @@ impl CellMetrics {
                 estimated_us,
                 error_pct,
             } => {
-                pairs.push(("actual_us", json_opt_num(*actual_us)));
-                pairs.push(("estimated_us", json_opt_num(*estimated_us)));
-                if select == ResultSelect::Full {
-                    pairs.push(("error_pct", json_opt_num(*error_pct)));
+                pairs.push(pair("actual_us", actual_us));
+                pairs.push(pair("estimated_us", estimated_us));
+                if full {
+                    pairs.push(pair("error_pct", error_pct));
                 }
             }
             CellMetrics::MonteCarlo {
@@ -1150,68 +887,55 @@ impl CellMetrics {
                 dead_cells,
                 dead_channels,
             } => {
-                pairs.push(("density", Json::Num(*density)));
-                pairs.push(("trial", Json::num(*trial)));
-                pairs.push(("routable", routable.map(Json::Bool).unwrap_or(Json::Null)));
-                pairs.push(("latency_us", json_opt_num(*latency_us)));
-                if select == ResultSelect::Full {
-                    pairs.push(("congestion_wait_us", json_opt_num(*congestion_wait_us)));
-                    pairs.push((
-                        "dead_cells",
-                        dead_cells
-                            .map(|n| Json::Num(n as f64))
-                            .unwrap_or(Json::Null),
-                    ));
-                    pairs.push((
-                        "dead_channels",
-                        dead_channels
-                            .map(|n| Json::Num(n as f64))
-                            .unwrap_or(Json::Null),
-                    ));
+                pairs.extend([
+                    pair("density", density),
+                    pair("trial", trial),
+                    pair("routable", routable),
+                    pair("latency_us", latency_us),
+                ]);
+                if full {
+                    pairs.extend([
+                        pair("congestion_wait_us", congestion_wait_us),
+                        pair("dead_cells", dead_cells),
+                        pair("dead_channels", dead_channels),
+                    ]);
                 }
             }
         }
     }
 
+    /// Decodes the metrics of a `mode` row; keys the selector dropped
+    /// decode as `None`.
     fn from_json(value: &Json, mode: ExperimentMode, what: &str) -> Result<Self, LeqaError> {
         Ok(match mode {
             ExperimentMode::Estimate => CellMetrics::Estimate {
-                latency_us: opt_f64(value, "latency_us", what)?,
-                l_cnot_avg_us: opt_f64(value, "l_cnot_avg_us", what)?,
-                d_uncong_us: opt_f64(value, "d_uncong_us", what)?,
-                avg_zone_area: opt_f64(value, "avg_zone_area", what)?,
-                zone_side: opt_u32(value, "zone_side", what)?,
-                critical_cnots: opt_u64(value, "critical_cnots", what)?,
+                latency_us: field(value, what, "latency_us")?,
+                l_cnot_avg_us: field(value, what, "l_cnot_avg_us")?,
+                d_uncong_us: field(value, what, "d_uncong_us")?,
+                avg_zone_area: field(value, what, "avg_zone_area")?,
+                zone_side: field(value, what, "zone_side")?,
+                critical_cnots: field(value, what, "critical_cnots")?,
             },
             ExperimentMode::Map => CellMetrics::Map {
-                latency_us: opt_f64(value, "latency_us", what)?,
-                cnot_ops: opt_u64(value, "cnot_ops", what)?,
-                avg_cnot_distance: opt_f64(value, "avg_cnot_distance", what)?,
-                congestion_wait_us: opt_f64(value, "congestion_wait_us", what)?,
-                max_channel_load: opt_u64(value, "max_channel_load", what)?,
+                latency_us: field(value, what, "latency_us")?,
+                cnot_ops: field(value, what, "cnot_ops")?,
+                avg_cnot_distance: field(value, what, "avg_cnot_distance")?,
+                congestion_wait_us: field(value, what, "congestion_wait_us")?,
+                max_channel_load: field(value, what, "max_channel_load")?,
             },
             ExperimentMode::Compare => CellMetrics::Compare {
-                actual_us: opt_f64(value, "actual_us", what)?,
-                estimated_us: opt_f64(value, "estimated_us", what)?,
-                error_pct: opt_f64(value, "error_pct", what)?,
+                actual_us: field(value, what, "actual_us")?,
+                estimated_us: field(value, what, "estimated_us")?,
+                error_pct: field(value, what, "error_pct")?,
             },
             ExperimentMode::MonteCarlo => CellMetrics::MonteCarlo {
-                density: field(value, "density", what)?.as_f64().ok_or_else(|| {
-                    LeqaError::new(ErrorKind::Json, "cell `density` must be a number")
-                })?,
-                trial: u64_field(value, "trial", what)?
-                    .try_into()
-                    .map_err(|_| LeqaError::new(ErrorKind::Json, "cell `trial` out of range"))?,
-                routable: match value.get("routable") {
-                    None | Some(Json::Null) => None,
-                    Some(v) => Some(v.as_bool().ok_or_else(|| {
-                        LeqaError::new(ErrorKind::Json, "cell `routable` must be a boolean")
-                    })?),
-                },
-                latency_us: opt_f64(value, "latency_us", what)?,
-                congestion_wait_us: opt_f64(value, "congestion_wait_us", what)?,
-                dead_cells: opt_u64(value, "dead_cells", what)?,
-                dead_channels: opt_u64(value, "dead_channels", what)?,
+                density: field(value, what, "density")?,
+                trial: field(value, what, "trial")?,
+                routable: field(value, what, "routable")?,
+                latency_us: field(value, what, "latency_us")?,
+                congestion_wait_us: field(value, what, "congestion_wait_us")?,
+                dead_cells: field(value, what, "dead_cells")?,
+                dead_channels: field(value, what, "dead_channels")?,
             },
         })
     }
@@ -1245,19 +969,18 @@ impl CellRow {
     /// only on the spec's mode and selector, never on the cell).
     #[must_use]
     pub fn to_json(&self, select: ResultSelect) -> Json {
-        let mut pairs: Vec<(&'static str, Json)> = vec![
-            ("schema_version", Json::num(SCHEMA_VERSION as u32)),
-            ("op", Json::str("experiment_cell")),
-            ("cell", Json::Num(self.cell as f64)),
-            ("workload", Json::str(&self.workload)),
-            ("params", Json::str(&self.params)),
-            ("router", Json::str(router_name(self.router))),
-            ("movement", Json::str(movement_name(self.movement))),
-            ("side", Json::num(self.side)),
-            ("fit", Json::Bool(self.fit)),
-        ];
+        let mut pairs = object_pairs(Some("experiment_cell"), 14);
+        pairs.extend([
+            pair("cell", &self.cell),
+            pair("workload", &self.workload),
+            pair("params", &self.params),
+            pair("router", &self.router),
+            pair("movement", &self.movement),
+            pair("side", &self.side),
+            pair("fit", &self.fit),
+        ]);
         self.metrics.push_fields(select, &mut pairs);
-        Json::obj(pairs)
+        Json::Obj(pairs)
     }
 
     /// Decodes a row emitted by [`to_json`](Self::to_json). Fields the
@@ -1267,26 +990,17 @@ impl CellRow {
     ///
     /// [`ErrorKind::Json`] on schema-version mismatch or shape errors.
     pub fn from_json(value: &Json, mode: ExperimentMode) -> Result<Self, LeqaError> {
-        check_schema_version(value)?;
         let what = "experiment cell";
-        let metrics = CellMetrics::from_json(value, mode, what)?;
+        check_schema_version(value)?;
         Ok(CellRow {
-            cell: u64_field(value, "cell", what)?,
-            workload: str_field(value, "workload", what)?,
-            params: str_field(value, "params", what)?,
-            router: router_from_name(&str_field(value, "router", what)?).ok_or_else(|| {
-                LeqaError::new(ErrorKind::Json, "experiment cell: unknown router")
-            })?,
-            movement: movement_from_name(&str_field(value, "movement", what)?).ok_or_else(
-                || LeqaError::new(ErrorKind::Json, "experiment cell: unknown movement"),
-            )?,
-            side: u64_field(value, "side", what)?
-                .try_into()
-                .map_err(|_| LeqaError::new(ErrorKind::Json, "cell side out of range"))?,
-            fit: field(value, "fit", what)?
-                .as_bool()
-                .ok_or_else(|| LeqaError::new(ErrorKind::Json, "cell `fit` must be a boolean"))?,
-            metrics,
+            cell: field(value, what, "cell")?,
+            workload: field(value, what, "workload")?,
+            params: field(value, what, "params")?,
+            router: field(value, what, "router")?,
+            movement: field(value, what, "movement")?,
+            side: field(value, what, "side")?,
+            fit: field(value, what, "fit")?,
+            metrics: CellMetrics::from_json(value, mode, what)?,
         })
     }
 }
@@ -1311,38 +1025,14 @@ pub struct WorkloadSummary {
     pub argmin_cell: Option<u64>,
 }
 
-impl WorkloadSummary {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("workload", Json::str(&self.workload)),
-            ("fit_cells", Json::Num(self.fit_cells as f64)),
-            ("min_latency_us", json_opt_num(self.min_latency_us)),
-            ("max_latency_us", json_opt_num(self.max_latency_us)),
-            (
-                "argmin_side",
-                self.argmin_side.map(Json::num).unwrap_or(Json::Null),
-            ),
-            (
-                "argmin_cell",
-                self.argmin_cell
-                    .map(|n| Json::Num(n as f64))
-                    .unwrap_or(Json::Null),
-            ),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        let what = "workload summary";
-        Ok(WorkloadSummary {
-            workload: str_field(value, "workload", what)?,
-            fit_cells: u64_field(value, "fit_cells", what)?,
-            min_latency_us: opt_f64(value, "min_latency_us", what)?,
-            max_latency_us: opt_f64(value, "max_latency_us", what)?,
-            argmin_side: opt_u32(value, "argmin_side", what)?,
-            argmin_cell: opt_u64(value, "argmin_cell", what)?,
-        })
-    }
-}
+wire_object!(WorkloadSummary, "workload summary", {
+    workload,
+    fit_cells,
+    min_latency_us,
+    max_latency_us,
+    argmin_side,
+    argmin_cell,
+});
 
 /// Per-density aggregate of a Monte Carlo run.
 #[derive(Debug, Clone, PartialEq)]
@@ -1366,36 +1056,16 @@ pub struct DensityStats {
     pub p90_latency_us: Option<f64>,
 }
 
-impl DensityStats {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("density", Json::Num(self.density)),
-            ("trials", Json::Num(self.trials as f64)),
-            ("routable", Json::Num(self.routable as f64)),
-            ("routability", json_opt_num(self.routability)),
-            ("ci_low", json_opt_num(self.ci_low)),
-            ("ci_high", json_opt_num(self.ci_high)),
-            ("p50_latency_us", json_opt_num(self.p50_latency_us)),
-            ("p90_latency_us", json_opt_num(self.p90_latency_us)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        let what = "density stats";
-        Ok(DensityStats {
-            density: field(value, "density", what)?.as_f64().ok_or_else(|| {
-                LeqaError::new(ErrorKind::Json, "density stats `density` must be a number")
-            })?,
-            trials: u64_field(value, "trials", what)?,
-            routable: u64_field(value, "routable", what)?,
-            routability: opt_f64(value, "routability", what)?,
-            ci_low: opt_f64(value, "ci_low", what)?,
-            ci_high: opt_f64(value, "ci_high", what)?,
-            p50_latency_us: opt_f64(value, "p50_latency_us", what)?,
-            p90_latency_us: opt_f64(value, "p90_latency_us", what)?,
-        })
-    }
-}
+wire_object!(DensityStats, "density stats", {
+    density,
+    trials,
+    routable,
+    routability,
+    ci_low,
+    ci_high,
+    p50_latency_us,
+    p90_latency_us,
+});
 
 /// The Monte Carlo block of the summary record: per-density routability
 /// with Wilson intervals and the interpolated critical defect density
@@ -1422,36 +1092,12 @@ pub struct MonteCarloSummary {
     pub critical_ci_high: Option<f64>,
 }
 
-impl MonteCarloSummary {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            (
-                "densities",
-                Json::Arr(self.densities.iter().map(DensityStats::to_json).collect()),
-            ),
-            ("critical_density", json_opt_num(self.critical_density)),
-            ("critical_ci_low", json_opt_num(self.critical_ci_low)),
-            ("critical_ci_high", json_opt_num(self.critical_ci_high)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        let what = "montecarlo summary";
-        Ok(MonteCarloSummary {
-            densities: field(value, "densities", what)?
-                .as_arr()
-                .ok_or_else(|| {
-                    LeqaError::new(ErrorKind::Json, "montecarlo `densities` must be an array")
-                })?
-                .iter()
-                .map(DensityStats::from_json)
-                .collect::<Result<_, _>>()?,
-            critical_density: opt_f64(value, "critical_density", what)?,
-            critical_ci_low: opt_f64(value, "critical_ci_low", what)?,
-            critical_ci_high: opt_f64(value, "critical_ci_high", what)?,
-        })
-    }
-}
+wire_object!(MonteCarloSummary, "montecarlo summary", {
+    densities,
+    critical_density,
+    critical_ci_low,
+    critical_ci_high,
+});
 
 /// The 95 % Wilson score interval for `successes / trials` — the
 /// binomial interval that stays honest at the extremes (rate 0 or 1,
@@ -1518,47 +1164,17 @@ fn crossing_density(points: &[(f64, Option<f64>)]) -> Option<f64> {
     None
 }
 
-/// The session cache-counter delta over one experiment run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub struct CacheDelta {
-    /// Profiles built during the run.
-    pub profile_builds: u64,
-    /// Loads served from the cache.
-    pub cache_hits: u64,
-    /// Loads that lowered a program.
-    pub cache_misses: u64,
-    /// Total loads.
-    pub loads: u64,
-}
+/// The session cache-counter delta over one experiment run: the
+/// [`CacheStats`] counters accrued between its start and its end.
+pub type CacheDelta = CacheStats;
 
-impl CacheDelta {
-    fn between(before: CacheStats, after: CacheStats) -> Self {
-        CacheDelta {
-            profile_builds: after.profile_builds.saturating_sub(before.profile_builds),
-            cache_hits: after.cache_hits.saturating_sub(before.cache_hits),
-            cache_misses: after.cache_misses.saturating_sub(before.cache_misses),
-            loads: after.loads.saturating_sub(before.loads),
-        }
-    }
-
-    fn to_json(self) -> Json {
-        Json::obj(vec![
-            ("profile_builds", Json::Num(self.profile_builds as f64)),
-            ("cache_hits", Json::Num(self.cache_hits as f64)),
-            ("cache_misses", Json::Num(self.cache_misses as f64)),
-            ("loads", Json::Num(self.loads as f64)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        let what = "cache delta";
-        Ok(CacheDelta {
-            profile_builds: u64_field(value, "profile_builds", what)?,
-            cache_hits: u64_field(value, "cache_hits", what)?,
-            cache_misses: u64_field(value, "cache_misses", what)?,
-            loads: u64_field(value, "loads", what)?,
-        })
+/// The counters accrued from `before` to `after`.
+fn cache_delta(before: CacheStats, after: CacheStats) -> CacheDelta {
+    CacheStats {
+        profile_builds: after.profile_builds.saturating_sub(before.profile_builds),
+        cache_hits: after.cache_hits.saturating_sub(before.cache_hits),
+        cache_misses: after.cache_misses.saturating_sub(before.cache_misses),
+        loads: after.loads.saturating_sub(before.loads),
     }
 }
 
@@ -1580,31 +1196,22 @@ pub struct ExperimentSummary {
 }
 
 impl ExperimentSummary {
-    /// Serializes the summary record.
+    /// Serializes the summary record. The `montecarlo` key is written
+    /// only in montecarlo mode, so the summaries of the other modes stay
+    /// byte-identical to what they were before the key existed.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("schema_version", Json::num(SCHEMA_VERSION as u32)),
-            ("op", Json::str("experiment_summary")),
-            ("cells", Json::Num(self.cells as f64)),
-            ("fit_cells", Json::Num(self.fit_cells as f64)),
-            (
-                "workloads",
-                Json::Arr(
-                    self.workloads
-                        .iter()
-                        .map(WorkloadSummary::to_json)
-                        .collect(),
-                ),
-            ),
-        ];
-        // Emitted only in montecarlo mode: summaries of the other modes
-        // stay byte-identical to what they were before the key existed.
+        let mut pairs = object_pairs(Some("experiment_summary"), 5);
+        pairs.extend([
+            pair("cells", &self.cells),
+            pair("fit_cells", &self.fit_cells),
+            pair("workloads", &self.workloads),
+        ]);
         if let Some(mc) = &self.montecarlo {
-            fields.push(("montecarlo", mc.to_json()));
+            pairs.push(pair("montecarlo", mc));
         }
-        fields.push(("cache", self.cache.to_json()));
-        Json::obj(fields)
+        pairs.push(pair("cache", &self.cache));
+        Json::Obj(pairs)
     }
 
     /// Decodes a summary record.
@@ -1613,27 +1220,19 @@ impl ExperimentSummary {
     ///
     /// [`ErrorKind::Json`] on schema-version mismatch or shape errors.
     pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        check_schema_version(value)?;
         let what = "experiment summary";
+        check_schema_version(value)?;
         Ok(ExperimentSummary {
-            cells: u64_field(value, "cells", what)?,
-            fit_cells: u64_field(value, "fit_cells", what)?,
-            workloads: field(value, "workloads", what)?
-                .as_arr()
-                .ok_or_else(|| {
-                    LeqaError::new(ErrorKind::Json, "summary `workloads` must be an array")
-                })?
-                .iter()
-                .map(WorkloadSummary::from_json)
-                .collect::<Result<_, _>>()?,
-            montecarlo: match value.get("montecarlo") {
-                None | Some(Json::Null) => None,
-                Some(mc) => Some(MonteCarloSummary::from_json(mc)?),
-            },
-            cache: CacheDelta::from_json(field(value, "cache", what)?)?,
+            cells: field(value, what, "cells")?,
+            fit_cells: field(value, what, "fit_cells")?,
+            workloads: field(value, what, "workloads")?,
+            montecarlo: field(value, what, "montecarlo")?,
+            cache: field(value, what, "cache")?,
         })
     }
 }
+
+wire_object!(@nested ExperimentSummary);
 
 /// The collected response of [`Session::batch_experiment`]: every row
 /// plus the summary, in one envelope.
@@ -1651,46 +1250,38 @@ pub struct ExperimentResponse {
 }
 
 impl ExperimentResponse {
-    /// Serializes the response envelope.
+    /// Serializes the response envelope (rows keyed by `select`).
     #[must_use]
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::num(SCHEMA_VERSION as u32)),
-            ("op", Json::str("experiment_result")),
-            ("mode", Json::str(self.mode.name())),
-            ("select", Json::str(self.select.name())),
-            (
-                "rows",
-                Json::Arr(self.rows.iter().map(|r| r.to_json(self.select)).collect()),
-            ),
-            ("summary", self.summary.to_json()),
-        ])
+        let rows = self.rows.iter().map(|r| r.to_json(self.select)).collect();
+        let mut pairs = object_pairs(Some("experiment_result"), 4);
+        pairs.extend([
+            pair("mode", &self.mode),
+            pair("select", &self.select),
+            ("rows".to_string(), Json::Arr(rows)),
+            pair("summary", &self.summary),
+        ]);
+        Json::Obj(pairs)
     }
 
-    /// Decodes a response envelope.
+    /// Decodes a response envelope (rows decoded by `mode`).
     ///
     /// # Errors
     ///
     /// [`ErrorKind::Json`] on schema-version mismatch or shape errors.
     pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        check_schema_version(value)?;
         let what = "experiment result";
-        let mode = str_field(value, "mode", what)?;
-        let mode = ExperimentMode::from_name(&mode)
-            .ok_or_else(|| LeqaError::new(ErrorKind::Json, "unknown experiment mode"))?;
-        let select = str_field(value, "select", what)?;
-        let select = ResultSelect::from_name(&select)
-            .ok_or_else(|| LeqaError::new(ErrorKind::Json, "unknown experiment selector"))?;
+        check_schema_version(value)?;
+        let mode = field(value, what, "mode")?;
+        let rows = array_field(value, what, "rows")?
+            .iter()
+            .map(|row| CellRow::from_json(row, mode))
+            .collect::<Result<_, _>>()?;
         Ok(ExperimentResponse {
             mode,
-            select,
-            rows: field(value, "rows", what)?
-                .as_arr()
-                .ok_or_else(|| LeqaError::new(ErrorKind::Json, "`rows` must be an array"))?
-                .iter()
-                .map(|r| CellRow::from_json(r, mode))
-                .collect::<Result<_, _>>()?,
-            summary: ExperimentSummary::from_json(field(value, "summary", what)?)?,
+            select: field(value, what, "select")?,
+            rows,
+            summary: field(value, what, "summary")?,
         })
     }
 }
@@ -1872,7 +1463,7 @@ impl<'s> ExperimentRunner<'s> {
             }
         }
 
-        let cache = CacheDelta::between(stats_before, self.session.cache_stats());
+        let cache = cache_delta(stats_before, self.session.cache_stats());
         Ok(acc.finish(cache))
     }
 

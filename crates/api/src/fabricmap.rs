@@ -16,9 +16,10 @@
 
 use leqa_fabric::{Channel, FabricDims, FabricMap, RegionOverlay, Ulb};
 
-use crate::dto::{check_wire_seed, field, json_opt_num, opt_f64, opt_u32, u64_field};
-use crate::error::{ErrorKind, LeqaError};
+use crate::dto::check_wire_seed;
+use crate::error::LeqaError;
 use crate::json::Json;
+use crate::wire::{field, nested, pair, wire_object, At, Wire};
 
 /// The seeded random-defect layer of a mask: cells and channels knocked
 /// out independently at the given densities by the fabric crate's
@@ -34,6 +35,8 @@ pub struct RandomDefects {
     /// RNG seed (at most 2^53, the largest integer JSON carries exactly).
     pub seed: u64,
 }
+
+wire_object!(RandomDefects, "random defects", { cell_density, channel_density, seed });
 
 /// One rectangular parameter overlay of a mask (inclusive corners;
 /// `None` fields keep the base physical parameters).
@@ -56,47 +59,55 @@ pub struct OverlaySpec {
     pub channel_capacity: Option<u32>,
 }
 
-impl OverlaySpec {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("x0", Json::num(self.x0)),
-            ("y0", Json::num(self.y0)),
-            ("x1", Json::num(self.x1)),
-            ("y1", Json::num(self.y1)),
-            ("t_move_us", json_opt_num(self.t_move_us)),
-            ("qubit_speed", json_opt_num(self.qubit_speed)),
-            (
-                "channel_capacity",
-                self.channel_capacity.map(Json::num).unwrap_or(Json::Null),
-            ),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        let what = "fabric overlay";
-        let corner = |key| -> Result<u32, LeqaError> {
-            u64_field(value, key, what)?
-                .try_into()
-                .map_err(|_| LeqaError::new(ErrorKind::Json, format!("overlay `{key}` too large")))
-        };
-        Ok(OverlaySpec {
-            x0: corner("x0")?,
-            y0: corner("y0")?,
-            x1: corner("x1")?,
-            y1: corner("y1")?,
-            t_move_us: opt_f64(value, "t_move_us", what)?,
-            qubit_speed: opt_f64(value, "qubit_speed", what)?,
-            channel_capacity: opt_u32(value, "channel_capacity", what)?,
-        })
-    }
-}
+wire_object!(OverlaySpec, "fabric overlay", {
+    x0,
+    y0,
+    x1,
+    y1,
+    t_move_us,
+    qubit_speed,
+    channel_capacity,
+});
 
 /// A disabled channel as its two adjacent cell coordinates.
 pub type ChannelEnds = ((u32, u32), (u32, u32));
 
+/// A cell as its `[x, y]` pair.
+impl Wire for (u32, u32) {
+    fn to_wire(&self) -> Json {
+        Json::Arr(vec![self.0.to_wire(), self.1.to_wire()])
+    }
+
+    fn from_wire(value: &Json, at: At<'_>) -> Result<Self, LeqaError> {
+        match value.as_arr() {
+            Some([x, y]) => Ok((u32::from_wire(x, at)?, u32::from_wire(y, at)?)),
+            _ => Err(at.err("must be an [x, y] pair")),
+        }
+    }
+}
+
+/// A channel as `{"from":[x,y],"to":[x,y]}`.
+impl Wire for ChannelEnds {
+    fn to_wire(&self) -> Json {
+        Json::Obj(vec![pair("from", &self.0), pair("to", &self.1)])
+    }
+
+    fn from_wire(value: &Json, at: At<'_>) -> Result<Self, LeqaError> {
+        nested(value, at, |channel| {
+            Ok((
+                field(channel, "dead channel", "from")?,
+                field(channel, "dead channel", "to")?,
+            ))
+        })
+    }
+}
+
 /// A declarative fabric-map description: the JSON mask grammar of
 /// `WORKLOADS.md`. Decode with [`from_json`](Self::from_json), realize
-/// with [`build`](Self::build).
+/// with [`build`](Self::build). `dead_cells`, `dead_channels`,
+/// `overlays` and `random` are optional; only the dimensions are
+/// mandatory. Decoding checks shape only: bounds, adjacency and
+/// densities are validated by [`build`](Self::build).
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct FabricMapSpec {
@@ -116,6 +127,15 @@ pub struct FabricMapSpec {
     pub random: Option<RandomDefects>,
 }
 
+wire_object!(pub FabricMapSpec, "fabric mask", {
+    width,
+    height,
+    dead_cells = Vec::new(),
+    dead_channels = Vec::new(),
+    overlays = Vec::new(),
+    random,
+});
+
 impl FabricMapSpec {
     /// A pristine-mask spec over the given dimensions.
     #[must_use]
@@ -130,144 +150,15 @@ impl FabricMapSpec {
         }
     }
 
-    /// Serializes the mask document.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("width", Json::num(self.width)),
-            ("height", Json::num(self.height)),
-            (
-                "dead_cells",
-                Json::Arr(
-                    self.dead_cells
-                        .iter()
-                        .map(|&(x, y)| Json::Arr(vec![Json::num(x), Json::num(y)]))
-                        .collect(),
-                ),
-            ),
-            (
-                "dead_channels",
-                Json::Arr(
-                    self.dead_channels
-                        .iter()
-                        .map(|&((ax, ay), (bx, by))| {
-                            Json::obj(vec![
-                                ("from", Json::Arr(vec![Json::num(ax), Json::num(ay)])),
-                                ("to", Json::Arr(vec![Json::num(bx), Json::num(by)])),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "overlays",
-                Json::Arr(self.overlays.iter().map(OverlaySpec::to_json).collect()),
-            ),
-            (
-                "random",
-                match &self.random {
-                    None => Json::Null,
-                    Some(r) => Json::obj(vec![
-                        ("cell_density", Json::Num(r.cell_density)),
-                        ("channel_density", Json::Num(r.channel_density)),
-                        ("seed", Json::Num(r.seed as f64)),
-                    ]),
-                },
-            ),
-        ])
-    }
-
-    /// Decodes a mask document. `dead_cells`, `dead_channels`,
-    /// `overlays` and `random` are all optional; only the dimensions are
-    /// mandatory.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorKind::Json`] on shape errors (content — bounds, adjacency,
-    /// densities — is validated by [`build`](Self::build)).
-    pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        let what = "fabric mask";
-        let dim = |key| -> Result<u32, LeqaError> {
-            u64_field(value, key, what)?
-                .try_into()
-                .map_err(|_| LeqaError::new(ErrorKind::Json, format!("mask `{key}` too large")))
-        };
-        let pair = |v: &Json, what: &str| -> Result<(u32, u32), LeqaError> {
-            let bad = || LeqaError::new(ErrorKind::Json, format!("{what} must be an [x, y] pair"));
-            let arr = v.as_arr().ok_or_else(bad)?;
-            if arr.len() != 2 {
-                return Err(bad());
-            }
-            let coord = |j: &Json| u32::try_from(j.as_u64().ok_or_else(bad)?).map_err(|_| bad());
-            Ok((coord(&arr[0])?, coord(&arr[1])?))
-        };
-        let dead_cells = match value.get("dead_cells") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(v) => v
-                .as_arr()
-                .ok_or_else(|| LeqaError::new(ErrorKind::Json, "`dead_cells` must be an array"))?
-                .iter()
-                .map(|c| pair(c, "dead cell"))
-                .collect::<Result<_, _>>()?,
-        };
-        let dead_channels = match value.get("dead_channels") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(v) => v
-                .as_arr()
-                .ok_or_else(|| LeqaError::new(ErrorKind::Json, "`dead_channels` must be an array"))?
-                .iter()
-                .map(|c| -> Result<ChannelEnds, LeqaError> {
-                    Ok((
-                        pair(field(c, "from", "dead channel")?, "channel `from`")?,
-                        pair(field(c, "to", "dead channel")?, "channel `to`")?,
-                    ))
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        let overlays = match value.get("overlays") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(v) => v
-                .as_arr()
-                .ok_or_else(|| LeqaError::new(ErrorKind::Json, "`overlays` must be an array"))?
-                .iter()
-                .map(OverlaySpec::from_json)
-                .collect::<Result<_, _>>()?,
-        };
-        let random = match value.get("random") {
-            None | Some(Json::Null) => None,
-            Some(v) => {
-                let what = "random defects";
-                let density = |key| -> Result<f64, LeqaError> {
-                    field(v, key, what)?.as_f64().ok_or_else(|| {
-                        LeqaError::new(ErrorKind::Json, format!("random `{key}` must be a number"))
-                    })
-                };
-                Some(RandomDefects {
-                    cell_density: density("cell_density")?,
-                    channel_density: density("channel_density")?,
-                    seed: u64_field(v, "seed", what)?,
-                })
-            }
-        };
-        Ok(FabricMapSpec {
-            width: dim("width")?,
-            height: dim("height")?,
-            dead_cells,
-            dead_channels,
-            overlays,
-            random,
-        })
-    }
-
     /// Realizes the spec as an engine-side [`FabricMap`]: random layer
     /// first, then explicit dead cells/channels, then overlays in order.
     ///
     /// # Errors
     ///
-    /// [`ErrorKind::Invalid`] for zero dimensions, out-of-range
-    /// densities, a random seed above 2^53, off-fabric coordinates,
-    /// non-adjacent channel endpoints, or overlay values outside the
-    /// physical-parameter rules.
+    /// [`ErrorKind::Invalid`](crate::ErrorKind::Invalid) for zero
+    /// dimensions, out-of-range densities, a random seed above 2^53,
+    /// off-fabric coordinates, non-adjacent channel endpoints, or overlay
+    /// values outside the physical-parameter rules.
     pub fn build(&self) -> Result<FabricMap, LeqaError> {
         let dims = FabricDims::new(self.width, self.height).map_err(LeqaError::from)?;
         let mut map = match &self.random {
@@ -311,6 +202,7 @@ impl FabricMapSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ErrorKind;
     use crate::json::parse;
 
     fn sample() -> FabricMapSpec {

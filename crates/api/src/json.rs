@@ -1,8 +1,8 @@
 //! Dependency-free JSON encoding and decoding for the API DTOs.
 //!
 //! The build environment has no registry access, so instead of serde the
-//! DTOs hand-roll their wire format over this small document model. Two
-//! properties matter for the service framing:
+//! DTOs declare their wire format as field tables (`crate::wire`) over
+//! this small document model. Two properties matter for the framing:
 //!
 //! * **Byte-stable encoding** — objects preserve insertion order and
 //!   numbers use Rust's shortest-round-trip float formatting, so the same

@@ -83,6 +83,7 @@ pub mod render;
 pub mod server;
 mod session;
 pub mod store;
+mod wire;
 
 pub use experiment::{
     AxisFilter, CellMetrics, CellRow, DensityStats, ExperimentMode, ExperimentPlan,

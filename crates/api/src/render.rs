@@ -199,7 +199,8 @@ pub fn experiment_header_text(plan: &crate::ExperimentPlan) -> String {
 /// Renders one experiment cell row, as `leqa experiment` prints it.
 #[must_use]
 pub fn experiment_cell_text(row: &crate::CellRow) -> String {
-    use crate::dto::{movement_name, router_name};
+    use crate::wire::name_of;
+    use qspr::{MovementModel, RouterStrategy};
     let latency = match row.metrics.primary_latency_us() {
         Some(us) => format!("{:>14.6}", us / 1_000_000.0),
         // An unroutable Monte Carlo trial *fit* the fabric; the defects
@@ -221,8 +222,8 @@ pub fn experiment_cell_text(row: &crate::CellRow) -> String {
         row.cell,
         row.workload,
         row.params,
-        router_name(row.router),
-        movement_name(row.movement),
+        name_of(&RouterStrategy::NAMES, row.router),
+        name_of(&MovementModel::NAMES, row.movement),
         row.side,
     )
 }

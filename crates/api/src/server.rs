@@ -78,6 +78,7 @@ use crate::dto::{
 use crate::experiment::ScenarioSpec;
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::json::{self, Json};
+use crate::wire::field;
 use crate::{ErrorKind, LeqaError, Session};
 
 /// Service limits for a [`Server`]. `0` means unlimited (the default):
@@ -220,15 +221,7 @@ impl Frame {
 /// of any endpoint's schema, so direct [`Session`] calls never see it).
 fn classify_line(line: &str) -> Result<(Frame, Option<u64>), LeqaError> {
     let doc = json::parse(line).map_err(LeqaError::from)?;
-    let timeout_ms = match doc.get("timeout_ms") {
-        None => None,
-        Some(v) => Some(v.as_u64().ok_or_else(|| {
-            LeqaError::new(
-                ErrorKind::Json,
-                "`timeout_ms` must be a non-negative integer (milliseconds)",
-            )
-        })?),
-    };
+    let timeout_ms = field(&doc, "request", "timeout_ms")?;
     Ok((Frame::from_doc(&doc)?, timeout_ms))
 }
 

@@ -50,6 +50,7 @@ use crate::dto::{
 };
 use crate::error::{ErrorKind, LeqaError};
 use crate::store::ProfileStore;
+use crate::wire::wire_object;
 use crate::BatchResponse;
 
 /// The cached, spec-independent part of a loaded program: canonical
@@ -178,6 +179,8 @@ pub struct CacheStats {
     /// Successful program loads (`cache_hits + cache_misses`).
     pub loads: u64,
 }
+
+wire_object!(CacheStats, "cache stats", { profile_builds, cache_hits, cache_misses, loads });
 
 /// Snapshot-store counters, exposed for observability and asserted by
 /// the warm-restart tests: `store_hits` counts profiles served from a

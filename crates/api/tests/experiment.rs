@@ -223,3 +223,24 @@ fn compare_mode_rows_match_single_compare_requests() {
     assert_eq!(*estimated_us, Some(direct.estimated_us));
     assert_eq!(*error_pct, direct.error_pct);
 }
+
+#[test]
+fn compare_mode_latency_rows_are_byte_stable() {
+    // A compare grid decoded from its wire form, with `select: latency`
+    // rows (no `error_pct`) and unfit cells on a 2x2 fabric. The bytes
+    // are pinned: the cell rows, the summary and their key order.
+    let spec = r#"{"schema_version":1,"op":"experiment","workloads":["random_8_40_7","qft_8"],
+        "fabrics":[2,8,{"min":12,"max":16,"step":4}],"routers":["xy","yx"],
+        "mode":"compare","select":"latency"}"#;
+    let spec = ScenarioSpec::from_json(&leqa_api::json::parse(spec).unwrap()).unwrap();
+    let session = Session::builder().build().unwrap();
+    let response = session.batch_experiment(&spec).unwrap();
+    let mut out = Vec::new();
+    leqa_api::experiment::write_ndjson(&response, &mut out).unwrap();
+    let out = String::from_utf8(out).unwrap();
+    let golden = include_str!("golden/experiment_compare_latency.ndjson");
+    for (i, (actual, expected)) in out.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(actual, expected, "line {i}");
+    }
+    assert_eq!(out, golden);
+}

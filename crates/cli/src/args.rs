@@ -9,6 +9,8 @@ use leqa_api::LeqaError;
 use leqa_fabric::FabricDims;
 use qspr::{MovementModel, PlacementStrategy, RouterStrategy};
 
+use crate::commands::dot::DotGraph;
+
 /// The CLI error type: the workspace-wide taxonomy from `leqa-api`.
 pub type CliError = LeqaError;
 
@@ -133,7 +135,7 @@ pub enum Command {
     /// `leqa gen`.
     Gen(Options),
     /// `leqa dot`.
-    Dot(Options, crate::commands::dot::DotGraph),
+    Dot(Options, DotGraph),
     /// `leqa zones`.
     Zones(Options),
     /// `leqa experiment`.
@@ -161,7 +163,7 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
     }
 
     let mut opts = Options::default();
-    let mut graph = crate::commands::dot::DotGraph::Qodg;
+    let mut graph = DotGraph::Qodg;
     let rest: Vec<&String> = it.collect();
     let mut i = 0;
     while i < rest.len() {
@@ -176,51 +178,24 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                     .map_err(|_| LeqaError::usage("--terms needs a positive integer"))?;
             }
             "--rounding" => {
-                opts.rounding = match value(&rest, &mut i, "--rounding")?.as_str() {
-                    "ceil" => ZoneRounding::Ceil,
-                    "floor" => ZoneRounding::Floor,
-                    "round" => ZoneRounding::Round,
-                    other => {
-                        return Err(LeqaError::usage(format!(
-                            "unknown rounding `{other}` (ceil|floor|round)"
-                        )))
-                    }
-                };
+                let names = [
+                    ("ceil", ZoneRounding::Ceil),
+                    ("floor", ZoneRounding::Floor),
+                    ("round", ZoneRounding::Round),
+                ];
+                opts.rounding = named(&names, "rounding", value(&rest, &mut i, "--rounding")?)?;
             }
             "--placement" => {
-                opts.placement = match value(&rest, &mut i, "--placement")?.as_str() {
-                    "cluster" => PlacementStrategy::IigCluster,
-                    "rowmajor" => PlacementStrategy::RowMajor,
-                    "random" => PlacementStrategy::Random,
-                    other => {
-                        return Err(LeqaError::usage(format!(
-                            "unknown placement `{other}` (cluster|rowmajor|random)"
-                        )))
-                    }
-                };
+                let name = value(&rest, &mut i, "--placement")?;
+                opts.placement = named(&PlacementStrategy::NAMES, "placement", name)?;
             }
             "--router" => {
-                opts.router = match value(&rest, &mut i, "--router")?.as_str() {
-                    "xy" => RouterStrategy::Xy,
-                    "yx" => RouterStrategy::Yx,
-                    "adaptive" => RouterStrategy::Adaptive,
-                    other => {
-                        return Err(LeqaError::usage(format!(
-                            "unknown router `{other}` (xy|yx|adaptive)"
-                        )))
-                    }
-                };
+                let name = value(&rest, &mut i, "--router")?;
+                opts.router = named(&RouterStrategy::NAMES, "router", name)?;
             }
             "--movement" => {
-                opts.movement = match value(&rest, &mut i, "--movement")?.as_str() {
-                    "home" => MovementModel::HomeBased,
-                    "drift" => MovementModel::Drift,
-                    other => {
-                        return Err(LeqaError::usage(format!(
-                            "unknown movement model `{other}` (home|drift)"
-                        )))
-                    }
-                };
+                let name = value(&rest, &mut i, "--movement")?;
+                opts.movement = named(&MovementModel::NAMES, "movement model", name)?;
             }
             "--trace" => {
                 opts.trace = value(&rest, &mut i, "--trace")?
@@ -234,26 +209,12 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                 opts.filter = Some(value(&rest, &mut i, "--filter")?.clone());
             }
             "--graph" => {
-                graph = match value(&rest, &mut i, "--graph")?.as_str() {
-                    "qodg" => crate::commands::dot::DotGraph::Qodg,
-                    "iig" => crate::commands::dot::DotGraph::Iig,
-                    other => {
-                        return Err(LeqaError::usage(format!(
-                            "unknown graph `{other}` (qodg|iig)"
-                        )))
-                    }
-                };
+                let names = [("qodg", DotGraph::Qodg), ("iig", DotGraph::Iig)];
+                graph = named(&names, "graph", value(&rest, &mut i, "--graph")?)?;
             }
             "--format" => {
-                opts.format = match value(&rest, &mut i, "--format")?.as_str() {
-                    "text" => OutputFormat::Text,
-                    "json" => OutputFormat::Json,
-                    other => {
-                        return Err(LeqaError::usage(format!(
-                            "unknown format `{other}` (text|json)"
-                        )))
-                    }
-                };
+                let names = [("text", OutputFormat::Text), ("json", OutputFormat::Json)];
+                opts.format = named(&names, "format", value(&rest, &mut i, "--format")?)?;
             }
             "--spec" => {
                 opts.spec = Some(value(&rest, &mut i, "--spec")?.clone());
@@ -413,6 +374,21 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
         other => Err(LeqaError::usage(format!(
             "unknown command `{other}`; try `leqa help`"
         ))),
+    }
+}
+
+/// Looks `name` up in a flag's name table; an unknown name is a usage
+/// error listing the known ones.
+fn named<T: Copy>(names: &[(&str, T)], what: &str, name: &str) -> Result<T, CliError> {
+    match names.iter().find(|&&(n, _)| n == name) {
+        Some(&(_, value)) => Ok(value),
+        None => {
+            let known: Vec<&str> = names.iter().map(|&(n, _)| n).collect();
+            Err(LeqaError::usage(format!(
+                "unknown {what} `{name}` ({})",
+                known.join("|")
+            )))
+        }
     }
 }
 

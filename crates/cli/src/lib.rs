@@ -4,18 +4,8 @@
 //! thin adapter over the [`leqa_api`] session façade (build a request,
 //! execute, render), so the CLI, JSON output and any future server share
 //! one code path. Output is written to a caller-supplied
-//! [`std::io::Write`], never directly to stdout.
-//!
-//! ```text
-//! leqa estimate <circuit.qc> [--fabric AxB] [--terms N] [--rounding ceil|floor|round]
-//! leqa map      <circuit.qc> [--fabric AxB] [--placement cluster|rowmajor|random] [--router xy|yx|adaptive] [--trace N]
-//! leqa compare  <circuit.qc> | --bench NAME  [--fabric AxB]
-//! leqa suite    [--filter SUBSTR] [--fabric AxB]
-//! leqa sweep    <circuit.qc> --sizes 20,40,60 [...]
-//! leqa gen      --bench NAME
-//! leqa experiment --spec FILE.json [--dry-run]
-//! leqa serve      (--stdio | --listen ADDR) [--max-connections N] [--max-inflight N]
-//! ```
+//! [`std::io::Write`], never directly to stdout. The synopsis of every
+//! subcommand and flag is [`USAGE`], which `leqa help` prints.
 //!
 //! Every subcommand accepts `--format json|text`; JSON output is one
 //! versioned envelope per invocation (`experiment` streams NDJSON
@@ -49,6 +39,7 @@ USAGE:
   leqa zones    (<circuit.qc> | --bench NAME) [--trace N]
   leqa experiment --spec FILE.json [--dry-run]
   leqa serve    (--stdio | --listen ADDR) [--max-connections N] [--max-inflight N]
+                [--cache-dir DIR] [--chaos SPEC]
   leqa fabric   [--fabric AxB] [--mask FILE.json | --density D [--seed N]]
   leqa help
 
@@ -79,11 +70,14 @@ lets the OS pick — the bound address is announced as `listening on
 ADDR`). Caps are optional (0 = unlimited); over-cap work is refused
 with an `overloaded` error frame (exit/error code 9). Operators steer
 the daemon with `{\"cmd\":\"stats\"}` and `{\"cmd\":\"shutdown\"}`
-lines; the full wire reference is SERVER.md. A TCP connection can
-upgrade to the `frame1` binary protocol (length-prefixed tagged frames,
-pipelined out-of-order completion) with `{\"cmd\":\"upgrade\",
-\"proto\":\"frame1\"}`. `leqa-client ADDR [LINE...]` is a minimal TCP
-client for smoke tests (`--pipeline DEPTH` drives the frame protocol).
+lines; the full wire reference is SERVER.md. `--cache-dir DIR` keeps
+profile snapshots on disk so a restarted daemon comes up warm;
+`--chaos SPEC` injects seeded wire faults for drills (grammar in
+SERVER.md). A TCP connection can upgrade to the `frame1` binary
+protocol (length-prefixed tagged frames, pipelined out-of-order
+completion) with `{\"cmd\":\"upgrade\",\"proto\":\"frame1\"}`.
+`leqa-client ADDR [LINE...]` is a minimal TCP client for smoke tests
+(`--pipeline DEPTH` drives the frame protocol).
 
 `estimate --bench shor_N` at cryptographic scale streams: above
 `--streaming-threshold` ops (default 1,000,000) the profile and critical
@@ -147,6 +141,73 @@ mod tests {
         assert!(err.to_string().contains("unknown command"));
         assert_eq!(err.kind(), ErrorKind::Usage);
         assert_eq!(err.exit_code(), 2);
+    }
+
+    /// One sample command line per flag the parser accepts.
+    const FLAG_SAMPLES: [(&str, &[&str]); 24] = [
+        ("--fabric", &["estimate", "c.qc", "--fabric", "40x30"]),
+        ("--terms", &["estimate", "c.qc", "--terms", "10"]),
+        ("--rounding", &["estimate", "c.qc", "--rounding", "floor"]),
+        (
+            "--streaming-threshold",
+            &["estimate", "c.qc", "--streaming-threshold", "9"],
+        ),
+        ("--placement", &["map", "c.qc", "--placement", "rowmajor"]),
+        ("--router", &["map", "c.qc", "--router", "adaptive"]),
+        ("--movement", &["map", "c.qc", "--movement", "drift"]),
+        ("--trace", &["map", "c.qc", "--trace", "3"]),
+        ("--bench", &["compare", "--bench", "ham15"]),
+        ("--filter", &["suite", "--filter", "gf2"]),
+        ("--sizes", &["sweep", "c.qc", "--sizes", "20,40"]),
+        ("--graph", &["dot", "c.qc", "--graph", "iig"]),
+        ("--format", &["zones", "c.qc", "--format", "json"]),
+        ("--spec", &["experiment", "--spec", "s.json"]),
+        (
+            "--dry-run",
+            &["experiment", "--spec", "s.json", "--dry-run"],
+        ),
+        ("--stdio", &["serve", "--stdio"]),
+        ("--listen", &["serve", "--listen", "127.0.0.1:0"]),
+        (
+            "--max-connections",
+            &["serve", "--stdio", "--max-connections", "8"],
+        ),
+        (
+            "--max-inflight",
+            &["serve", "--stdio", "--max-inflight", "4"],
+        ),
+        ("--cache-dir", &["serve", "--stdio", "--cache-dir", "store"]),
+        (
+            "--chaos",
+            &["serve", "--stdio", "--chaos", "seed=7,drop=0.05"],
+        ),
+        ("--mask", &["fabric", "--mask", "m.json"]),
+        ("--density", &["fabric", "--density", "0.1"]),
+        ("--seed", &["fabric", "--density", "0.1", "--seed", "9"]),
+    ];
+
+    #[test]
+    fn usage_names_every_flag_the_parser_accepts() {
+        for (flag, line) in FLAG_SAMPLES {
+            let argv: Vec<String> = line.iter().map(|s| s.to_string()).collect();
+            if let Err(e) = args::parse(&argv) {
+                panic!("`leqa {}` does not parse: {e}", line.join(" "));
+            }
+            assert!(USAGE.contains(flag), "USAGE never names `{flag}`");
+        }
+        // The table covers the parser: every flag arm of `args::parse`
+        // (other than `--help`, which is a command) has a sample line.
+        let arms = include_str!("args.rs")
+            .lines()
+            .filter_map(|line| line.trim().strip_prefix('"')?.split_once("\" =>"))
+            .map(|(flag, _)| flag)
+            .filter(|flag| flag.starts_with("--") && *flag != "--help");
+        for flag in arms {
+            assert!(
+                FLAG_SAMPLES.iter().any(|&(f, _)| f == flag),
+                "no sample line for `{flag}`"
+            );
+        }
     }
 
     #[test]

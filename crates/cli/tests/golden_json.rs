@@ -154,3 +154,78 @@ fn golden_files_decode_under_the_current_schema() {
         .expect("golden compare parses");
     leqa_api::CompareResponse::from_json(&compare).expect("golden compare decodes");
 }
+
+/// A path under the workspace's `examples/` directory (tests run from
+/// the crate directory).
+fn example(name: &str) -> String {
+    format!("{}/../../examples/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+#[test]
+fn experiment_estimate_rows_and_summary_are_byte_stable() {
+    let spec = example("experiment_small.json");
+    let out = run(&["experiment", "--spec", &spec, "--format", "json"]);
+    assert_golden(
+        &out,
+        include_str!("golden/experiment_small.ndjson"),
+        "experiment estimate",
+    );
+    // Every row decodes as an estimate-mode cell and the last line as the
+    // summary.
+    let lines: Vec<&str> = out.lines().collect();
+    let (summary, rows) = lines.split_last().expect("rows and a summary");
+    for row in rows {
+        let doc = leqa_api::json::parse(row).expect("row parses");
+        leqa_api::CellRow::from_json(&doc, leqa_api::ExperimentMode::Estimate)
+            .expect("row decodes");
+    }
+    let doc = leqa_api::json::parse(summary).expect("summary parses");
+    leqa_api::ExperimentSummary::from_json(&doc).expect("summary decodes");
+}
+
+#[test]
+fn experiment_montecarlo_rows_and_summary_are_byte_stable() {
+    let spec = example("experiment_montecarlo.json");
+    let out = run(&["experiment", "--spec", &spec, "--format", "json"]);
+    assert_golden(
+        &out,
+        include_str!("golden/experiment_montecarlo.ndjson"),
+        "experiment montecarlo",
+    );
+    let summary = out.lines().last().expect("a summary line");
+    let doc = leqa_api::json::parse(summary).expect("summary parses");
+    let summary = leqa_api::ExperimentSummary::from_json(&doc).expect("summary decodes");
+    assert!(
+        summary.montecarlo.is_some(),
+        "the conditional key is present"
+    );
+}
+
+#[test]
+fn experiment_dry_run_plan_is_byte_stable() {
+    let spec = example("experiment_small.json");
+    assert_golden(
+        &run(&[
+            "experiment",
+            "--spec",
+            &spec,
+            "--dry-run",
+            "--format",
+            "json",
+        ]),
+        include_str!("golden/experiment_small_plan.json"),
+        "experiment plan",
+    );
+}
+
+#[test]
+fn suite_batch_envelope_is_byte_stable() {
+    let out = run(&["suite", "--filter", "8bitadder", "--format", "json"]);
+    assert_golden(
+        &out,
+        include_str!("golden/suite_8bitadder.json"),
+        "suite batch",
+    );
+    let doc = leqa_api::json::parse(out.trim_end()).expect("batch parses");
+    leqa_api::BatchResponse::from_json(&doc).expect("batch decodes");
+}

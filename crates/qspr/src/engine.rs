@@ -74,6 +74,14 @@ pub enum MovementModel {
     Drift,
 }
 
+impl MovementModel {
+    /// Every model with its wire and CLI name.
+    pub const NAMES: [(&'static str, MovementModel); 2] = [
+        ("home", MovementModel::HomeBased),
+        ("drift", MovementModel::Drift),
+    ];
+}
+
 /// Routing discipline for the control qubit's trips.
 ///
 /// Both dimension orders produce minimal paths; [`Adaptive`](Self::Adaptive)
@@ -89,6 +97,15 @@ pub enum RouterStrategy {
     Yx,
     /// Per-transfer choice of XY or YX by probed congestion.
     Adaptive,
+}
+
+impl RouterStrategy {
+    /// Every router with its wire and CLI name.
+    pub const NAMES: [(&'static str, RouterStrategy); 3] = [
+        ("xy", RouterStrategy::Xy),
+        ("yx", RouterStrategy::Yx),
+        ("adaptive", RouterStrategy::Adaptive),
+    ];
 }
 
 /// The detailed scheduling/placement/routing mapper.

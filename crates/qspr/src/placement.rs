@@ -30,6 +30,15 @@ pub enum PlacementStrategy {
     Random,
 }
 
+impl PlacementStrategy {
+    /// Every strategy with its wire and CLI name.
+    pub const NAMES: [(&'static str, PlacementStrategy); 3] = [
+        ("cluster", PlacementStrategy::IigCluster),
+        ("rowmajor", PlacementStrategy::RowMajor),
+        ("random", PlacementStrategy::Random),
+    ];
+}
+
 /// Computes a home ULB for every logical qubit.
 ///
 /// With a [`FabricMap`], qubits only get homes on *live* cells and the
