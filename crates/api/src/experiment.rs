@@ -28,8 +28,7 @@
 //!   program's path table; every cell is bit-identical
 //!   to an independent [`Session::estimate`] call (the engine contract,
 //!   pinned by `crates/api/tests/experiment.rs`).
-//! * `map` / `compare` modes — the remaining cells fan out over the
-//!   persistent worker pool (`parallel` feature), one QSPR run per cell.
+//! * `map` / `compare` modes — one QSPR run per cell, in plan order.
 //!
 //! Results stream as NDJSON rows (one per cell, byte-stable key order)
 //! followed by one summary record carrying min/max/argmin latency per
@@ -47,7 +46,7 @@ use qspr::{Mapper, MapperConfig, MovementModel, PlacementStrategy, RouterStrateg
 use crate::dto::{check_wire_seed, reject_removed_mapper_options, ProgramSpec};
 use crate::error::{ErrorKind, LeqaError};
 use crate::json::Json;
-use crate::session::{fan_out, CacheStats, ProgramHandle, Session};
+use crate::session::{CacheStats, ProgramHandle, Session};
 use crate::wire::{
     array_field, check_schema_version, field, name_of, object_pairs, pair, wire_names, wire_object,
     At, Wire,
@@ -1362,8 +1361,9 @@ impl SummaryAccumulator {
     }
 }
 
-/// A grid-cell descriptor for the map/compare fan-out phase.
-struct MapCell {
+/// One (workload, params, router, movement, side) point of the grid:
+/// a map/compare cell, or the trials of one Monte Carlo cell group.
+struct GridPoint {
     workload_index: usize,
     param_index: usize,
     router: RouterStrategy,
@@ -1371,15 +1371,10 @@ struct MapCell {
     side: u32,
 }
 
-/// A trial descriptor for the Monte Carlo fan-out phase. The seed is
-/// precomputed from the scenario seed and the cell's plan index so the
-/// fan-out order cannot influence which fabric a trial sees.
-struct McCell {
-    workload_index: usize,
-    param_index: usize,
-    router: RouterStrategy,
-    movement: MovementModel,
-    side: u32,
+/// One Monte Carlo trial at a grid point. The seed is derived from the
+/// scenario seed and the cell's plan index, so a trial's fabric depends
+/// only on where it sits in the plan.
+struct Trial {
     density: f64,
     trial: u32,
     seed: u64,
@@ -1419,11 +1414,10 @@ impl<'s> ExperimentRunner<'s> {
     /// returns the summary record.
     ///
     /// Distinct programs are loaded once through the session's sharded
-    /// profile cache (concurrently under the `parallel` feature); the
-    /// fabric axis of `estimate` cells rides one sweep-engine call per
-    /// (workload, params) group; `map`/`compare` cells fan out over the
-    /// worker pool. Rows are identical to an equivalent serial loop of
-    /// single-cell requests regardless of the feature set.
+    /// profile cache; the fabric axis of `estimate` cells rides one
+    /// sweep-engine call per (workload, params) group; `map`/`compare`
+    /// cells run one by one. Rows are identical to an equivalent loop of
+    /// single-cell requests.
     ///
     /// # Errors
     ///
@@ -1437,12 +1431,14 @@ impl<'s> ExperimentRunner<'s> {
         let stats_before = self.session.cache_stats();
 
         // Warm phase: load every distinct workload through the shared
-        // cache (the fan-out is a no-op for already-resident programs).
-        let handles: Vec<ProgramHandle> = fan_out(&plan.workloads, |name| {
-            self.session.load(&ProgramSpec::bench(name.clone()))
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?;
+        // cache. Every load runs before the first failure is reported, so
+        // the cache counters do not depend on where a bad name sits.
+        let loads: Vec<Result<ProgramHandle, LeqaError>> = plan
+            .workloads
+            .iter()
+            .map(|name| self.session.load(&ProgramSpec::bench(name.clone())))
+            .collect();
+        let handles: Vec<ProgramHandle> = loads.into_iter().collect::<Result<_, _>>()?;
 
         let variant_params: Vec<PhysicalParams> = plan
             .params
@@ -1512,8 +1508,49 @@ impl<'s> ExperimentRunner<'s> {
         Ok(())
     }
 
-    /// Map/compare modes: every cell is an independent QSPR run, fanned
-    /// out over the worker pool; rows are emitted in plan order.
+    /// Calls `f` once per grid point in plan order (fabric axis
+    /// innermost), stopping at the first error.
+    fn for_each_point(
+        &self,
+        mut f: impl FnMut(&GridPoint) -> Result<(), LeqaError>,
+    ) -> Result<(), LeqaError> {
+        let plan = &self.plan;
+        for workload_index in 0..plan.workloads.len() {
+            for param_index in 0..plan.params.len() {
+                for &router in &plan.routers {
+                    for &movement in &plan.movements {
+                        for &side in &plan.sides {
+                            f(&GridPoint {
+                                workload_index,
+                                param_index,
+                                router,
+                                movement,
+                                side,
+                            })?;
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The row of plan cell `cell` at grid point `at`.
+    fn row(&self, cell: u64, at: &GridPoint, metrics: CellMetrics) -> CellRow {
+        CellRow {
+            cell,
+            workload: self.plan.workloads[at.workload_index].clone(),
+            params: self.plan.params[at.param_index].name.clone(),
+            router: at.router,
+            movement: at.movement,
+            side: at.side,
+            fit: metrics.fit(),
+            metrics,
+        }
+    }
+
+    /// Map/compare modes: every cell is an independent QSPR run; cells
+    /// run and rows are emitted in plan order.
     fn run_mapped(
         &self,
         handles: &[ProgramHandle],
@@ -1521,57 +1558,25 @@ impl<'s> ExperimentRunner<'s> {
         acc: &mut SummaryAccumulator,
         sink: &mut dyn FnMut(&CellRow) -> Result<(), LeqaError>,
     ) -> Result<(), LeqaError> {
-        let plan = &self.plan;
-        let mut cells: Vec<MapCell> = Vec::with_capacity(plan.cells as usize);
-        for wi in 0..plan.workloads.len() {
-            for pi in 0..variant_params.len() {
-                for &router in &plan.routers {
-                    for &movement in &plan.movements {
-                        for &side in &plan.sides {
-                            cells.push(MapCell {
-                                workload_index: wi,
-                                param_index: pi,
-                                router,
-                                movement,
-                                side,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-
-        let results: Vec<Result<CellMetrics, LeqaError>> = fan_out(&cells, |c| {
-            self.run_map_cell(
-                c,
-                &handles[c.workload_index],
-                &variant_params[c.param_index],
-            )
-        });
-
-        for (i, (cell, metrics)) in cells.iter().zip(results).enumerate() {
-            let metrics = metrics?;
-            let row = CellRow {
-                cell: i as u64,
-                workload: plan.workloads[cell.workload_index].clone(),
-                params: plan.params[cell.param_index].name.clone(),
-                router: cell.router,
-                movement: cell.movement,
-                side: cell.side,
-                fit: metrics.fit(),
-                metrics,
-            };
-            acc.observe(cell.workload_index, &row);
-            sink(&row)?;
-        }
-        Ok(())
+        let mut cell = 0u64;
+        self.for_each_point(|at| {
+            let metrics = self.run_map_cell(
+                at,
+                &handles[at.workload_index],
+                &variant_params[at.param_index],
+            )?;
+            let row = self.row(cell, at, metrics);
+            cell += 1;
+            acc.observe(at.workload_index, &row);
+            sink(&row)
+        })
     }
 
     /// One map/compare cell: the QSPR run (and, in compare mode, the
     /// estimate) on this cell's fabric/params/router/movement.
     fn run_map_cell(
         &self,
-        cell: &MapCell,
+        cell: &GridPoint,
         handle: &ProgramHandle,
         params: &PhysicalParams,
     ) -> Result<CellMetrics, LeqaError> {
@@ -1644,10 +1649,9 @@ impl<'s> ExperimentRunner<'s> {
     }
 
     /// Monte Carlo mode: each cell is one seeded defect draw plus a QSPR
-    /// run on the defective fabric, fanned out over the worker pool.
-    /// Rows are emitted in plan order (density and trial are the two
-    /// innermost axes); the per-density yield statistics land on the
-    /// summary record.
+    /// run on the defective fabric. Cells run and rows are emitted in
+    /// plan order (density and trial are the two innermost axes); the
+    /// per-density yield statistics land on the summary record.
     fn run_montecarlo(
         &self,
         handles: &[ProgramHandle],
@@ -1655,85 +1659,53 @@ impl<'s> ExperimentRunner<'s> {
         acc: &mut SummaryAccumulator,
         sink: &mut dyn FnMut(&CellRow) -> Result<(), LeqaError>,
     ) -> Result<(), LeqaError> {
-        let plan = &self.plan;
-        let mc = plan
+        let mc = self
+            .plan
             .montecarlo
             .as_ref()
             .expect("plan() rejects montecarlo mode without a montecarlo section");
 
-        let mut cells: Vec<McCell> = Vec::with_capacity(plan.cells as usize);
-        for wi in 0..plan.workloads.len() {
-            for pi in 0..variant_params.len() {
-                for &router in &plan.routers {
-                    for &movement in &plan.movements {
-                        for &side in &plan.sides {
-                            for &density in &mc.densities {
-                                for trial in 0..mc.trials {
-                                    let index = cells.len() as u64;
-                                    cells.push(McCell {
-                                        workload_index: wi,
-                                        param_index: pi,
-                                        router,
-                                        movement,
-                                        side,
-                                        density,
-                                        trial,
-                                        seed: SplitMix64::mix(mc.seed, index),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        let results: Vec<Result<CellMetrics, LeqaError>> = fan_out(&cells, |c| {
-            self.run_mc_cell(
-                c,
-                &handles[c.workload_index],
-                &variant_params[c.param_index],
-            )
-        });
-
         // Per-density tallies, in spec order: (placed trials, routable
         // trials, latencies of the routable ones).
         let mut tallies: Vec<(u64, u64, Vec<f64>)> = vec![(0, 0, Vec::new()); mc.densities.len()];
-
-        for (i, (cell, metrics)) in cells.iter().zip(results).enumerate() {
-            let metrics = metrics?;
-            if let CellMetrics::MonteCarlo {
-                routable,
-                latency_us,
-                ..
-            } = &metrics
-            {
-                // Trial is the innermost axis, density the next one out.
-                let di = (i / mc.trials as usize) % mc.densities.len();
-                let tally = &mut tallies[di];
-                if let Some(routable) = routable {
-                    tally.0 += 1;
-                    if *routable {
-                        tally.1 += 1;
-                        if let Some(latency) = latency_us {
-                            tally.2.push(*latency);
+        let mut cell = 0u64;
+        self.for_each_point(|at| {
+            for (di, &density) in mc.densities.iter().enumerate() {
+                for trial in 0..mc.trials {
+                    let trial = Trial {
+                        density,
+                        trial,
+                        seed: SplitMix64::mix(mc.seed, cell),
+                    };
+                    let metrics = self.run_mc_cell(
+                        at,
+                        &trial,
+                        &handles[at.workload_index],
+                        &variant_params[at.param_index],
+                    )?;
+                    if let CellMetrics::MonteCarlo {
+                        routable: Some(routable),
+                        latency_us,
+                        ..
+                    } = &metrics
+                    {
+                        let tally = &mut tallies[di];
+                        tally.0 += 1;
+                        if *routable {
+                            tally.1 += 1;
+                            if let Some(latency) = latency_us {
+                                tally.2.push(*latency);
+                            }
                         }
                     }
+                    let row = self.row(cell, at, metrics);
+                    cell += 1;
+                    acc.observe(at.workload_index, &row);
+                    sink(&row)?;
                 }
             }
-            let row = CellRow {
-                cell: i as u64,
-                workload: plan.workloads[cell.workload_index].clone(),
-                params: plan.params[cell.param_index].name.clone(),
-                router: cell.router,
-                movement: cell.movement,
-                side: cell.side,
-                fit: metrics.fit(),
-                metrics,
-            };
-            acc.observe(cell.workload_index, &row);
-            sink(&row)?;
-        }
+            Ok(())
+        })?;
 
         acc.montecarlo = Some(montecarlo_summary(&mc.densities, tallies));
         Ok(())
@@ -1745,12 +1717,13 @@ impl<'s> ExperimentRunner<'s> {
     /// below the program) is an unfit row, matching map mode.
     fn run_mc_cell(
         &self,
-        cell: &McCell,
+        cell: &GridPoint,
+        trial: &Trial,
         handle: &ProgramHandle,
         params: &PhysicalParams,
     ) -> Result<CellMetrics, LeqaError> {
         let dims = FabricDims::new(cell.side, cell.side).map_err(LeqaError::from)?;
-        let map = FabricMap::with_random_defects(dims, cell.density, cell.density, cell.seed)
+        let map = FabricMap::with_random_defects(dims, trial.density, trial.density, trial.seed)
             .map_err(LeqaError::from)?;
         let dead_cells = Some(map.dead_cells());
         let dead_channels = Some(map.dead_channels());
@@ -1765,8 +1738,8 @@ impl<'s> ExperimentRunner<'s> {
         .with_fabric_map(Arc::new(map));
         Ok(match mapper.map(handle.qodg()) {
             Ok(r) => CellMetrics::MonteCarlo {
-                density: cell.density,
-                trial: cell.trial,
+                density: trial.density,
+                trial: trial.trial,
                 routable: Some(true),
                 latency_us: Some(r.latency.as_f64()),
                 congestion_wait_us: Some(r.stats.congestion_wait.as_f64()),
@@ -1774,8 +1747,8 @@ impl<'s> ExperimentRunner<'s> {
                 dead_channels,
             },
             Err(qspr::MapError::FabricTooSmall { .. }) => CellMetrics::MonteCarlo {
-                density: cell.density,
-                trial: cell.trial,
+                density: trial.density,
+                trial: trial.trial,
                 routable: None,
                 latency_us: None,
                 congestion_wait_us: None,
@@ -1783,8 +1756,8 @@ impl<'s> ExperimentRunner<'s> {
                 dead_channels,
             },
             Err(qspr::MapError::Unroutable { .. }) => CellMetrics::MonteCarlo {
-                density: cell.density,
-                trial: cell.trial,
+                density: trial.density,
+                trial: trial.trial,
                 routable: Some(false),
                 latency_us: None,
                 congestion_wait_us: None,

@@ -19,9 +19,9 @@
 //!   sweep/zones/compare/map, and [`Request`]/[`Response`] envelopes) —
 //!   plain structs carrying a `schema_version`, encoded and decoded by
 //!   the dependency-free [`json`] module.
-//! * [`Session::batch`] — N requests in, N result slots out, programs
-//!   deduplicated so each profile is built exactly once; fans out over
-//!   worker threads with the `parallel` feature.
+//! * [`Session::batch`] — N requests in, N result slots out: a loop
+//!   over [`Session::execute`], so programs share the profile cache and
+//!   each profile is built exactly once.
 //! * [`LeqaError`] — the unified error taxonomy ([`ErrorKind`] + context
 //!   chain + stable exit codes) every layer's failures converge to.
 //! * [`experiment`] — the declarative design-space engine: a
@@ -34,8 +34,8 @@
 //! * [`server`] — the persistent service daemon behind `leqa serve`,
 //!   the crate's one network front-end: newline-delimited JSON over
 //!   stdio or TCP (and `frame1` after an upgrade), every connection
-//!   sharing one resident [`Session`] (warm cache, persistent worker
-//!   pool), with admission control, a `stats` control endpoint and
+//!   sharing one resident [`Session`] (warm cache; pipelined `frame1`
+//!   requests run on a persistent worker pool), with admission control, a `stats` control endpoint and
 //!   graceful shutdown. Wire reference in `SERVER.md`.
 //!
 //! The full wire schema, the error/exit-code table, and a migration

@@ -6,8 +6,8 @@
 //! behind any number of client connections, so requests stop paying
 //! process startup, and answers each request line with the
 //! **byte-identical** envelope a direct `Session` call would produce.
-//! CPU-bound endpoints keep fanning out over
-//! [`Pool::global`](leqa::pool::Pool::global) exactly as in-process.
+//! An NDJSON request runs on its connection's thread; pipelined
+//! `frame1` requests run on [`Pool::global`](leqa::pool::Pool::global).
 //!
 //! Sockets, both framings, the reply writer and chaos belong to the
 //! private `conn` module, the daemon's connection engine. This module is

@@ -23,12 +23,11 @@
 //! `cache_hits + cache_misses == loads`; profiles stay exactly-once via
 //! `OnceLock` no matter how many threads race on a program.
 //!
-//! The [`batch`](Session::batch) endpoint resolves every request's
-//! program text first, dedups by content hash, warms the *distinct*
-//! programs concurrently (on the persistent worker pool when the
-//! `parallel` feature is on), then fans the per-request execution out —
-//! with hit/miss accounting and `profile_cached` flags bit-identical to
-//! the serial request-by-request order.
+//! Each request runs on its calling thread; a service gets its
+//! concurrency from serving connections side by side. The
+//! [`batch`](Session::batch) endpoint is a loop over
+//! [`execute`](Session::execute), so a batch slot is byte for byte what
+//! the same request answers alone at that point in the sequence.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -38,7 +37,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 use leqa::report::zone_report_from_iig;
 use leqa::sweep::sweep_profile_squares;
 use leqa::{Estimator, EstimatorOptions, ProfileData, ProgramProfile, StreamingProfileBuilder};
-use leqa_circuit::{decompose::lower_to_ft, parser, Circuit, Qodg};
+use leqa_circuit::{decompose::lower_to_ft, parser, Qodg};
 use leqa_fabric::{FabricDims, PhysicalParams};
 use leqa_workloads::shor::ShorStream;
 use qspr::{Mapper, MapperConfig};
@@ -226,20 +225,6 @@ impl Counters {
     fn record_miss(&self) {
         self.loads.fetch_add(1, Ordering::Release);
         self.misses.fetch_add(1, Ordering::Release);
-    }
-}
-
-/// Maps over the slice on the worker pool under `parallel`, serially
-/// otherwise (results identical by the pool's contract) — the one
-/// fan-out dispatcher shared by `batch` and the experiment engine.
-pub(crate) fn fan_out<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
-    #[cfg(feature = "parallel")]
-    {
-        leqa::exec::parallel_map(items, f)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        items.iter().map(f).collect()
     }
 }
 
@@ -445,16 +430,6 @@ fn _assert_session_is_send_sync() {
     assert::<CacheStats>();
 }
 
-/// A program resolved to its canonical identity, before any cache or
-/// lowering work: the batch warm phase dedups on `key`.
-#[derive(Debug)]
-struct ResolvedSpec {
-    label: String,
-    circuit: Circuit,
-    source: String,
-    key: u64,
-}
-
 impl Session {
     /// Starts building a session.
     pub fn builder() -> SessionBuilder {
@@ -543,9 +518,30 @@ impl Session {
         self.load_tracking(spec).map(|(handle, _)| handle)
     }
 
-    /// Resolves a spec to its canonical identity (label, parsed circuit,
-    /// canonical text, content key) without touching the cache.
-    fn resolve_spec(&self, spec: &ProgramSpec) -> Result<ResolvedSpec, LeqaError> {
+    fn handle(&self, label: String, shared: Arc<ProgramData>) -> ProgramHandle {
+        ProgramHandle {
+            label,
+            shared,
+            counters: Arc::clone(&self.counters),
+            store: self.store.clone(),
+        }
+    }
+
+    /// Like [`load`](Self::load), also reporting whether the program came
+    /// from the cache.
+    fn load_tracking(&self, spec: &ProgramSpec) -> Result<(ProgramHandle, bool), LeqaError> {
+        if let ProgramSpec::Bench { name } = spec {
+            let indexed = self
+                .benches
+                .read()
+                .expect("no poisoning")
+                .get(name)
+                .map(Arc::clone);
+            if let Some(shared) = indexed {
+                self.counters.record_hit();
+                return Ok((self.handle(name.clone(), shared), true));
+            }
+        }
         let (label, circuit) = match spec {
             ProgramSpec::Bench { name } => {
                 let circuit = leqa_workloads::circuit_by_name(name).ok_or_else(|| {
@@ -580,95 +576,45 @@ impl Session {
         };
         let source = parser::write(&circuit);
         let key = fnv1a(source.as_bytes());
-        Ok(ResolvedSpec {
-            label,
-            circuit,
-            source,
-            key,
-        })
-    }
-
-    /// Lowers a resolved circuit into the shareable program data, which
-    /// takes ownership of the canonical text.
-    fn lower(
-        &self,
-        label: &str,
-        circuit: &Circuit,
-        source: String,
-        key: u64,
-    ) -> Result<ProgramData, LeqaError> {
-        let ft = lower_to_ft(circuit)
-            .map_err(LeqaError::from)
-            .map_err(|e| e.context(format!("lowering `{label}`")))?;
-        Ok(ProgramData {
-            source,
-            key,
-            qodg: Qodg::from(ft),
-            profile: OnceLock::new(),
-        })
-    }
-
-    fn handle(&self, label: String, shared: Arc<ProgramData>) -> ProgramHandle {
-        ProgramHandle {
-            label,
-            shared,
-            counters: Arc::clone(&self.counters),
-            store: self.store.clone(),
-        }
-    }
-
-    /// Like [`load`](Self::load), also reporting whether the program came
-    /// from the cache.
-    fn load_tracking(&self, spec: &ProgramSpec) -> Result<(ProgramHandle, bool), LeqaError> {
-        let ProgramSpec::Bench { name } = spec else {
-            return self.load_resolved(self.resolve_spec(spec)?);
+        let (shared, cached) = match self.cache.lookup(key, &source) {
+            Some(shared) => {
+                self.counters.record_hit();
+                (shared, true)
+            }
+            None => {
+                // Miss: lower outside any lock (the expensive part), then
+                // insert-or-adopt under the shard write lock. A concurrent
+                // load of the same program may win the race; the loser
+                // adopts the winner's entry so profiles stay exactly-once.
+                let ft = lower_to_ft(&circuit)
+                    .map_err(LeqaError::from)
+                    .map_err(|e| e.context(format!("lowering `{label}`")))?;
+                let candidate = Arc::new(ProgramData {
+                    source,
+                    key,
+                    qodg: Qodg::from(ft),
+                    profile: OnceLock::new(),
+                });
+                let (shared, fresh) = self.cache.insert(key, candidate);
+                if fresh {
+                    self.counters.record_miss();
+                } else {
+                    self.counters.record_hit();
+                }
+                (shared, !fresh)
+            }
         };
-        let indexed = self
-            .benches
-            .read()
-            .expect("no poisoning")
-            .get(name)
-            .map(Arc::clone);
-        if let Some(shared) = indexed {
-            self.counters.record_hit();
-            return Ok((self.handle(name.clone(), shared), true));
+        if let ProgramSpec::Bench { name } = spec {
+            // Racing first loads adopted one content-cache entry, so
+            // whichever inserts first indexes the same program the others
+            // hold.
+            self.benches
+                .write()
+                .expect("no poisoning")
+                .entry(name.clone())
+                .or_insert_with(|| Arc::clone(&shared));
         }
-        let (handle, cached) = self.load_resolved(self.resolve_spec(spec)?)?;
-        // Racing first loads adopted one content-cache entry, so whichever
-        // inserts first indexes the same program the others hold.
-        self.benches
-            .write()
-            .expect("no poisoning")
-            .entry(name.clone())
-            .or_insert_with(|| Arc::clone(&handle.shared));
-        Ok((handle, cached))
-    }
-
-    /// The cache half of a load: fetch-or-lower an already-resolved
-    /// program, with hit/miss accounting.
-    fn load_resolved(&self, resolved: ResolvedSpec) -> Result<(ProgramHandle, bool), LeqaError> {
-        if let Some(shared) = self.cache.lookup(resolved.key, &resolved.source) {
-            self.counters.record_hit();
-            return Ok((self.handle(resolved.label, shared), true));
-        }
-        // Miss: lower outside any lock (the expensive part), then
-        // insert-or-adopt under the shard write lock. A concurrent load
-        // of the same program may win the race; the loser adopts the
-        // winner's entry so profiles stay exactly-once.
-        let ResolvedSpec {
-            label,
-            circuit,
-            source,
-            key,
-        } = resolved;
-        let candidate = Arc::new(self.lower(&label, &circuit, source, key)?);
-        let (shared, fresh) = self.cache.insert(key, candidate);
-        if fresh {
-            self.counters.record_miss();
-        } else {
-            self.counters.record_hit();
-        }
-        Ok((self.handle(label, shared), !fresh))
+        Ok((self.handle(label, shared), cached))
     }
 
     /// Resolves a per-request fabric override against the session fabric.
@@ -706,9 +652,6 @@ impl Session {
 
     /// Estimates one program across candidate square fabrics, through the
     /// amortised sweep engine (bit-identical to independent estimates).
-    ///
-    /// With the `parallel` feature the per-candidate loop runs on the
-    /// persistent worker pool; results are identical either way.
     ///
     /// # Errors
     ///
@@ -773,164 +716,22 @@ impl Session {
         }
     }
 
-    /// Executes a batch of requests, one result slot per request in
-    /// order; a failing request fails only its own slot.
-    ///
-    /// Every request's program text is resolved first and deduplicated
-    /// by content hash; the *distinct* programs are then lowered
-    /// **concurrently** (on the persistent worker pool when the
-    /// `parallel` feature is enabled) before the per-request execution
-    /// fans out. Responses, `profile_cached` flags and [`CacheStats`]
-    /// deltas are identical to executing the requests one by one in
-    /// order.
+    /// Executes a batch of requests in order, one result slot per
+    /// request: each slot is what [`execute`](Self::execute) answers for
+    /// its request at that point in the sequence, `profile_cached` flags
+    /// and [`CacheStats`] included. A failing request fails only its own
+    /// slot, with `batch request {i}` added to its error's context.
     #[must_use = "the batch response carries every per-request outcome"]
     pub fn batch(&self, requests: &[Request]) -> BatchResponse {
-        // Phase 1 (concurrent, cache-untouched): resolve every request's
-        // spec to canonical text + content key.
-        let resolved: Vec<Result<ResolvedSpec, LeqaError>> =
-            fan_out(requests, |req| self.resolve_spec(req.program()));
-
-        // Phase 2: pick, in request order, the first namer of each
-        // distinct content key — exactly the request that would miss the
-        // cache if the batch ran serially. Keys are FNV hashes, so a
-        // later request may share a key with a *different* source (a
-        // 64-bit collision); such requests are detected against the
-        // first namer's source and routed through the full per-request
-        // load path instead, preserving the collision contract ("repeat
-        // work, never hand a request some other program's profile").
-        let mut first_namer: HashMap<u64, usize> = HashMap::new();
-        for (i, slot) in resolved.iter().enumerate() {
-            if let Ok(r) = slot {
-                first_namer.entry(r.key).or_insert(i);
-            }
-        }
-        let mut warm_order: Vec<usize> = first_namer.values().copied().collect();
-        warm_order.sort_unstable();
-
-        // Phase 3 (concurrent over *distinct* programs): fetch-or-lower.
-        // `was_cached` records whether the program was already resident
-        // before this batch.
-        type Warmed = Result<(Arc<ProgramData>, bool), LeqaError>;
-        let warmed: Vec<Warmed> = fan_out(&warm_order, |&i| {
-            let r = resolved[i].as_ref().expect("warm_order holds Ok slots");
-            if let Some(shared) = self.cache.lookup(r.key, &r.source) {
-                return Ok((shared, true));
-            }
-            let candidate = Arc::new(self.lower(&r.label, &r.circuit, r.source.clone(), r.key)?);
-            let (shared, fresh) = self.cache.insert(r.key, candidate);
-            Ok((shared, !fresh))
-        });
-        let warmed_by_key: HashMap<u64, &Warmed> = warm_order
-            .iter()
-            .zip(&warmed)
-            .map(|(&i, w)| {
-                let r = resolved[i].as_ref().expect("warm_order holds Ok slots");
-                (r.key, w)
-            })
-            .collect();
-
-        // Phase 4a: decide each slot's path while the resolved specs can
-        // still be cross-referenced — the warm result only applies to a
-        // request whose source matches the one that was actually warmed.
-        enum Plan {
-            /// Phase-1 resolution failed.
-            Unresolved,
-            /// The warmed program is this request's program.
-            Warm { cached: bool },
-            /// Warming this request's program failed; inherit the error.
-            WarmFailed,
-            /// Key collision with the warmed program: full load instead.
-            Collision,
-        }
-        let plans: Vec<Plan> = resolved
+        let results = requests
             .iter()
             .enumerate()
-            .map(|(i, slot)| {
-                let Ok(r) = slot else { return Plan::Unresolved };
-                let namer = first_namer[&r.key];
-                let namer_source = &resolved[namer]
-                    .as_ref()
-                    .expect("first namers resolved")
-                    .source;
-                if *namer_source != r.source {
-                    return Plan::Collision;
-                }
-                match warmed_by_key[&r.key] {
-                    Ok((_, was_cached)) => Plan::Warm {
-                        cached: *was_cached || namer != i,
-                    },
-                    Err(_) => Plan::WarmFailed,
-                }
+            .map(|(i, req)| {
+                self.execute(req)
+                    .map_err(|e| e.context(format!("batch request {i}")))
             })
             .collect();
-
-        // Phase 4b (serial, deterministic): per-request accounting and
-        // handle assembly, in request order — counters and
-        // `profile_cached` flags match the serial execution exactly.
-        type Prepared = Result<(usize, ProgramHandle, bool), LeqaError>;
-        let prepared: Vec<Prepared> = resolved
-            .into_iter()
-            .zip(plans)
-            .enumerate()
-            .map(|(i, (slot, plan))| {
-                let per_slot = |e: LeqaError| e.context(format!("batch request {i}"));
-                match plan {
-                    Plan::Unresolved => Err(per_slot(slot.expect_err("plan says unresolved"))),
-                    Plan::Collision => {
-                        let r = slot.expect("plan says resolved");
-                        self.load_resolved(r)
-                            .map(|(handle, cached)| (i, handle, cached))
-                            .map_err(per_slot)
-                    }
-                    Plan::WarmFailed => {
-                        let r = slot.expect("plan says resolved");
-                        let Err(e) = warmed_by_key[&r.key] else {
-                            unreachable!("plan says warming failed")
-                        };
-                        Err(per_slot(e.clone()))
-                    }
-                    Plan::Warm { cached } => {
-                        let r = slot.expect("plan says resolved");
-                        let Ok((shared, _)) = warmed_by_key[&r.key] else {
-                            unreachable!("plan says warmed")
-                        };
-                        if cached {
-                            self.counters.record_hit();
-                        } else {
-                            self.counters.record_miss();
-                        }
-                        Ok((i, self.handle(r.label, Arc::clone(shared)), cached))
-                    }
-                }
-            })
-            .collect();
-
-        // Phase 5 (concurrent): execute.
-        let results = fan_out(&prepared, |slot| match slot {
-            Err(e) => Err(e.clone()),
-            Ok((i, handle, cached)) => self
-                .execute_prepared(&requests[*i], handle, *cached)
-                .map_err(|e| e.context(format!("batch request {i}"))),
-        });
-
         BatchResponse { results }
-    }
-
-    /// Dispatches one request against an already-loaded program, without
-    /// touching the cache.
-    fn execute_prepared(
-        &self,
-        req: &Request,
-        handle: &ProgramHandle,
-        cached: bool,
-    ) -> Result<Response, LeqaError> {
-        match req {
-            Request::Estimate(r) => self.run_estimate(r, handle, cached).map(Response::Estimate),
-            Request::Sweep(r) => self.run_sweep(r, handle).map(Response::Sweep),
-            Request::Zones(r) => self.run_zones(r, handle).map(Response::Zones),
-            Request::Compare(r) => self.run_compare(r, handle).map(Response::Compare),
-            Request::Map(r) => self.run_map(r, handle).map(Response::Map),
-        }
     }
 
     /// The streaming counterpart of [`run_estimate`](Self::run_estimate):

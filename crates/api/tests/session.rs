@@ -245,6 +245,28 @@ fn batch_builds_each_profile_exactly_once() {
     assert_eq!(stats.cache_hits, 3, "three repeat namings");
 }
 
+/// A batch slot is what its request answers alone: a streamed estimate
+/// named first in a batch leaves its streamed profile resident for the
+/// next single estimate of the same program.
+#[test]
+fn a_batch_estimate_streams_like_a_single_one() {
+    let streaming = || Session::builder().streaming_threshold(0).build().unwrap();
+    let req = Request::Estimate(EstimateRequest::new(ProgramSpec::bench("shor_8")));
+    let s = streaming();
+    let batch = s.batch(std::slice::from_ref(&req));
+    let single = s
+        .estimate(&EstimateRequest::new(ProgramSpec::bench("shor_8")))
+        .unwrap();
+    assert!(single.profile_cached);
+    assert_eq!(s.cache_stats().profile_builds, 1);
+
+    let alone = streaming().execute(&req).unwrap().to_json().encode();
+    match &batch.results[0] {
+        Ok(slot) => assert_eq!(slot.to_json().encode(), alone),
+        Err(e) => panic!("{e}"),
+    }
+}
+
 #[test]
 fn batch_matches_individual_calls_and_isolates_failures() {
     let requests = vec![

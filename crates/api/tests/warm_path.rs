@@ -2,7 +2,8 @@
 //! repeat `Session::load` of its name must not re-derive it — no
 //! regenerated circuit, no canonical `.qc` text, no content hash. Doing
 //! any of that costs megabytes of transient heap on these workloads; a
-//! warm hit costs the handle's label.
+//! warm hit costs the handle's label. A name first named inside a `batch`
+//! is indexed the same way.
 //!
 //! A warm `estimate` or `sweep` reads the critical path's census from the
 //! profile's path table and copies no node path: on `random_16_60000` a
@@ -13,7 +14,7 @@
 //! single test so no other test's allocations land in the measurement.
 
 use leqa::meter::CountingAlloc;
-use leqa_api::{EstimateRequest, ProgramSpec, Session, SweepRequest};
+use leqa_api::{EstimateRequest, ProgramSpec, Request, Session, SweepRequest};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -51,6 +52,29 @@ fn warm_bench_loads_allocate_next_to_nothing() {
     let stats = session.cache_stats();
     assert_eq!((stats.cache_misses, stats.cache_hits), (2, 6));
     assert_eq!(stats.profile_builds, 2);
+
+    let batched = Session::builder().build().expect("default session builds");
+    for name in ["qft_64", "random_16_60000"] {
+        let spec = ProgramSpec::bench(name);
+        let request = Request::Estimate(EstimateRequest::new(spec.clone()));
+        let batch = batched.batch(std::slice::from_ref(&request));
+        assert!(batch.results[0].is_ok(), "{:?}", batch.results[0]);
+        drop(batch);
+
+        let baseline = ALLOC.live_bytes();
+        ALLOC.reset_peak();
+        for _ in 0..3 {
+            let handle = batched.load(&spec).expect("warm bench loads");
+            assert_eq!(handle.label(), name);
+        }
+        let growth = ALLOC.peak_bytes().saturating_sub(baseline);
+        println!("{name}: three loads after a batch peaked {growth} bytes above the resident heap");
+        assert!(
+            growth < WARM_BUDGET,
+            "{name}: three loads after a batch peaked {growth} bytes above the resident heap \
+             (budget {WARM_BUDGET})"
+        );
+    }
 
     let spec = ProgramSpec::bench("random_16_60000");
     let estimate = EstimateRequest::new(spec.clone());

@@ -24,8 +24,7 @@ const LINES: [(&str, usize); 3] = [
     ),
     (
         r#"{"schema_version":1,"op":"sweep","program":{"bench":"qft_16"},"sizes":[20,40,60,80]}"#,
-        // The `parallel` feature fans the sides out over the worker pool.
-        if cfg!(feature = "parallel") { 89 } else { 82 },
+        82,
     ),
     (
         r#"{"schema_version":1,"op":"map","program":{"bench":"qft_8"},"placement":"rowmajor"}"#,

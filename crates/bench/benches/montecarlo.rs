@@ -1,13 +1,12 @@
 //! Monte Carlo yield-engine throughput: one batched `montecarlo`
-//! experiment (profile loaded once, grid planned once, trials fanned
-//! out over the session) against the hand-scripted alternative — a
+//! experiment (profile loaded once, grid planned once, trials run
+//! against the one session) against the hand-scripted alternative — a
 //! fresh session and a single-trial spec per (density, trial) sample,
 //! which is what a shell loop over `leqa experiment` invocations does.
 //!
 //! The claim: the engine amortises program loading, profile building
 //! and plan validation across the whole density × trial grid, so the
-//! batched study is never slower than the loop (target ≥ 1x; the
-//! `parallel` feature then fans the trials over worker threads on top).
+//! batched study is never slower than the loop (target ≥ 1x).
 //!
 //! `BENCH_JSON=$PWD/BENCH_yield.json cargo bench -p leqa-bench --bench
 //! montecarlo` appends one `montecarlo/speedup` JSON line. Set

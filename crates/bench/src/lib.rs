@@ -25,21 +25,8 @@
 //! a 50-candidate [`leqa::sweep::sweep_fabrics`] over QFT-64 against 50
 //! independent [`leqa::Estimator::estimate`] calls, asserting the sweep
 //! engine's ≥5× speedup while `tests/differential.rs` (workspace root)
-//! pins bit-identical estimates. `benches/throughput.rs` measures the
-//! *service* layer: one shared `Session` hammered serially vs on the
-//! persistent worker pool, the `batch` endpoint, and the QFT-64
-//! `compare` exercising the zero-alloc mapper scratch (headline: the
-//! ≥3× batch-throughput target on multi-core runners, recorded to
-//! `BENCH_throughput.json`). See PERF.md for the full API tour.
-//!
-//! # The `parallel` feature
-//!
-//! `--features parallel` runs [`run_suite`]'s independent rows on scoped
-//! worker threads (one per core) and enables the thread-parallel
-//! per-candidate loop inside `leqa`'s sweep engine. Latency/accuracy
-//! results are identical to the serial engines'. Timing-sensitive
-//! binaries (Table 3, the scaling study) deliberately stay serial so
-//! their wall-clock columns are uncontended — see [`run_suite`]'s docs.
+//! pins bit-identical estimates. End-to-end service timing belongs to
+//! `perfbench/` at the workspace root. See PERF.md for the full API tour.
 //!
 //! # Recording baselines
 //!
@@ -124,34 +111,18 @@ pub fn run_benchmark(bench: &Benchmark, dims: FabricDims, params: &PhysicalParam
     }
 }
 
-/// Runs a set of suite benchmarks, returning one row per benchmark in
-/// input order.
-///
-/// Rows are independent, so with the `parallel` feature they run on scoped
-/// worker threads (via [`leqa::exec::parallel_map`], capped by the
-/// platform's available parallelism); latency/accuracy columns are
-/// identical either way. **The wall-clock columns (`qspr_runtime_s`,
-/// `leqa_runtime_s`, `speedup`) are contended under the parallel runner**
-/// — concurrent rows compete for cores and caches — so timing-sensitive
-/// consumers (the Table 3 binary, the scaling study) must call
-/// [`run_benchmark`] serially instead; accuracy-only consumers (Table 2)
-/// can parallelize freely.
+/// Runs a set of suite benchmarks one after another, returning one row
+/// per benchmark in input order. Rows run on the calling thread, so their
+/// wall-clock columns are uncontended.
 ///
 /// # Panics
 ///
 /// Same as [`run_benchmark`].
 pub fn run_suite(benches: &[&Benchmark], dims: FabricDims, params: &PhysicalParams) -> Vec<RunRow> {
-    #[cfg(feature = "parallel")]
-    {
-        leqa::exec::parallel_map(benches, |b| run_benchmark(b, dims, params))
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        benches
-            .iter()
-            .map(|b| run_benchmark(b, dims, params))
-            .collect()
-    }
+    benches
+        .iter()
+        .map(|b| run_benchmark(b, dims, params))
+        .collect()
 }
 
 impl RunRow {

@@ -7,7 +7,6 @@ use crate::CircuitError;
 
 /// Identifier of a logical qubit (a wire in the circuit), 0-based.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QubitId(pub u32);
 
 impl QubitId {
@@ -35,7 +34,6 @@ impl std::fmt::Display for QubitId {
 /// Construct gates through the checked constructors ([`Gate::cnot`],
 /// [`Gate::toffoli`], …), which reject duplicate operands.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum Gate {
     /// A one-qubit FT gate applied directly at the reversible level.
@@ -234,7 +232,6 @@ impl Gate {
 /// The paper's Eq. 1 treats the (only) two-qubit FT op, CNOT, separately
 /// from the one-qubit ops, and so does this type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FtOp {
     /// A one-qubit FT operation.
     OneQubit {

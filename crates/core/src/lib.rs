@@ -71,8 +71,8 @@
 //! | Eqs. 13–16 (TSP-bound Hamiltonian path, `d_uncong`) | [`tsp`] |
 //! | Eqs. 1–2 + Algorithm 1 | [`Estimator`] |
 
-// `deny` rather than `forbid`: the persistent worker pool needs one
-// documented lifetime-erasing `transmute` (see `pool`); everything else
+// `deny` rather than `forbid`: the counting allocator in `meter`
+// implements `GlobalAlloc`, which is an unsafe trait; everything else
 // stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -80,7 +80,6 @@
 pub mod coverage;
 mod error;
 mod estimator;
-pub mod exec;
 pub mod meter;
 mod paths;
 pub mod pool;

@@ -14,8 +14,8 @@
 //! that is exactly what the streaming-vs-materialized comparison needs,
 //! since both paths pay the same allocator slack factor.
 
-// Implementing `GlobalAlloc` is inherently unsafe; this is the same
-// documented carve-out as `pool` (the crate is `deny`, not `forbid`).
+// Implementing `GlobalAlloc` is inherently unsafe; this module is the
+// crate's one carve-out (the crate is `deny`, not `forbid`).
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -1,105 +1,28 @@
-//! A persistent worker pool with a shared injector queue.
+//! A persistent worker pool with a shared FIFO job queue.
 //!
-//! Every thread-parallel path in the workspace (the sweep engine's
-//! per-candidate loop, `Session::batch`'s fan-out, the bench suite
-//! runner) used to spawn fresh scoped threads per call. Under service
-//! traffic that pays thread startup on every request; this module keeps
-//! one process-wide set of workers alive instead ([`Pool::global`],
-//! sized to the platform's available parallelism) and hands them work
-//! through a shared FIFO injector queue.
+//! Every request runs on its calling thread; the one thing that hands
+//! work to other threads is the daemon's `frame1` transport, which
+//! pipelines tagged requests on one connection and answers them out of
+//! order. It [`submit`](Pool::submit)s each admitted request here instead
+//! of spawning a thread per request: [`Pool::global`] keeps one
+//! process-wide set of workers alive (sized to the platform's available
+//! parallelism) and hands them jobs in submission order.
 //!
-//! # Execution model
-//!
-//! [`Pool::map`] is the only entry point: it maps a closure over a
-//! borrowed slice, in order, and returns the results — semantically
-//! identical to `items.iter().map(f).collect()`. Internally the call
-//! enqueues up to `workers` *helper* jobs, each of which drains items
-//! from a shared atomic cursor; the **submitting thread always
-//! participates** in the drain, so a call completes even when every
-//! worker is busy with other requests (and nested `map` calls cannot
-//! deadlock). Helper jobs that no worker picks up by the time the
-//! submitter finishes are reclaimed unrun. Item order, and therefore
-//! results, never depend on scheduling — parallelism changes wall-clock
-//! only.
-//!
-//! # Why there is `unsafe` here (and nowhere else)
-//!
-//! Helper jobs borrow the caller's slice and closure, but live on
-//! persistent threads the borrow checker cannot tie to the caller's
-//! stack frame — the same problem `rayon` and `crossbeam` solve, and
-//! like them this module erases the borrow lifetime and re-establishes
-//! safety with a completion latch: [`Pool::map`] does not return until
-//! every helper job either ran to completion or was reclaimed before
-//! running, so no erased borrow can outlive the frame it points into.
-//! The erasure is one documented `transmute`; the rest of the crate
-//! remains `#![deny(unsafe_code)]`-clean.
+//! A submitted job owns everything it touches (`'static`) and signals its
+//! own completion — the daemon hands each job the sender its reply goes
+//! out on. A job that panics ends the worker that ran it, so callers
+//! catch panics inside the job (the daemon's `run_isolated` does).
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// A lifetime-erased helper job (see the module docs for the latch
-/// discipline that makes the erasure sound).
-type ErasedJob = Box<dyn FnOnce() + Send + 'static>;
-
-/// One enqueued helper job. `claimed` is set by whoever takes
-/// responsibility for the slot — a worker about to run it, or the
-/// submitter reclaiming it unrun — so exactly one side runs the job and
-/// exactly one side counts the latch down.
-struct JobSlot {
-    claimed: AtomicBool,
-    job: Mutex<Option<ErasedJob>>,
-    latch: Arc<Latch>,
-}
-
-impl JobSlot {
-    /// Runs (worker side) or skips (already claimed) the slot.
-    fn run(&self) {
-        if self.claimed.swap(true, Ordering::AcqRel) {
-            return; // the submitter reclaimed it and counted down
-        }
-        let job = self.job.lock().expect("no poisoning").take();
-        if let Some(job) = job {
-            job();
-        }
-        self.latch.count_down();
-    }
-}
-
-/// Counts outstanding helper jobs of one `map` call down to zero.
-struct Latch {
-    remaining: Mutex<usize>,
-    done: Condvar,
-}
-
-impl Latch {
-    fn new(n: usize) -> Latch {
-        Latch {
-            remaining: Mutex::new(n),
-            done: Condvar::new(),
-        }
-    }
-
-    fn count_down(&self) {
-        let mut remaining = self.remaining.lock().expect("no poisoning");
-        *remaining -= 1;
-        if *remaining == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    fn wait(&self) {
-        let mut remaining = self.remaining.lock().expect("no poisoning");
-        while *remaining > 0 {
-            remaining = self.done.wait(remaining).expect("no poisoning");
-        }
-    }
-}
+/// One queued job.
+type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// State shared between the pool handle and its worker threads.
 struct Shared {
-    queue: Mutex<VecDeque<Arc<JobSlot>>>,
+    queue: Mutex<VecDeque<Job>>,
     available: Condvar,
     shutdown: AtomicBool,
 }
@@ -125,10 +48,8 @@ impl std::fmt::Debug for Pool {
 
 impl Pool {
     /// The process-wide pool, spawned on first use with one worker per
-    /// core (`std::thread::available_parallelism`). Every
-    /// [`parallel_map`](crate::exec::parallel_map) call shares it, so
-    /// thread startup is paid once per process instead of once per
-    /// request.
+    /// core (`std::thread::available_parallelism`), so thread startup is
+    /// paid once per process instead of once per request.
     pub fn global() -> &'static Pool {
         static POOL: OnceLock<Pool> = OnceLock::new();
         POOL.get_or_init(|| {
@@ -140,8 +61,8 @@ impl Pool {
     }
 
     /// A dedicated pool with exactly `workers` worker threads (0 is
-    /// allowed: every `map` then runs entirely on the submitting
-    /// thread). Workers are joined when the pool is dropped.
+    /// allowed: every [`submit`](Self::submit) then runs its job on the
+    /// submitting thread). Workers are joined when the pool is dropped.
     pub fn with_workers(workers: usize) -> Pool {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
@@ -164,45 +85,39 @@ impl Pool {
         }
     }
 
-    /// The number of worker threads (the submitting thread participates
-    /// on top of these).
+    /// The number of worker threads.
     #[must_use]
     pub fn workers(&self) -> usize {
         self.workers
     }
 
-    /// Helper jobs currently sitting in the injector queue (claimed
-    /// slots a `map` call already reclaimed still count until a worker
-    /// pops them). A quiesced pool reports 0.
+    /// Jobs currently waiting in the queue. A quiesced pool reports 0.
     #[must_use]
     pub fn queued_jobs(&self) -> usize {
         self.shared.queue.lock().expect("no poisoning").len()
     }
 
-    /// Drains the injector queue on the calling thread: pops every
-    /// queued helper slot and runs it (already-reclaimed slots are
-    /// no-ops). Service daemons call this on graceful shutdown so the
-    /// pool is quiescent before the process reports a clean exit; since
-    /// [`map`](Self::map) is synchronous, a drain after all submitters
-    /// returned leaves nothing behind.
+    /// Drains the queue on the calling thread: pops every queued job and
+    /// runs it. Service daemons call this on graceful shutdown so no
+    /// submitted job is left behind when the process reports a clean
+    /// exit.
     pub fn drain(&self) {
         loop {
-            let slot = self.shared.queue.lock().expect("no poisoning").pop_front();
-            match slot {
-                Some(slot) => slot.run(),
+            let job = self.shared.queue.lock().expect("no poisoning").pop_front();
+            match job {
+                Some(job) => job(),
                 None => return,
             }
         }
     }
 
-    /// Submits one fire-and-forget job to the pool. Unlike
-    /// [`map`](Self::map) the call returns immediately; the job runs on
-    /// whichever worker pops it (or inline on the submitting thread when
-    /// the pool has no workers). Completion is the job's own business —
-    /// pipelined services hand a channel sender into the closure and
-    /// treat the send as the completion signal. Jobs still queued at
-    /// [`drain`](Self::drain) time are run by the draining thread, so
-    /// the graceful-shutdown discipline covers submitted jobs too.
+    /// Submits one fire-and-forget job. The call returns immediately; the
+    /// job runs on whichever worker pops it (or inline on the submitting
+    /// thread when the pool has no workers). Completion is the job's own
+    /// business — pipelined services hand a channel sender into the
+    /// closure and treat the send as the completion signal. Jobs still
+    /// queued at [`drain`](Self::drain) time are run by the draining
+    /// thread.
     pub fn submit<F>(&self, job: F)
     where
         F: FnOnce() + Send + 'static,
@@ -211,112 +126,12 @@ impl Pool {
             job();
             return;
         }
-        let slot = Arc::new(JobSlot {
-            claimed: AtomicBool::new(false),
-            job: Mutex::new(Some(Box::new(job))),
-            latch: Arc::new(Latch::new(1)),
-        });
         self.shared
             .queue
             .lock()
             .expect("no poisoning")
-            .push_back(slot);
+            .push_back(Box::new(job));
         self.shared.available.notify_one();
-    }
-
-    /// Maps `f` over `items` on the pool, preserving order. Results are
-    /// identical to `items.iter().map(f).collect()` — only wall-clock
-    /// changes. The submitting thread participates, so the call
-    /// completes (and nested calls cannot deadlock) even when every
-    /// worker is busy. A panic in `f` is re-raised on the submitting
-    /// thread after all in-flight items finish.
-    pub fn map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T) -> U + Sync,
-    {
-        if self.workers == 0 || items.len() <= 1 {
-            return items.iter().map(f).collect();
-        }
-
-        let results: Vec<Mutex<Option<U>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-
-        // The drain loop every participant runs: claim the next item
-        // index, compute, store. Captures only shared references, so it
-        // is `Copy` — each helper job boxes its own copy.
-        let work = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= items.len() {
-                break;
-            }
-            match catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
-                Ok(value) => *results[i].lock().expect("no poisoning") = Some(value),
-                Err(payload) => {
-                    let mut slot = panic_slot.lock().expect("no poisoning");
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                    }
-                }
-            }
-        };
-
-        let helpers = self.workers.min(items.len() - 1);
-        let latch = Arc::new(Latch::new(helpers));
-        let mut slots: Vec<Arc<JobSlot>> = Vec::with_capacity(helpers);
-        {
-            let mut queue = self.shared.queue.lock().expect("no poisoning");
-            for _ in 0..helpers {
-                let job: Box<dyn FnOnce() + Send + '_> = Box::new(work);
-                // SAFETY: the erased job borrows `items`, `f` and the
-                // locals above, all of which outlive this function body.
-                // The latch below guarantees `map` does not return until
-                // every slot was either run to completion by a worker or
-                // reclaimed (and its job dropped unrun) by this thread,
-                // so the borrows never escape the frame. Lifetime is the
-                // only thing the transmute changes.
-                #[allow(unsafe_code)]
-                let job: ErasedJob =
-                    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, ErasedJob>(job) };
-                let slot = Arc::new(JobSlot {
-                    claimed: AtomicBool::new(false),
-                    job: Mutex::new(Some(job)),
-                    latch: Arc::clone(&latch),
-                });
-                slots.push(Arc::clone(&slot));
-                queue.push_back(slot);
-            }
-        }
-        self.shared.available.notify_all();
-
-        // Participate: the submitting thread drains items alongside the
-        // workers (with the original, un-erased closure).
-        work();
-
-        // Reclaim helper jobs no worker picked up — their items are
-        // already done, running them would be a no-op loop iteration.
-        for slot in &slots {
-            if !slot.claimed.swap(true, Ordering::AcqRel) {
-                drop(slot.job.lock().expect("no poisoning").take());
-                slot.latch.count_down();
-            }
-        }
-        latch.wait();
-
-        if let Some(payload) = panic_slot.lock().expect("no poisoning").take() {
-            resume_unwind(payload);
-        }
-
-        results
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("no poisoning")
-                    .expect("every item was drained")
-            })
-            .collect()
     }
 }
 
@@ -330,15 +145,15 @@ impl Drop for Pool {
     }
 }
 
-/// Worker body: pop and run jobs until shutdown (draining any queued
-/// jobs first, so in-flight `map` calls complete during a pool drop).
+/// Worker body: pop and run jobs until shutdown (running any queued jobs
+/// first, so a dropped pool finishes what was submitted to it).
 fn worker_loop(shared: &Shared) {
     loop {
-        let slot = {
+        let job = {
             let mut queue = shared.queue.lock().expect("no poisoning");
             loop {
-                if let Some(slot) = queue.pop_front() {
-                    break slot;
+                if let Some(job) = queue.pop_front() {
+                    break job;
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
@@ -346,65 +161,35 @@ fn worker_loop(shared: &Shared) {
                 queue = shared.available.wait(queue).expect("no poisoning");
             }
         };
-        slot.run();
+        job();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
-    #[test]
-    fn map_preserves_order_and_values() {
-        let pool = Pool::with_workers(4);
-        let items: Vec<u64> = (0..257).collect();
-        let out = pool.map(&items, |&x| x * 3 + 1);
-        assert_eq!(out, items.iter().map(|x| x * 3 + 1).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn empty_and_single_inputs() {
-        let pool = Pool::with_workers(2);
-        assert!(pool.map(&[] as &[u64], |&x| x).is_empty());
-        assert_eq!(pool.map(&[7u64], |&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn zero_worker_pool_runs_on_the_submitter() {
-        let pool = Pool::with_workers(0);
-        let items: Vec<u64> = (0..50).collect();
-        assert_eq!(
-            pool.map(&items, |&x| x * x),
-            items.iter().map(|x| x * x).collect::<Vec<_>>()
-        );
+    /// Submits `n` jobs that each send `f(i)`, then collects the values
+    /// sorted (workers may finish out of order).
+    fn run_all(pool: &Pool, n: u64, f: impl Fn(u64) -> u64 + Copy + Send + 'static) -> Vec<u64> {
+        let (tx, rx) = mpsc::channel();
+        for i in 0..n {
+            let tx = tx.clone();
+            pool.submit(move || tx.send(f(i)).expect("receiver alive"));
+        }
+        drop(tx);
+        let mut got: Vec<u64> = rx.iter().collect();
+        got.sort_unstable();
+        got
     }
 
     #[test]
     fn global_pool_is_reusable_across_calls() {
-        let pool = Pool::global();
         for round in 0..5u64 {
-            let items: Vec<u64> = (0..40).collect();
-            let out = pool.map(&items, |&x| x + round);
-            assert_eq!(out, items.iter().map(|x| x + round).collect::<Vec<_>>());
+            let got = run_all(Pool::global(), 40, move |x| x + round);
+            assert_eq!(got, (0..40).map(|x| x + round).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn nested_maps_complete() {
-        let pool = Pool::with_workers(2);
-        let outer: Vec<u64> = (0..6).collect();
-        let out = pool.map(&outer, |&x| {
-            let inner: Vec<u64> = (0..8).collect();
-            Pool::global()
-                .map(&inner, |&y| x * 10 + y)
-                .iter()
-                .sum::<u64>()
-        });
-        let expect: Vec<u64> = outer
-            .iter()
-            .map(|&x| (0..8).map(|y| x * 10 + y).sum())
-            .collect();
-        assert_eq!(out, expect);
     }
 
     #[test]
@@ -414,40 +199,31 @@ mod tests {
             for t in 0..4u64 {
                 let pool = &pool;
                 scope.spawn(move || {
-                    let items: Vec<u64> = (0..100).collect();
-                    let out = pool.map(&items, |&x| x ^ t);
-                    assert_eq!(out, items.iter().map(|x| x ^ t).collect::<Vec<_>>());
+                    let got = run_all(pool, 100, move |x| x * 4 + t);
+                    assert_eq!(got, (0..100).map(|x| x * 4 + t).collect::<Vec<_>>());
                 });
             }
         });
     }
 
     #[test]
-    fn panics_propagate_to_the_submitter() {
-        let pool = Pool::with_workers(2);
-        let items: Vec<u64> = (0..32).collect();
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.map(&items, |&x| {
-                assert!(x != 17, "boom");
-                x
-            })
-        }));
-        assert!(result.is_err());
-        // The pool survives a panicked map.
-        assert_eq!(pool.map(&[1u64, 2], |&x| x), vec![1, 2]);
-    }
-
-    #[test]
     fn drain_leaves_the_queue_empty_and_the_pool_serviceable() {
         let pool = Pool::with_workers(2);
         for _ in 0..8 {
-            let items: Vec<u64> = (0..64).collect();
-            let _ = pool.map(&items, |&x| x + 1);
+            let (tx, rx) = mpsc::channel();
+            for i in 0..64u64 {
+                let tx = tx.clone();
+                pool.submit(move || {
+                    let _ = tx.send(i + 1);
+                });
+            }
+            drop(tx);
+            pool.drain();
+            assert_eq!(pool.queued_jobs(), 0);
+            assert_eq!(rx.iter().count(), 64);
         }
-        pool.drain();
-        assert_eq!(pool.queued_jobs(), 0);
         // The pool still serves after a drain.
-        assert_eq!(pool.map(&[1u64, 2], |&x| x * 2), vec![2, 4]);
+        assert_eq!(run_all(&pool, 2, |x| x * 2), vec![0, 2]);
         pool.drain();
         assert_eq!(pool.queued_jobs(), 0);
     }
@@ -455,14 +231,7 @@ mod tests {
     #[test]
     fn submit_runs_jobs_and_signals_through_channels() {
         let pool = Pool::with_workers(2);
-        let (tx, rx) = std::sync::mpsc::channel();
-        for i in 0..16u64 {
-            let tx = tx.clone();
-            pool.submit(move || tx.send(i * i).expect("receiver alive"));
-        }
-        drop(tx);
-        let mut got: Vec<u64> = rx.iter().collect();
-        got.sort_unstable();
+        let got = run_all(&pool, 16, |i| i * i);
         assert_eq!(got, (0..16u64).map(|i| i * i).collect::<Vec<_>>());
     }
 
@@ -477,12 +246,11 @@ mod tests {
 
     #[test]
     fn drain_runs_submitted_jobs_left_in_the_queue() {
-        // A dropped pool's workers may exit before popping everything;
-        // use a zero-contention setup: enqueue against a 1-worker pool
-        // that is blocked, then drain from this thread.
+        // Enqueue against a 1-worker pool whose lone worker is blocked,
+        // then drain from this thread.
         let busy = Pool::with_workers(1);
-        let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
-        let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
         busy.submit(move || {
             started_tx.send(()).expect("test thread alive");
             let _ = gate_rx.recv();
@@ -490,7 +258,7 @@ mod tests {
         // Wait until the lone worker is parked inside the gate job, so
         // the next submit can only be popped by `drain` below.
         started_rx.recv().expect("gate job started");
-        let (tx, rx) = std::sync::mpsc::channel();
+        let (tx, rx) = mpsc::channel();
         busy.submit(move || tx.send(7u64).expect("receiver alive"));
         // The lone worker is parked on the gate; drain from here runs
         // the second job on this thread.
@@ -502,8 +270,15 @@ mod tests {
     #[test]
     fn dropping_a_pool_joins_its_workers() {
         let pool = Pool::with_workers(2);
-        let items: Vec<u64> = (0..64).collect();
-        let _ = pool.map(&items, |&x| x);
+        let ran = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        for _ in 0..64 {
+            let ran = Arc::clone(&ran);
+            pool.submit(move || {
+                ran.fetch_add(1, Ordering::Relaxed);
+            });
+        }
         drop(pool); // must not hang
+                    // Workers run every queued job before they exit.
+        assert_eq!(ran.load(Ordering::Relaxed), 64);
     }
 }

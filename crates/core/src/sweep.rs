@@ -31,9 +31,8 @@
 //! [`Estimator::estimate`] call on the same candidate (asserted per
 //! workload by `tests/differential.rs`, on fresh and on warm profiles).
 //!
-//! With the `parallel` feature the per-candidate pricing loop runs on the
-//! process-wide worker pool ([`crate::pool`]); candidate results are
-//! identical either way.
+//! A sweep runs on its calling thread. A service gets its concurrency
+//! from serving requests side by side, not from splitting one sweep.
 
 use leqa_circuit::Qodg;
 use leqa_fabric::{FabricDims, Micros, PhysicalParams};
@@ -80,13 +79,7 @@ pub fn sweep_profile(
     candidates: impl IntoIterator<Item = FabricDims>,
 ) -> Vec<SweepPoint> {
     let candidates: Vec<FabricDims> = candidates.into_iter().collect();
-    run_sweep(
-        profile,
-        params,
-        options,
-        candidates,
-        cfg!(feature = "parallel"),
-    )
+    run_sweep(profile, params, options, candidates)
 }
 
 /// Square-fabric convenience over [`sweep_profile`]: one point per side,
@@ -110,28 +103,6 @@ pub fn sweep_profile_squares(
         .map(|side| FabricDims::new(side, side))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(sweep_profile(profile, params, options, candidates))
-}
-
-/// Like [`sweep_fabrics`], forcing the per-candidate loop onto the
-/// worker pool ([`crate::pool`]) even when the `parallel` feature is off.
-///
-/// Estimation is CPU-bound and candidates are independent, so wide sweeps
-/// — the paper's fabric-size exploration loop — scale with cores. Results
-/// are identical to the serial engine's.
-pub fn sweep_fabrics_parallel(
-    qodg: &Qodg,
-    params: &PhysicalParams,
-    options: EstimatorOptions,
-    candidates: impl IntoIterator<Item = FabricDims>,
-) -> Vec<SweepPoint> {
-    let candidates: Vec<FabricDims> = candidates.into_iter().collect();
-    run_sweep(
-        &ProgramProfile::new(qodg),
-        params,
-        options,
-        candidates,
-        true,
-    )
 }
 
 /// Finds the latency-minimal square fabric among `sides`.
@@ -182,18 +153,13 @@ fn run_sweep(
     params: &PhysicalParams,
     options: EstimatorOptions,
     candidates: Vec<FabricDims>,
-    threaded: bool,
 ) -> Vec<SweepPoint> {
     // Phase 1: per-candidate congestion pricing (Algorithm 1 lines 1–18,
     // with lines 1–8 prepaid by the profile).
-    let quantities = if threaded {
-        quantities_threaded(profile, params, options, &candidates)
-    } else {
-        candidates
-            .iter()
-            .map(|&dims| candidate_quantities(profile, params, options, dims))
-            .collect()
-    };
+    let quantities: Vec<Option<RoutingQuantities>> = candidates
+        .iter()
+        .map(|&dims| candidate_quantities(profile, params, options, dims))
+        .collect();
 
     // Phase 2: resolve the routing-aware critical path of every fitting
     // candidate through the profile's path table, which bisects whatever
@@ -230,18 +196,6 @@ fn candidate_quantities(
     Estimator::with_options(dims, params.clone(), options)
         .routing_quantities(profile)
         .ok()
-}
-
-/// Phase 1 on the worker pool.
-fn quantities_threaded(
-    profile: &ProgramProfile<'_>,
-    params: &PhysicalParams,
-    options: EstimatorOptions,
-    candidates: &[FabricDims],
-) -> Vec<Option<RoutingQuantities>> {
-    crate::exec::parallel_map(candidates, |&dims| {
-        candidate_quantities(profile, params, options, dims)
-    })
 }
 
 #[cfg(test)]
@@ -389,39 +343,6 @@ mod tests {
             let sweep = point.estimate.expect("fits");
             assert_eq!(sweep.latency, direct.latency);
             assert_eq!(sweep.critical, direct.critical);
-        }
-    }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use leqa_circuit::{FtCircuit, QubitId};
-
-    #[test]
-    fn parallel_sweep_matches_serial() {
-        let mut ft = FtCircuit::new(12);
-        for i in 0..11u32 {
-            ft.push_cnot(QubitId(i), QubitId(i + 1)).unwrap();
-        }
-        let qodg = Qodg::from_ft_circuit(&ft);
-        let params = PhysicalParams::dac13();
-        let opts = EstimatorOptions::default();
-        let candidates: Vec<FabricDims> = [3u32, 4, 6, 10, 20, 40]
-            .iter()
-            .map(|&s| FabricDims::new(s, s).unwrap())
-            .collect();
-
-        let serial = sweep_fabrics(&qodg, &params, opts, candidates.clone());
-        let parallel = sweep_fabrics_parallel(&qodg, &params, opts, candidates);
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.dims, p.dims);
-            match (&s.estimate, &p.estimate) {
-                (Some(a), Some(b)) => assert_eq!(a.latency, b.latency),
-                (None, None) => {}
-                other => panic!("mismatch: {other:?}"),
-            }
         }
     }
 }

@@ -9,7 +9,6 @@ use crate::{FabricDims, FabricError, Ulb};
 
 /// Orientation of a channel on the grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ChannelOrientation {
     /// Connects `(x, y)` with `(x + 1, y)`.
     Horizontal,
@@ -32,7 +31,6 @@ pub enum ChannelOrientation {
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Channel {
     origin: Ulb,
     orientation: ChannelOrientation,
@@ -107,7 +105,6 @@ impl std::fmt::Display for Channel {
 
 /// Dense index of a [`Channel`] on a specific fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChannelId(pub usize);
 
 impl ChannelId {

@@ -17,7 +17,6 @@ use crate::FabricError;
 /// assert_eq!(u.manhattan_distance(Ulb::new(5, 1)), 5);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ulb {
     /// Column, 0-based.
     pub x: u32,
@@ -72,7 +71,6 @@ impl std::fmt::Display for Ulb {
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FabricDims {
     width: u32,
     height: u32,

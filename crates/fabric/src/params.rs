@@ -12,7 +12,6 @@ use crate::{FabricError, Micros};
 /// `{CNOT, H, T, T†, S, S†, X, Y, Z}` (§2), minus the two-qubit CNOT which is
 /// treated separately throughout (Eq. 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum OneQubitKind {
     /// Hadamard.
     H,
@@ -83,7 +82,6 @@ impl std::fmt::Display for OneQubitKind {
 
 /// Per-operation logical gate delays (the `d_g` and `d_CNOT` of Eq. 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GateDelays {
     one_qubit: [Micros; 8],
     cnot: Micros,
@@ -135,7 +133,6 @@ impl GateDelays {
 /// assert_eq!(p.qubit_speed(), 0.001);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PhysicalParams {
     gate_delays: GateDelays,
     t_move: Micros,

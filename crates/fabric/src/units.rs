@@ -21,7 +21,6 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert!((gate.as_secs() - 0.00493).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Micros(f64);
 
 impl Micros {
