@@ -18,8 +18,8 @@
 //! `SCALE_BENCH_SMOKE=1` runs only the `shor_64` dual-path point (CI);
 //! the full run adds `shor_256` dual-path and the streaming-only
 //! `shor_1024` cryptographic-scale point (materializing shor_1024 needs
-//! ~315 MB for its op list and argmax alone — the point of the streaming
-//! path is never paying that).
+//! ~236 MB for its op list alone — the point of the streaming path is
+//! never paying that).
 //!
 //! Regenerate the committed trajectory with:
 //! `BENCH_JSON=BENCH_scale.json cargo bench -p leqa-bench --bench scale`
@@ -128,8 +128,8 @@ fn main() {
     dual_point("shor_256", FabricDims::new(131, 131).expect("valid dims"));
 
     // Cryptographic scale, streaming only: the trajectory's gates/sec
-    // headline. (Materializing shor_1024 needs ~315 MB for its op list and
-    // argmax alone; the bounded-memory regression test pins the budget.)
+    // headline. (Materializing shor_1024 needs ~236 MB for its op list
+    // alone; the bounded-memory regression test pins the budget.)
     let (ops, stream) = run_stream("shor_1024", FabricDims::new(520, 520).expect("valid dims"));
     let gates_per_sec = ops as f64 / stream.elapsed_s;
     println!(

@@ -16,11 +16,14 @@
 //! A [`Qodg`] is a view over the lowered op list, 12 bytes per op: node
 //! `i + 1` is op `i`, `start` is node 0 and `end` is node `n + 1`. An op's
 //! predecessors are the last earlier ops on its wires, so passes keep
-//! per-wire state instead of edge arrays. One critical-path kernel keeps
-//! each wire's distance and last node, plus a 4-byte argmax per op on a
-//! QODG, walked back to name the path's nodes
-//! ([`Qodg::critical_path_reuse`]) or only to count its census
-//! ([`Qodg::critical_census`]); with the argmax off it walks an op stream
+//! per-wire state instead of edge arrays. One critical-path kernel keeps,
+//! as parallel arrays, each wire's distance, a tag for the best path
+//! ending there, and whether the wire has an op yet, and updates an op's
+//! wires where they lie. To name the path's nodes the tag is the last
+//! node and each op records a 4-byte argmax, walked back from `end`
+//! ([`Qodg::critical_path_reuse`]). Every other pass tags a wire with its
+//! path's census and keeps nothing per op, over the op list
+//! ([`Qodg::critical_census`], [`Qodg::depth`]) or an op stream
 //! ([`stream_critical_path`]).
 //! [`Qodg::for_each_edge`] derives the edges the same way.
 //!
@@ -28,11 +31,12 @@
 //! (CSR) predecessor table on first call and keep it; no estimate, sweep
 //! or mapping pass calls them.
 
+use std::hint::select_unpredictable;
 use std::sync::OnceLock;
 
 use leqa_fabric::Micros;
 
-use crate::{CircuitError, FtCircuit, FtOp};
+use crate::{CircuitError, FtCircuit, FtOp, QubitId};
 
 /// Index of a node in a [`Qodg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -252,47 +256,20 @@ impl Qodg {
 
     /// Like [`critical_path`](Self::critical_path), reusing caller-owned
     /// scratch buffers so repeated passes allocate nothing but the
-    /// returned path. The scratch holds 24 bytes per wire and a 4-byte
+    /// returned path. The scratch holds 13 bytes per wire and a 4-byte
     /// argmax per op.
     pub fn critical_path_reuse(
         &self,
         delay: impl Fn(&QodgNode) -> Micros,
         scratch: &mut CriticalPathScratch,
     ) -> CriticalPath {
-        let mut path = vec![self.end()];
-        let mut cp = self.argmax_walk(delay, scratch, |node| path.push(node));
-        path.push(self.start());
-        path.reverse();
-        cp.path = path;
-        cp
-    }
-
-    /// Like [`critical_path_reuse`](Self::critical_path_reuse), naming no
-    /// nodes: the same walk counts the census on its way back and returns
-    /// an empty `path`, so it allocates nothing once `scratch` is sized.
-    pub fn critical_census(
-        &self,
-        delay: impl Fn(&QodgNode) -> Micros,
-        scratch: &mut CriticalPathScratch,
-    ) -> CriticalPath {
-        self.argmax_walk(delay, scratch, |_| {})
-    }
-
-    /// The argmax kernel behind both critical-path passes: `visit` sees
-    /// each op node of the path, from last to first.
-    fn argmax_walk(
-        &self,
-        delay: impl Fn(&QodgNode) -> Micros,
-        scratch: &mut CriticalPathScratch,
-        mut visit: impl FnMut(NodeId),
-    ) -> CriticalPath {
         let CriticalPathScratch { wires, argmax } = scratch;
         argmax.clear();
         argmax.reserve_exact(self.circuit.ops().len());
         // A tag is a node id; each op records its argmax.
-        let step = |_: &FtOp, best: u32| {
-            argmax.push(best);
-            argmax.len() as u32
+        let step = |tag: &mut u32, _: &FtOp| {
+            argmax.push(*tag);
+            *tag = argmax.len() as u32;
         };
         let ops = self.circuit.ops().iter().copied();
         let (length, mut cur) = walk(
@@ -305,20 +282,34 @@ impl Qodg {
         .expect("a QODG's ops come from a validated FtCircuit");
 
         let mut census = Census::default();
+        let mut path = vec![self.end()];
         while cur != 0 {
             let op = cur as usize - 1;
-            visit(NodeId(cur as usize));
-            census = counted(census, &self.circuit.ops()[op]);
+            path.push(NodeId(cur as usize));
+            count(&mut census, &self.circuit.ops()[op]);
             cur = argmax[op];
         }
-        path_of(length, census, Vec::new())
+        path.push(self.start());
+        path.reverse();
+        path_of(length, census, path)
+    }
+
+    /// Like [`critical_path`](Self::critical_path), naming no nodes: the
+    /// pass of [`stream_critical_path`] over the op list, each wire
+    /// carrying its path's census. Length and census are bit-identical to
+    /// the node path's; `path` is empty. It keeps nothing per op, only
+    /// 81 bytes per wire for the length of the pass.
+    pub fn critical_census(&self, delay: impl Fn(&QodgNode) -> Micros) -> CriticalPath {
+        let ops = self.circuit.ops().iter().copied();
+        stream_critical_path(self.num_qubits(), ops, |op| delay(&QodgNode::Op(*op)))
+            .expect("a QODG's ops come from a validated FtCircuit")
     }
 }
 
 /// The critical path of an op stream over `num_qubits` wires in `O(Q)`
-/// memory: [`Qodg::critical_path_reuse`]'s kernel with the argmax off,
-/// each wire carrying its path's census instead. Length and census are
-/// bit-identical to the QODG's; `path` is empty.
+/// memory: [`Qodg::critical_path_reuse`]'s kernel with each wire carrying
+/// its path's census instead of a node id, so nothing is kept per op.
+/// Length and census are bit-identical to the QODG's; `path` is empty.
 ///
 /// # Errors
 ///
@@ -330,8 +321,7 @@ pub fn stream_critical_path(
     ops: impl IntoIterator<Item = FtOp>,
     delay: impl Fn(&FtOp) -> Micros,
 ) -> Result<CriticalPath, CircuitError> {
-    let step = |op: &FtOp, best: Census| counted(best, op);
-    let (length, census) = walk(num_qubits, ops, delay, step, &mut Vec::new())?;
+    let (length, census) = walk(num_qubits, ops, delay, count, &mut Wires::default())?;
     Ok(path_of(length, census, Vec::new()))
 }
 
@@ -339,12 +329,11 @@ pub fn stream_critical_path(
 /// ops per kind.
 type Census = (u64, [u64; 8]);
 
-fn counted(mut census: Census, op: &FtOp) -> Census {
+fn count(census: &mut Census, op: &FtOp) {
     match op {
         FtOp::Cnot { .. } => census.0 += 1,
         FtOp::OneQubit { kind, .. } => census.1[kind.index()] += 1,
     }
-    census
 }
 
 fn path_of(
@@ -360,56 +349,89 @@ fn path_of(
     }
 }
 
-/// The one critical-path kernel: the longest `start → end` path over `ops`.
-/// Each wire holds the distance and tag of the best path ending at its
-/// last op (`None` while untouched: `start`, with the default tag); `step`
-/// tags an op from its best candidate's tag. Ties go as in the QODG walk:
-/// candidates come in operand order at an op and in wire-index order at
-/// `end`, and only a strictly greater distance replaces the first one.
-/// Returns the length and the tag `end` selected.
+/// The kernel's per-wire state, as parallel arrays: the distance and tag
+/// of the best path ending at each wire's last op, and whether the wire
+/// has an op yet. An untouched wire reads as `start`: distance 0 and the
+/// default tag.
+#[derive(Debug, Default)]
+struct Wires<T> {
+    dist: Vec<Micros>,
+    tag: Vec<T>,
+    touched: Vec<bool>,
+}
+
+/// The one critical-path kernel: the longest `start → end` path over `ops`,
+/// updating each op's wires where they lie. `step` advances the winning
+/// wire's tag past an op; a CNOT's other wire takes a copy. Ties go as in
+/// the QODG walk: a CNOT's control wins unless its target is strictly
+/// farther, and `end` takes the first touched wire unless a later touched
+/// one is strictly farther. Returns the length and the tag `end` selected.
 fn walk<T: Copy + Default>(
     num_qubits: u32,
     ops: impl IntoIterator<Item = FtOp>,
     delay: impl Fn(&FtOp) -> Micros,
-    mut step: impl FnMut(&FtOp, T) -> T,
-    wires: &mut Vec<Option<(Micros, T)>>,
+    mut step: impl FnMut(&mut T, &FtOp),
+    wires: &mut Wires<T>,
 ) -> Result<(Micros, T), CircuitError> {
-    wires.clear();
-    wires.resize(num_qubits as usize, None);
+    let n = num_qubits as usize;
+    let Wires { dist, tag, touched } = wires;
+    dist.clear();
+    dist.resize(n, Micros::ZERO);
+    tag.clear();
+    tag.resize(n, T::default());
+    touched.clear();
+    touched.resize(n, false);
+    // Equal lengths let the compiler drop the bounds checks below.
+    let (dist, tag, touched) = (&mut dist[..n], &mut tag[..n], &mut touched[..n]);
+    let wire = |qubit: QubitId| match qubit.index() {
+        w if w < n => Ok(w),
+        _ => Err(CircuitError::QubitOutOfRange { qubit, num_qubits }),
+    };
     for op in ops {
-        let mut best: Option<(Micros, T)> = None;
-        for qubit in op.qubits() {
-            let Some(&state) = wires.get(qubit.index()) else {
-                return Err(CircuitError::QubitOutOfRange { qubit, num_qubits });
-            };
-            let candidate = state.unwrap_or_default();
-            if best.is_none_or(|(d, _)| candidate.0 > d) {
-                best = Some(candidate);
+        match op {
+            FtOp::OneQubit { target, .. } => {
+                let w = wire(target)?;
+                dist[w] += delay(&op);
+                step(&mut tag[w], &op);
+                touched[w] = true;
             }
-        }
-        if let FtOp::Cnot { control, target } = op {
-            if control == target {
-                return Err(CircuitError::DuplicateOperand { qubit: control });
+            FtOp::Cnot { control, target } => {
+                let (c, t) = (wire(control)?, wire(target)?);
+                if c == t {
+                    return Err(CircuitError::DuplicateOperand { qubit: control });
+                }
+                // Which operand is farther follows the data, not a pattern
+                // a branch predictor could learn.
+                let far = dist[t] > dist[c];
+                let (win, lose) = (
+                    select_unpredictable(far, t, c),
+                    select_unpredictable(far, c, t),
+                );
+                let d = dist[win] + delay(&op);
+                step(&mut tag[win], &op);
+                tag[lose] = tag[win];
+                (dist[c], dist[t]) = (d, d);
+                (touched[c], touched[t]) = (true, true);
             }
-        }
-        let (dist, tag) = best.expect("every op has an operand");
-        let next = Some((dist + delay(&op), step(&op, tag)));
-        for qubit in op.qubits() {
-            wires[qubit.index()] = next;
         }
     }
-    let end = wires.iter().flatten().copied();
-    let best = end.reduce(|best, c| if c.0 > best.0 { c } else { best });
-    let (dist, tag) = best.unwrap_or_default();
-    Ok((dist + Micros::ZERO, tag))
+    let mut end: Option<usize> = None;
+    for w in (0..n).filter(|&w| touched[w]) {
+        if end.is_none_or(|e| dist[w] > dist[e]) {
+            end = Some(w);
+        }
+    }
+    let (length, tag) = end.map_or((Micros::ZERO, T::default()), |w| (dist[w], tag[w]));
+    Ok((length + Micros::ZERO, tag))
 }
 
-/// Reusable buffers for [`Qodg::critical_path_reuse`]: per-wire state and
-/// one argmax slot per op. One instance can serve any number of passes
-/// over any number of graphs.
+/// Reusable buffers for [`Qodg::critical_path_reuse`]: per-wire state, 13
+/// bytes per wire (distance, last node, touched flag), and one 4-byte
+/// argmax slot per op. One instance can serve any number of passes over
+/// any number of graphs.
 #[derive(Debug, Default)]
 pub struct CriticalPathScratch {
-    wires: Vec<Option<(Micros, u32)>>,
+    wires: Wires<u32>,
     argmax: Vec<u32>,
 }
 
@@ -593,6 +615,77 @@ mod tests {
         }
     }
 
+    fn h(i: u32) -> FtOp {
+        FtOp::OneQubit {
+            kind: OneQubitKind::H,
+            target: q(i),
+        }
+    }
+
+    fn cnot(control: u32, target: u32) -> FtOp {
+        FtOp::Cnot {
+            control: q(control),
+            target: q(target),
+        }
+    }
+
+    #[test]
+    fn stream_errors_name_the_first_offending_op() {
+        let range = |i| CircuitError::QubitOutOfRange {
+            qubit: q(i),
+            num_qubits: 3,
+        };
+        let cases = [
+            // Out-of-range control, in-range target.
+            (cnot(5, 1), range(5)),
+            // In-range control, out-of-range target.
+            (cnot(1, 7), range(7)),
+            // Both out of range: the control is named.
+            (cnot(6, 8), range(6)),
+            // Out-of-range self-loop: range comes before the self-loop.
+            (cnot(4, 4), range(4)),
+            (cnot(2, 2), CircuitError::DuplicateOperand { qubit: q(2) }),
+            (h(3), range(3)),
+        ];
+        for (bad, expected) in cases {
+            // Valid ops before, and later offenders of another kind after.
+            let ops = [h(0), cnot(0, 1), bad, h(9), cnot(1, 1)];
+            let got = stream_critical_path(3, ops, |_| Micros::new(1.0));
+            assert_eq!(got, Err(expected), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn zero_length_paths_end_on_the_first_touched_wire() {
+        // Every delay is 0 and wires 0 and 1 stay untouched. The CNOT's
+        // control is fresh and its target is not strictly farther, so the
+        // control's empty census wins; `end` then starts from wire 2.
+        let ops = [h(3), h(3), cnot(2, 3), h(4), h(3)];
+        let expected = CriticalPath {
+            length: Micros::ZERO,
+            cnot_count: 1,
+            one_qubit_counts: [0; 8],
+            path: Vec::new(),
+        };
+        let streamed = stream_critical_path(5, ops, |_| Micros::ZERO).unwrap();
+        assert_eq!(streamed, expected);
+
+        let mut ft = FtCircuit::new(5);
+        for op in ops {
+            ft.push(op).unwrap();
+        }
+        let qodg = Qodg::from(ft);
+        let walked = qodg.critical_path(|_| Micros::ZERO);
+        assert_eq!(walked.path, [qodg.start(), NodeId(3), qodg.end()]);
+        assert_eq!(
+            CriticalPath {
+                path: vec![],
+                ..walked
+            },
+            expected
+        );
+    }
+
     #[test]
     fn scratch_reuse_matches_fresh_runs() {
         let mut scratch = CriticalPathScratch::new();
@@ -612,13 +705,10 @@ mod tests {
 impl Qodg {
     /// Logical depth: the number of op nodes on the longest unit-delay
     /// path — the circuit's level count under unbounded parallelism.
-    /// Counts along the op stream ([`stream_critical_path`]) in `O(Q)`
-    /// memory, without a node path.
+    /// Counts with the census pass ([`critical_census`](Self::critical_census))
+    /// in `O(Q)` memory, without a node path.
     pub fn depth(&self) -> u64 {
-        let ops = self.circuit.ops().iter().copied();
-        stream_critical_path(self.num_qubits(), ops, |_| Micros::new(1.0))
-            .expect("a QODG's ops come from a validated FtCircuit")
-            .op_count()
+        self.critical_census(|_| Micros::new(1.0)).op_count()
     }
 
     /// Average op-level parallelism: `op_count / depth` (1.0 for a fully

@@ -8,8 +8,8 @@
 //! 64 wires (mixed, CNOT-only, one-qubit-only and empty) and delays that
 //! make ties common (all zero, all equal, a few small values), the kernel
 //! must give the oracle's length bits, census and node path with the
-//! argmax on, and its length bits and census when it only counts the
-//! census or runs with the argmax off.
+//! argmax on, and its length bits and census when each wire carries its
+//! path's census instead (`critical_census` and `stream_critical_path`).
 
 use leqa_circuit::{
     stream_critical_path, CriticalPath, CriticalPathScratch, FtCircuit, FtOp, NodeId, OneQubitKind,
@@ -193,12 +193,12 @@ proptest! {
         assert_same_length_and_census(&with_path, &oracle, &label);
         prop_assert_eq!(&with_path.path, &oracle.path, "{}: path", label);
 
-        // Argmax on, census only.
-        let census = qodg.critical_census(delay, &mut scratch);
+        // The census as the tag, over the op list.
+        let census = qodg.critical_census(delay);
         assert_same_length_and_census(&census, &oracle, &label);
         prop_assert!(census.path.is_empty());
 
-        // Argmax off.
+        // The census as the tag, over an op stream.
         let streamed = stream_critical_path(
             qodg.num_qubits(),
             qodg.circuit().ops().iter().copied(),

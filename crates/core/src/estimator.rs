@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use leqa_circuit::{stream_critical_path, CriticalPath, CriticalPathScratch, FtOp, Qodg, QodgNode};
+use leqa_circuit::{stream_critical_path, CriticalPath, FtOp, Qodg, QodgNode};
 use leqa_fabric::{FabricDims, FabricMap, Micros, OneQubitKind, PhysicalParams};
 
 pub use crate::coverage::ZoneRounding;
@@ -166,8 +166,9 @@ impl Estimator {
     /// the circuit, the QODG or the op list: the profile pass accumulates
     /// the CSR IIG and the Eq. 7 / Eq. 12 aggregates in bounded memory
     /// ([`crate::stream`]), then a second pass over a fresh iterator runs
-    /// the routing-aware critical path with per-wire state only: the QODG
-    /// walk's kernel with its per-op argmax off.
+    /// the routing-aware critical path with per-wire state only: the
+    /// census pass a materialized estimate runs, each wire carrying its
+    /// path's census.
     ///
     /// Bit-identical to [`estimate`](Self::estimate) on the materialized
     /// equivalent of the same stream, field for field: both carry the
@@ -381,7 +382,8 @@ struct MapCorrection {
 
 /// Line 19: the critical path with (or, per the options, without) the
 /// routing latencies added to the node delays, as its length and census
-/// (the argmax walk, naming no nodes).
+/// ([`Qodg::critical_census`]: each wire carries its path's census, so
+/// the pass names no node and keeps nothing per op).
 ///
 /// A free function over `(params, options)` rather than an [`Estimator`]
 /// method: it is fabric-independent by construction, and the path table
@@ -392,16 +394,12 @@ pub(crate) fn routing_aware_critical_path(
     options: &EstimatorOptions,
     qodg: &Qodg,
     l_cnot_avg: Micros,
-    scratch: &mut CriticalPathScratch,
 ) -> CriticalPath {
     let delays = OpDelays::new(params, options, l_cnot_avg);
-    qodg.critical_census(
-        |node| match node {
-            QodgNode::Op(op) => delays.of(op),
-            _ => Micros::ZERO,
-        },
-        scratch,
-    )
+    qodg.critical_census(|node| match node {
+        QodgNode::Op(op) => delays.of(op),
+        _ => Micros::ZERO,
+    })
 }
 
 /// The op census of a critical path, `N_CNOT^critical` and `N_g^critical`

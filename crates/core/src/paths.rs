@@ -17,8 +17,9 @@
 //! value between two points with one census takes that census, unless a
 //! known rival census comes within the [`Work::reusable`] guard; any
 //! other value takes a full pass, bisecting unresolved runs. A full pass
-//! is the argmax walk, which counts the census on its way back and names
-//! no node. Every answer is the census a full pass at that value selects
+//! is the census pass ([`Qodg::critical_census`]): each wire carries its
+//! path's census, so it names no node and keeps nothing per op. Every
+//! answer is the census a full pass at that value selects
 //! (`tests/differential.rs` pins each estimate against a fresh one across
 //! the workload suite, warm tables included), and every answer is
 //! recorded.
@@ -36,7 +37,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use leqa_circuit::{CriticalPathScratch, Qodg};
+use leqa_circuit::Qodg;
 use leqa_fabric::{Micros, PhysicalParams};
 
 use crate::estimator::{routing_aware_critical_path, Census, OpDelays};
@@ -139,7 +140,6 @@ impl PathTable {
             params,
             options,
             passes: &self.passes,
-            scratch: CriticalPathScratch::new(),
         };
         let key = DelayKey::new(params, options);
         self.snapshot(key, nodes, &mut work);
@@ -263,7 +263,6 @@ struct Work<'a> {
     params: &'a PhysicalParams,
     options: &'a EstimatorOptions,
     passes: &'a AtomicU64,
-    scratch: CriticalPathScratch,
 }
 
 struct Entry {
@@ -311,8 +310,7 @@ impl Work<'_> {
     /// Runs the full pass at `entries[i]` and learns its census.
     fn full_pass(&mut self, i: usize) {
         let x = Micros::new(self.entries[i].x);
-        let cp =
-            routing_aware_critical_path(self.params, self.options, self.qodg, x, &mut self.scratch);
+        let cp = routing_aware_critical_path(self.params, self.options, self.qodg, x);
         self.passes.fetch_add(1, Ordering::Relaxed);
         let census = Census::of(&cp);
         if !self.censuses.contains(&census) {

@@ -2,8 +2,7 @@
 //!
 //! The materialized pipeline (`Circuit` → `lower_to_ft` →
 //! [`Qodg`](leqa_circuit::Qodg) → [`ProfileData::new`]) holds the whole
-//! op list in memory at once, and a critical-path pass adds a 4-byte
-//! argmax per op. At cryptographic scale
+//! op list in memory at once, 12 bytes per op. At cryptographic scale
 //! (`shor_2048` lowers to tens of millions of FT ops) that costs gigabytes
 //! for quantities that are, mathematically, *streaming aggregates*: the
 //! Eq. 7 zone average and Eq. 12 numerators are per-qubit sums over the
@@ -26,9 +25,10 @@
 //!   regardless of chunk size (the differential suite in
 //!   `tests/streaming.rs` pins this).
 //! - [`stream_critical_path`](leqa_circuit::stream_critical_path), the
-//!   QODG's own critical-path kernel with the argmax off, replays the
-//!   stream once more with only a per-wire `(distance, census)` frontier,
-//!   so the resulting latency census is byte-identical.
+//!   kernel of the QODG's own census pass, replays the stream once more
+//!   and updates each op's wires where they lie, keeping only a per-wire
+//!   distance, census and touched flag, so the resulting latency census
+//!   is byte-identical.
 //!
 //! The [`Estimator`](crate::Estimator) front door is
 //! [`estimate_stream`](crate::Estimator::estimate_stream); `leqa-api`
@@ -358,7 +358,7 @@ mod tests {
     use super::*;
     use crate::estimator::{routing_aware_critical_path, EstimatorOptions, OpDelays};
     use crate::Estimator;
-    use leqa_circuit::{CriticalPathScratch, Qodg, QubitId};
+    use leqa_circuit::{Qodg, QubitId};
     use leqa_fabric::{FabricDims, Micros, OneQubitKind, PhysicalParams};
 
     fn q(i: u32) -> QubitId {
@@ -422,9 +422,7 @@ mod tests {
                 ..EstimatorOptions::default()
             };
             let l_cnot = Micros::new(3.25);
-            let mut scratch = CriticalPathScratch::new();
-            let walked =
-                routing_aware_critical_path(&params, &options, &qodg, l_cnot, &mut scratch);
+            let walked = routing_aware_critical_path(&params, &options, &qodg, l_cnot);
             let delays = OpDelays::new(&params, &options, l_cnot);
             let streamed =
                 leqa_circuit::stream_critical_path(6, ft.ops().iter().copied(), |op| delays.of(op))

@@ -1,8 +1,9 @@
 //! Allocation gate for the cold path: canonical write, circuit building,
-//! lowering and the IIG build must not allocate per gate, and a lowered
-//! program and its critical-path pass hold only the op list and a 4-byte
-//! argmax per op. Allocation counts and live bytes repeat exactly for the
-//! same input, so unlike timings they can be asserted.
+//! lowering and the IIG build must not allocate per gate; a lowered
+//! program holds only its op list, a node-path pass adds a 4-byte argmax
+//! per op, and a census pass only per-wire state. Allocation counts and
+//! live bytes repeat exactly for the same input, so unlike timings they
+//! can be asserted.
 //!
 //! The binary installs [`CountingAlloc`] as its global allocator and holds
 //! a single test, so no other test's allocations land in a measurement.
@@ -152,5 +153,26 @@ fn cold_path_allocations_do_not_grow_with_the_gate_count() {
     assert!(
         peak <= 4 * ops + slack + 3 * path_bytes,
         "the pass peaked at {peak} bytes for {ops} ops"
+    );
+
+    // A census pass carries each wire's census where it lies (81 bytes
+    // per wire): nothing per op, and nothing left behind.
+    let before = ALLOC.live_bytes();
+    ALLOC.reset_peak();
+    let census = qodg.critical_census(delay);
+    let kept = ALLOC.live_bytes() - before;
+    let peak = ALLOC.peak_bytes() - before;
+    println!(
+        "census pass gf2^64mult: peak {peak} bytes over {wires} wires ({:.1} B/wire), {kept} kept",
+        peak as f64 / wires as f64
+    );
+    assert_eq!(
+        (census.length, census.cnot_count, census.one_qubit_counts),
+        (cp.length, cp.cnot_count, cp.one_qubit_counts)
+    );
+    assert_eq!(kept, 0, "the census pass kept {kept} bytes");
+    assert!(
+        peak <= 96 * wires + 1024,
+        "the census pass peaked at {peak} bytes for {wires} wires and {ops} ops"
     );
 }
